@@ -21,12 +21,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, chsh, geometry, svg, verify, waveoptics
+from . import __version__, analysis, chsh, geometry, svg, verify
 from .measurement import AnalyzerEfficiencies
 from .quantum import operator_to_dict
 from .states import DepolarizationParams, depolarize, hybrid_bell_state
@@ -120,6 +119,17 @@ def _geometry_from(settings):
     )
 
 
+def _sweep_range(settings):
+    """Largest angle and number of angles of a sweep, validated."""
+    alpha_max = parse_quantity(settings["alpha_max"], "angle")
+    steps = int(settings["alpha_steps"])
+    if not math.isfinite(alpha_max):
+        raise CliError(f"alpha_max must be finite, got {alpha_max}")
+    if steps < 1:
+        raise CliError(f"alpha_steps must be >= 1, got {steps}")
+    return alpha_max, steps
+
+
 def _maybe_svg(settings, csv_path, series, title, xlabel, ylabel):
     if settings.get("svg"):
         svg.line_plot(
@@ -140,8 +150,7 @@ _GEOMETRY_DEFAULTS = {
 
 def cmd_visibility_scan(settings):
     geom = _geometry_from(settings)
-    alpha_max = parse_quantity(settings["alpha_max"], "angle")
-    steps = int(settings["alpha_steps"])
+    alpha_max, steps = _sweep_range(settings)
     alphas = np.linspace(0.0, alpha_max, steps)
     relay = settings["relay"] in (True, "on", "true")
     spec = analysis.FieldSpec(
@@ -151,19 +160,7 @@ def cmd_visibility_scan(settings):
         seed=int(settings["seed"]),
     )
     jobs = int(settings["jobs"])
-    if jobs > 1:
-        input_field = spec.build(geom)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vis = list(
-                pool.map(
-                    lambda a: waveoptics.interfere(input_field, geom, a, relay), alphas
-                )
-            )
-        curve = analysis.aoi_sweep(geom, spec, alphas[:0], relay)
-        rows = np.column_stack([alphas, vis, geometry.visibility(geom, alphas)])
-        curve.rows = rows
-    else:
-        curve = analysis.aoi_sweep(geom, spec, alphas, relay)
+    curve = analysis.aoi_sweep(geom, spec, alphas, relay)
     params = {**curve.params, "seed": settings["seed"], "jobs": jobs}
     path = _out_path(settings, "visibility_scan.csv")
     _write_csv(path, curve.columns, curve.rows, params)
@@ -384,16 +381,7 @@ def cmd_npt_boundary(settings):
     tol = float(settings["tol"])
     resolution = float(settings["resolution"])
     mass = float(settings["qubit_mass"])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda v: verify.boundary_scan([v], eff, tol, resolution, mass)[0],
-                    grid,
-                )
-            )
-    else:
-        results = verify.boundary_scan(grid, eff, tol, resolution, mass)
+    results = verify.boundary_scan(grid, eff, tol, resolution, mass)
     header, rows = verify.boundary_to_rows(results)
     path = _out_path(settings, "npt_boundary.csv")
     _write_csv(
@@ -461,8 +449,7 @@ def cmd_stability(settings):
 
 def cmd_expectation_aoi(settings):
     geom = _geometry_from(settings)
-    alpha_max = parse_quantity(settings["alpha_max"], "angle")
-    steps = int(settings["alpha_steps"])
+    alpha_max, steps = _sweep_range(settings)
     alphas = np.linspace(-alpha_max, alpha_max, steps)
     relay = settings["relay"] in (True, "on", "true")
     curve = analysis.expectation_vs_aoi(
@@ -583,6 +570,9 @@ def build_parser():
             flag = "--" + key.replace("_", "-")
             if key == "focal_length":
                 p.add_argument(flag, "--f", dest=key, default=None)
+            elif key == "jobs":
+                p.add_argument(flag, dest=key, default=None,
+                               help="accepted for compatibility; ignored")
             else:
                 p.add_argument(flag, dest=key, default=None)
     return parser

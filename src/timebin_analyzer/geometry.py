@@ -48,14 +48,10 @@ class InterferometerGeometry:
     focal_length: float
 
     def __post_init__(self):
-        if self.delta_l0 <= 0:
-            raise ValueError(f"delta_l0 must be > 0, got {self.delta_l0}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be > 0, got {self.focal_length}")
+        for name in ("delta_l0", "sigma", "wavelength", "focal_length"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 <= self.v0 <= 1.0:
             raise ValueError(f"v0 must be in [0, 1], got {self.v0}")
 

@@ -163,18 +163,26 @@ def make_speckle(
     psi = _hermite_functions(u, top) / math.sqrt(math.sqrt(2.0) * mode_width)
 
     rng = np.random.Generator(np.random.PCG64(seed))
+    order = np.arange(top + 1)
+    present = np.add.outer(order, order) <= top
+    # Boolean assignment fills in row-major order, the order of the draws.
+    draws = rng.normal(size=(int(present.sum()), 2))
     coeff = np.zeros((top + 1, top + 1), dtype=complex)
-    for m in range(top + 1):
-        for n_ in range(top + 1 - m):
-            re, im = rng.normal(size=2)
-            coeff[m, n_] = re + 1j * im
+    coeff[present] = draws[:, 0] + 1j * draws[:, 1]
     grid = psi.T @ coeff @ psi
     return ScalarField(grid, extent, wavelength).normalized()
 
 
 def _spectral_axes(field: ScalarField):
     f = np.fft.fftfreq(field.n, d=field.cell)
-    return np.meshgrid(f, f, indexing="ij")
+    return f[:, None], f[None, :]
+
+
+def _check_shift(field: ScalarField, dx_abs):
+    if dx_abs >= field.extent / 4.0:
+        raise ShiftTooLargeError(
+            f"|dx| = {dx_abs} exceeds a quarter of the extent {field.extent}"
+        )
 
 
 def shift_and_tilt(field: ScalarField, dx, alpha) -> ScalarField:
@@ -184,10 +192,7 @@ def shift_and_tilt(field: ScalarField, dx, alpha) -> ScalarField:
     tilt multiplies by exp(i 2 pi sin(alpha) x / wavelength).  Shifts
     beyond a quarter extent would wrap around and are rejected.
     """
-    if abs(dx) >= field.extent / 4.0:
-        raise ShiftTooLargeError(
-            f"|dx| = {abs(dx)} exceeds a quarter of the extent {field.extent}"
-        )
+    _check_shift(field, abs(dx))
     out = field.grid
     if dx != 0.0:
         fx, _ = _spectral_axes(field)
@@ -226,6 +231,31 @@ def alias_free_range(field: ScalarField):
     return field.extent * math.sqrt(inv_lam**2 - f_sig**2) / (2.0 * f_sig)
 
 
+def _angular_spectra(field: ScalarField, distance):
+    """Spectrum A of ``field`` and A K, K the alias-checked kernel over distance."""
+    z_max = alias_free_range(field)
+    if abs(distance) > z_max:
+        factor = abs(distance) / max(z_max, 1e-300)
+        raise AliasingError(
+            f"|distance| = {abs(distance)} m exceeds the alias-free range "
+            f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
+            f"at fixed cell size, i.e. use >= {math.ceil(field.n * factor)} samples"
+        )
+    spec = np.fft.fft2(np.fft.ifftshift(field.grid))
+    fx, fy = _spectral_axes(field)
+    inv_lam2 = 1.0 / field.wavelength**2
+    arg = inv_lam2 - fx**2 - fy**2
+    kernel = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
+    np.exp(kernel, out=kernel)
+    evanescent = arg < 0
+    if np.any(evanescent):
+        decay = np.exp(
+            np.clip(-2.0 * math.pi * abs(distance) * np.sqrt(-arg[evanescent]), -700, 0)
+        )
+        kernel[evanescent] = decay
+    return spec, np.multiply(spec, kernel, out=kernel)
+
+
 def propagate(field: ScalarField, distance) -> ScalarField:
     """Exact scalar angular-spectrum propagation over ``distance`` [m].
 
@@ -235,27 +265,8 @@ def propagate(field: ScalarField, distance) -> ScalarField:
     """
     if distance == 0.0:
         return ScalarField(field.grid.copy(), field.extent, field.wavelength)
-    z_max = alias_free_range(field)
-    if abs(distance) > z_max:
-        factor = abs(distance) / max(z_max, 1e-300)
-        raise AliasingError(
-            f"|distance| = {abs(distance)} m exceeds the alias-free range "
-            f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
-            f"at fixed cell size, i.e. use >= {math.ceil(field.n * factor)} samples"
-        )
-    fx, fy = _spectral_axes(field)
-    inv_lam2 = 1.0 / field.wavelength**2
-    arg = inv_lam2 - fx**2 - fy**2
-    kz = np.sqrt(np.maximum(arg, 0.0))
-    kernel = np.exp(2j * math.pi * distance * kz)
-    evanescent = arg < 0
-    if np.any(evanescent):
-        decay = np.exp(
-            np.clip(-2.0 * math.pi * abs(distance) * np.sqrt(-arg[evanescent]), -700, 0)
-        )
-        kernel[evanescent] = decay
-    spec = np.fft.fft2(np.fft.ifftshift(field.grid))
-    out = np.fft.fftshift(np.fft.ifft2(spec * kernel))
+    _, spec_long = _angular_spectra(field, distance)
+    out = np.fft.fftshift(np.fft.ifft2(spec_long))
     return ScalarField(out, field.extent, field.wavelength)
 
 
@@ -272,10 +283,13 @@ def fringe_visibility(a: ScalarField, b: ScalarField) -> float:
     V = |<a|b>| / ((|a|^2 + |b|^2)/2); the symmetric denominator makes
     unequal arm powers reduce the visibility.
     """
-    pa, pb = a.power(), b.power()
+    return float(_visibility(overlap(a, b), a.power(), b.power()))
+
+
+def _visibility(cross, pa, pb):
     if pa <= 0 or pb <= 0:
         raise ValueError("both fields must carry power")
-    return float(abs(overlap(a, b)) / (0.5 * (pa + pb)))
+    return np.abs(cross) / (0.5 * (pa + pb))
 
 
 def interfere(
@@ -285,28 +299,8 @@ def interfere(
     relay: bool,
     relay_model: str = "identity",
 ) -> float:
-    """Fringe visibility of the analyzer for an input field at angle ``alpha``.
-
-    The short-arm output is the input field; without relay the long-arm
-    output is additionally propagated over the extra path delta_l0 and
-    laterally offset by the ray-traced delta(alpha).  With relay the
-    long arm images the input identically (the round-trip ray matrix is
-    the identity), so both offset and mode evolution vanish.  The common
-    tilt of both output rays cancels in the overlap and the result is
-    scaled by the system visibility v0.
-    """
-    e_short = field
-    if relay:
-        if relay_model == "identity":
-            e_long = field
-        elif relay_model == "lenses":
-            e_long = _relay_by_lenses(field, geom.focal_length)
-        else:
-            raise ValueError(f"unknown relay_model {relay_model!r}")
-    else:
-        delta = _geometry.lateral_offset(geom, alpha)
-        e_long = shift_and_tilt(propagate(field, geom.delta_l0), delta, 0.0)
-    return geom.v0 * fringe_visibility(e_short, e_long)
+    """Fringe visibility at a single angle; see :func:`aoi_visibility_scan`."""
+    return float(aoi_visibility_scan(field, geom, [alpha], relay, relay_model)[0])
 
 
 def _lens(field: ScalarField, focal_length) -> ScalarField:
@@ -335,10 +329,38 @@ def _relay_by_lenses(field: ScalarField, f) -> ScalarField:
 
 
 def aoi_visibility_scan(field, geom, alphas, relay, relay_model="identity"):
-    """Visibility at each angle of a scan; convenience vector wrapper."""
-    return np.array(
-        [interfere(field, geom, a, relay, relay_model) for a in np.asarray(alphas)]
-    )
+    """Fringe visibility of the analyzer for an input field at each angle.
+
+    The short-arm output is the input.  With relay the long arm images the
+    input (``relay_model`` "identity" or "lenses") at every angle, so one
+    overlap serves the sweep.  Without relay the long arm is the input
+    propagated over delta_l0, spectrum B = A K (A the input spectrum, K the
+    angular-spectrum kernel), and offset by the ray-traced delta(alpha).
+    By Parseval <a|shift(b, delta)> ~ sum_fx [sum_fy conj(A) B](fx)
+    exp(-2 pi i fx delta): one dot product per angle.  The common tilt
+    cancels; the result is scaled by v0.  Raises AliasingError, then
+    AngleDomainError, then ShiftTooLargeError.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size == 0:
+        return np.empty(alphas.shape)
+    if relay:
+        if relay_model == "identity":
+            e_long = field
+        elif relay_model == "lenses":
+            e_long = _relay_by_lenses(field, geom.focal_length)
+        else:
+            raise ValueError(f"unknown relay_model {relay_model!r}")
+        return np.full(alphas.shape, geom.v0 * fringe_visibility(field, e_long))
+    spec, spec_long = _angular_spectra(field, geom.delta_l0)
+    delta = _geometry.lateral_offset(geom, alphas)
+    _check_shift(field, np.max(np.abs(delta)))
+    cross = np.einsum("ij,ij->i", np.conj(spec), spec_long)
+    fx = np.fft.fftfreq(field.n, d=field.cell)
+    overlaps = np.exp(-2j * math.pi * np.multiply.outer(delta, fx)) @ cross
+    pa = np.sum(np.abs(spec) ** 2)
+    pb = np.sum(np.abs(spec_long) ** 2)
+    return geom.v0 * _visibility(overlaps, pa, pb)
 
 
 def write_field_csv(field: ScalarField, path, kind="magnitude"):

@@ -1,10 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from timebin_analyzer import cli, verify
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -106,6 +110,42 @@ class TestVisibilityScan:
         assert data_lines(tmp_path / "a" / "visibility_scan.csv") == data_lines(
             tmp_path / "b" / "visibility_scan.csv"
         )
+
+    @pytest.mark.parametrize(
+        "extra, golden",
+        [
+            ([], "visibility_scan_gaussian_relay_off.csv"),
+            (["--mode", "speckle", "--mode-count", "15", "--seed", "5"],
+             "visibility_scan_speckle_relay_off.csv"),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, extra, golden):
+        assert run([
+            "visibility-scan", "--grid-n", "256", "--alpha-steps", "9", *extra,
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "visibility_scan.csv").read_bytes() == (
+            DATA / golden
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, name",
+        [
+            ("visibility-scan", "--sigma", "nan", "sigma"),
+            ("visibility-scan", "--delta-l0", "nan", "delta_l0"),
+            ("visibility-scan", "--wavelength", "nan", "wavelength"),
+            ("visibility-scan", "--focal-length", "nan", "focal_length"),
+            ("visibility-scan", "--delta-l0", "inf", "delta_l0"),
+            ("visibility-scan", "--alpha-max", "nan", "alpha_max"),
+            ("visibility-scan", "--alpha-steps", "0", "alpha_steps"),
+            ("expectation-aoi", "--alpha-steps", "0", "alpha_steps"),
+        ],
+    )
+    def test_bad_sweep_input_rejected(self, tmp_path, capsys, command, flag, value,
+                                      name):
+        assert run([command, flag, value, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestChshScan:

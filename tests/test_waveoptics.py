@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,24 @@ class TestMakeSpeckle:
     def test_resolution_guard(self):
         with pytest.raises(w.GridResolutionError):
             w.make_speckle(200, seed=0, grid_n=64, extent=0.02)
+
+    @pytest.mark.parametrize("mode_count, seed", [(1, 0), (15, 5), (50, 11)])
+    def test_matches_explicit_coefficient_loop(self, mode_count, seed):
+        # The coefficient draws, one pair at a time in row-major order.
+        extent, grid_n = 0.02, 512
+        top = mode_count - 1
+        mode_width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
+        x = (np.arange(grid_n) - grid_n // 2) * (extent / grid_n)
+        psi = w._hermite_functions(x / (math.sqrt(2.0) * mode_width), top)
+        psi /= math.sqrt(math.sqrt(2.0) * mode_width)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        coeff = np.zeros((top + 1, top + 1), dtype=complex)
+        for m in range(top + 1):
+            for n_ in range(top + 1 - m):
+                re, im = rng.normal(size=2)
+                coeff[m, n_] = re + 1j * im
+        expected = w.ScalarField(psi.T @ coeff @ psi, extent, 776e-9).normalized()
+        assert np.array_equal(w.make_speckle(mode_count, seed).grid, expected.grid)
 
 
 class TestShiftAndTilt:
@@ -198,6 +217,86 @@ class TestInterfere:
         field = w.make_gaussian(0.5e-3, grid_n=1024, extent=0.024)
         vis = w.interfere(field, geom, 0.0, relay=True, relay_model="lenses")
         assert vis == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_scan(field, geom, alphas, relay):
+    """The per-angle composition: propagate, offset, then overlap in real space."""
+    out = []
+    for alpha in alphas:
+        e_long = field
+        if not relay:
+            delta = g.lateral_offset(geom, alpha)
+            e_long = w.shift_and_tilt(w.propagate(field, geom.delta_l0), delta, 0.0)
+        out.append(geom.v0 * w.fringe_visibility(field, e_long))
+    return np.array(out)
+
+
+class TestAoiVisibilityScan:
+    ALPHAS = np.linspace(-2e-3, 2e-3, 9)
+
+    @pytest.mark.parametrize("relay", [False, True])
+    @pytest.mark.parametrize("kind", ["gaussian", "speckle"])
+    def test_matches_per_angle_reference(self, geom, kind, relay):
+        if kind == "gaussian":
+            field = w.make_gaussian(SIGMA, grid_n=128)
+        else:
+            field = w.make_speckle(10, seed=2, grid_n=128)
+        scan = w.aoi_visibility_scan(field, geom, self.ALPHAS, relay)
+        expected = reference_scan(field, geom, self.ALPHAS, relay)
+        assert np.max(np.abs(scan - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_interfere_is_scan_element(self, gaussian, geom, relay):
+        for alpha in (0.0, -1e-3, 1.7e-3):
+            assert w.interfere(gaussian, geom, alpha, relay) == w.aoi_visibility_scan(
+                gaussian, geom, [alpha], relay
+            )[0]
+
+    @pytest.mark.parametrize("angles", [1, 9, 41])
+    def test_one_kernel_per_sweep(self, gaussian, geom, monkeypatch, angles):
+        calls = {"kernel": 0, "range": 0, "overlap": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        spectra = counted("kernel", w._angular_spectra)
+        monkeypatch.setattr(w, "_angular_spectra", spectra)
+        monkeypatch.setattr(w, "alias_free_range", counted("range", w.alias_free_range))
+        monkeypatch.setattr(w, "overlap", counted("overlap", w.overlap))
+        alphas = np.linspace(0.0, 2e-3, angles)
+        assert w.aoi_visibility_scan(gaussian, geom, alphas, False).shape == (angles,)
+        assert calls == {"kernel": 1, "range": 1, "overlap": 0}
+        assert w.aoi_visibility_scan(gaussian, geom, alphas, True).shape == (angles,)
+        assert calls == {"kernel": 1, "range": 1, "overlap": 1}
+
+    def test_empty_sweep_does_not_propagate(self, gaussian, geom, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel built for an empty sweep")
+
+        monkeypatch.setattr(w, "_angular_spectra", fail)
+        for relay in (False, True):
+            out = w.aoi_visibility_scan(gaussian, geom, [], relay)
+            assert out.shape == (0,) and out.dtype == float
+
+    def test_aliasing_error(self, gaussian, geom):
+        far = dataclasses.replace(geom, delta_l0=100.0)
+        with pytest.raises(w.AliasingError):
+            w.aoi_visibility_scan(gaussian, far, self.ALPHAS, False)
+        # Aliasing is reported before an angle outside the ray model.
+        with pytest.raises(w.AliasingError):
+            w.aoi_visibility_scan(gaussian, far, [0.0, 1.0], False)
+
+    def test_shift_too_large(self, gaussian, geom):
+        # delta(10 mrad) = 5.9 mm, beyond a quarter of the 11.9 mm extent.
+        with pytest.raises(w.ShiftTooLargeError):
+            w.aoi_visibility_scan(gaussian, geom, [0.0, 1e-3, 1e-2], False)
+
+    def test_angle_domain_error(self, gaussian, geom):
+        with pytest.raises(g.AngleDomainError):
+            w.aoi_visibility_scan(gaussian, geom, [0.0, 1.0], False)
 
 
 class TestCsvExport:
