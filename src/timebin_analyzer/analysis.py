@@ -165,9 +165,9 @@ def stability_series(
     the per-bucket coincidences are Poisson distributed and the
     expectation values carry shot noise; ``rate=None`` is noiseless.
     """
-    if duration <= 0 or bucket <= 0:
-        raise ValueError("duration and bucket must be > 0")
-    times = np.arange(int(round(duration / bucket))) * bucket
+    if not -1.0 <= v_xy <= 1.0:
+        raise ValueError(f"v_xy must be in [-1, 1], got {v_xy}")
+    times = _chsh.bucket_times(duration, bucket, rate)
     phases = drift.phase(times)
     e1_ideal = v_xy * np.cos(phases)
     e2_ideal = v_xy * np.sin(phases)

@@ -92,14 +92,35 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in ("linear", "sinusoidal"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        for name in ("amount", "phase0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
 
     def phase(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "linear":
             return self.phase0 + self.amount * t / self.period
         return self.phase0 + self.amount * np.sin(2.0 * math.pi * t / self.period)
+
+
+def bucket_times(duration, bucket, rate=None):
+    """Start times of the buckets of a scan, after checking its parameters.
+
+    ``duration``, ``bucket`` and (unless None) ``rate`` must be finite
+    and > 0, and the duration must round to at least one bucket.
+    """
+    for name, value in (("rate", rate), ("duration", duration), ("bucket", bucket)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    n = int(round(duration / bucket))
+    if n < 1:
+        raise ValueError(
+            f"duration must be more than half a bucket (no bucket otherwise), "
+            f"got duration {duration} s and bucket {bucket} s"
+        )
+    return np.arange(n) * bucket
 
 
 def alice_setting(axis):
@@ -172,15 +193,13 @@ def simulate_drift_scan(
     trace is an independent Poisson draw from a deterministic generator;
     with ``seed=None`` the expected counts are returned (noiseless mode).
     """
-    if rate <= 0 or duration <= 0 or bucket <= 0:
-        raise ValueError("rate, duration and bucket must all be > 0")
+    times = bucket_times(duration, bucket, rate)
     if (rho.dim_a, rho.dim_b) == (2, 2):
         rho = embed_2x3(rho, 1.0)
     if (rho.dim_a, rho.dim_b) != (2, 3):
         raise ValueError("drift scan expects a 2x2 or 2x3 state")
 
-    n = int(round(duration / bucket))
-    times = np.arange(n) * bucket
+    n = times.size
     phases = drift.phase(times)
     p_plus, p_minus = alice_setting(alice_axis)
     static = bob_povm(eff)

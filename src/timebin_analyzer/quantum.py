@@ -9,6 +9,7 @@ thin validated wrapper that remembers the factor dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,43 +178,47 @@ def density_matrix_from_dict(d):
     return DensityMatrix(operator_from_dict(d), int(d["dim_a"]), int(d["dim_b"]))
 
 
-def hermitian_basis(dim):
-    """Orthonormal real basis of the Hermitian dim x dim matrices.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-    Ordered as: diagonal unit matrices, then for each i<j the symmetric
-    pair (E_ij + E_ji)/sqrt(2), then the antisymmetric i(E_ij - E_ji)/sqrt(2).
-    Orthonormal under the Frobenius inner product Tr(A B).
+
+def vec_hermitian(m):
+    """Real coordinates of a Hermitian n x n matrix, or of a stack of them.
+
+    The coordinates are those in the orthonormal (Frobenius) basis of
+    diagonal unit matrices, then (E_ij + E_ji)/sqrt(2) for each i<j,
+    then i(E_ij - E_ji)/sqrt(2) for each i<j, in row-major order of
+    (i, j): the n diagonal entries, then c*Re m[j,i] + c*Re m[i,j], then
+    c*Im m[j,i] - c*Im m[i,j] with c = 1/sqrt(2).  Both triangles are
+    read, so the map is the Frobenius pairing Tr(B m) also for a matrix
+    that is Hermitian only to rounding.
     """
-    basis = []
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = inv_sqrt2
-            m[j, i] = inv_sqrt2
-            basis.append(m)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j * inv_sqrt2
-            m[j, i] = 1j * inv_sqrt2
-            basis.append(m)
-    return basis
-
-
-def vec_hermitian(m, basis):
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
     m = np.asarray(m, dtype=complex)
-    return np.array([np.trace(b.conj().T @ m).real for b in basis])
+    n = m.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    upper, lower = m[..., i, j], m[..., j, i]
+    d = np.arange(n)
+    return np.concatenate(
+        [
+            m[..., d, d].real,
+            _INV_SQRT2 * lower.real + _INV_SQRT2 * upper.real,
+            _INV_SQRT2 * lower.imag - _INV_SQRT2 * upper.imag,
+        ],
+        axis=-1,
+    )
 
 
-def unvec_hermitian(x, basis):
-    """Hermitian matrix from its real coordinates in an orthonormal basis."""
-    m = np.zeros_like(basis[0])
-    for c, b in zip(x, basis):
-        m = m + c * b
+def unvec_hermitian(x):
+    """Hermitian matrix from its coordinates in :func:`vec_hermitian` order."""
+    x = np.asarray(x, dtype=float)
+    n = math.isqrt(x.shape[-1])
+    if n * n != x.shape[-1]:
+        raise DimensionMismatchError(f"{x.shape[-1]} coordinates are not n^2")
+    i, j = np.triu_indices(n, 1)
+    pairs = i.size
+    sym, anti = x[..., n : n + pairs], x[..., n + pairs :]
+    m = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    d = np.arange(n)
+    m[..., d, d] = x[..., :n]
+    m[..., i, j] = _INV_SQRT2 * sym - 1j * (_INV_SQRT2 * anti)
+    m[..., j, i] = _INV_SQRT2 * sym + 1j * (_INV_SQRT2 * anti)
     return m

@@ -15,11 +15,15 @@ carried by the maximally mixed 2x3 state), which fixes the scale
 without affecting verdicts; the certified feasible/infeasible answer is
 independent of that mass for any value in (0, 1).
 
-Solver: maximize t subject to rho >= t*I and rho^Gamma >= t*I over the
-affine constraint subspace.  The objective min(lambda_min(rho),
-lambda_min(rho^Gamma)) is concave; a supergradient ascent stage is
-followed by a smoothed (soft-min) continuation refined with L-BFGS.
-The margin t* certifies the verdict: infeasible when t* < -tol.
+One program: maximize t subject to rho >= t*I and rho^Gamma >= t*I
+over the affine subspace of all Hermitian 6x6 matrices that meet the
+five constraints, held in the real coordinates of
+:func:`~timebin_analyzer.quantum.vec_hermitian`.  One solver: the
+objective min(lambda_min(rho), lambda_min(rho^Gamma)) is concave; a
+supergradient ascent stage is followed by a smoothed (soft-min)
+continuation refined with L-BFGS.  The margin t* decides the verdict:
+infeasible when t* < -tol.  For 2x3 the PPT test is exact, so an
+infeasible program certifies entanglement.
 """
 
 from __future__ import annotations
@@ -29,15 +33,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measurement import AnalyzerEfficiencies, alice_povm, bob_povm
 from .quantum import (
     DensityMatrix,
-    hermitian_basis,
     min_eigenvalue,
     partial_transpose,
     tensor,
+    unvec_hermitian,
     vec_hermitian,
 )
 
@@ -56,10 +59,6 @@ class NonConvergenceError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class StructureError(ValueError):
-    """Constraint operators are not block diagonal."""
-
-
 @dataclass
 class ConstraintSet:
     """Affine constraints Tr(rho C_k) = b_k of the feasibility program."""
@@ -71,7 +70,6 @@ class ConstraintSet:
     v_z: float
     v_xy: float
     qubit_mass: float
-    structure: str = "full"
 
     def residuals(self, rho):
         return {
@@ -129,9 +127,7 @@ def build_constraints(
     targets = [1.0, 0.0, 0.0, 0.0, float(qubit_mass)]
     labels = ["trace", "vis_plus_z", "vis_minus_z", "vis_xy", "qubit_mass"]
 
-    basis = hermitian_basis(6)
-    rows = np.array([vec_hermitian(op, basis) for op in operators])
-    rank = np.linalg.matrix_rank(rows, tol=1e-10)
+    rank = np.linalg.matrix_rank(vec_hermitian(np.array(operators)), tol=1e-10)
     if rank < len(operators):
         warnings.warn(
             f"constraints are rank deficient (rank {rank} of {len(operators)}); "
@@ -150,65 +146,17 @@ def build_constraints(
     )
 
 
-def block_diagonal_restriction(cs: ConstraintSet) -> ConstraintSet:
-    """Restrict the program to states block diagonal in photon number.
-
-    The measurement operators never couple the vacuum and one-photon
-    sectors, so the search may be restricted to states with the same
-    block structure; the verdict must match the full program.  Raises
-    :class:`StructureError` if any constraint operator carries
-    vacuum-qubit coherences.
-    """
-    mask = _block_mask()
-    for label, op in zip(cs.labels, cs.operators):
-        if np.max(np.abs(op[~mask])) > 1e-12:
-            raise StructureError(f"constraint {label} couples vacuum and qubit sectors")
-    return ConstraintSet(
-        operators=list(cs.operators),
-        targets=list(cs.targets),
-        labels=list(cs.labels),
-        eff=cs.eff,
-        v_z=cs.v_z,
-        v_xy=cs.v_xy,
-        qubit_mass=cs.qubit_mass,
-        structure="block",
-    )
-
-
-def _block_mask():
-    """Boolean 6x6 mask of entries allowed by photon-number blocks."""
-    vac = [0, 3]  # (H, none), (V, none)
-    qub = [1, 2, 4, 5]
-    mask = np.zeros((6, 6), dtype=bool)
-    for group in (vac, qub):
-        for i in group:
-            for j in group:
-                mask[i, j] = True
-    return mask
-
-
-def _parameter_basis(structure):
-    """Hermitian basis elements spanning the chosen matrix structure."""
-    full = hermitian_basis(6)
-    if structure == "full":
-        return full
-    mask = _block_mask()
-    return [b for b in full if np.max(np.abs(np.asarray(b)[~mask])) < 1e-15]
-
-
 class _Subspace:
-    """Affine subspace {x0 + N z} of vec'd Hermitian matrices."""
+    """Affine subspace {x0 + N z} of Hermitian coordinates (see
+    :func:`~timebin_analyzer.quantum.vec_hermitian`)."""
 
     def __init__(self, cs: ConstraintSet):
-        self.basis = np.array(_parameter_basis(cs.structure))
-        rows = np.array(
-            [[np.trace(b.conj().T @ op).real for b in self.basis] for op in cs.operators]
-        )
+        rows = vec_hermitian(np.array(cs.operators))
         b = np.asarray(cs.targets, dtype=float)
         self.x0, *_ = np.linalg.lstsq(rows, b, rcond=None)
         if np.max(np.abs(rows @ self.x0 - b)) > 1e-9:
             raise NonConvergenceError(
-                "constraints are inconsistent on the chosen structure",
+                "constraints are inconsistent",
                 {"residual": float(np.max(np.abs(rows @ self.x0 - b)))},
             )
         u, s, vt = np.linalg.svd(rows)
@@ -217,14 +165,10 @@ class _Subspace:
         self.dim = self.null.shape[1]
 
     def rho(self, z):
-        x = self.x0 + self.null @ z
-        return np.tensordot(x, self.basis, axes=1)
+        return unvec_hermitian(self.x0 + self.null @ z)
 
     def project_gradient(self, g_matrix):
-        gx = np.array(
-            [np.trace(b.conj().T @ g_matrix).real for b in self.basis]
-        )
-        return self.null.T @ gx
+        return self.null.T @ vec_hermitian(g_matrix)
 
 
 def _margin(rho):
@@ -262,8 +206,12 @@ def sdp_feasible(
     :class:`NonConvergenceError` when the iteration budget is exhausted
     before the margin stabilizes.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    # scipy is imported here, not at module level, so that the CLI
+    # subcommands that never solve do not pay for loading it.
+    from scipy.optimize import minimize
+
     sub = _Subspace(cs)
     evals = 0
 
@@ -343,56 +291,6 @@ def sdp_feasible(
     return report
 
 
-def alternating_projections(cs: ConstraintSet, iterations=4000, gap_tol=1e-6):
-    """Cross-check by cyclic projection onto the PSD cone, the cone of
-    states with PSD partial transpose, and the affine constraint set.
-
-    Returns (feasible, rho, gap): if the sets intersect, the iterates
-    converge and the residual gap falls below ``gap_tol``; for an empty
-    intersection the gap stalls at a positive value.
-    """
-    sub = _Subspace(cs)
-    basis = sub.basis
-    rows = np.array(
-        [[np.trace(b.conj().T @ op).real for b in basis] for op in cs.operators]
-    )
-    b = np.asarray(cs.targets, dtype=float)
-    pinv = np.linalg.pinv(rows)
-
-    def project_affine(x):
-        return x + pinv @ (b - rows @ x)
-
-    def project_psd(rho):
-        w, v = np.linalg.eigh(rho)
-        return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-    x = project_affine(np.zeros(len(basis)))
-    gap = math.inf
-    for _ in range(iterations):
-        rho = np.tensordot(x, basis, axes=1)
-        rho_psd = project_psd(rho)
-        rho_ppt = partial_transpose(project_psd(partial_transpose(rho_psd)))
-        x_new = project_affine(
-            np.array([np.trace(bb.conj().T @ rho_ppt).real for bb in basis])
-        )
-        gap = float(np.linalg.norm(x_new - x))
-        x = x_new
-        rho = np.tensordot(x, basis, axes=1)
-        if (
-            gap < 1e-12
-            and min_eigenvalue(rho) > -gap_tol
-            and min_eigenvalue(partial_transpose(rho)) > -gap_tol
-        ):
-            break
-    rho = np.tensordot(x, basis, axes=1)
-    feasible = (
-        min_eigenvalue(rho) > -gap_tol
-        and min_eigenvalue(partial_transpose(rho)) > -gap_tol
-        and max(abs(r) for r in cs.residuals(rho).values()) < gap_tol
-    )
-    return feasible, rho, gap
-
-
 @dataclass
 class BoundaryPoint:
     """One point of the classical boundary: threshold in v_xy at fixed v_z."""
@@ -417,6 +315,8 @@ def boundary_scan(
     even v_xy = 1 is consistent with a PPT state the point is reported
     unbracketed with an infinite threshold.
     """
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     points = []
     for v_z in v_z_values:
         report_lo = sdp_feasible(

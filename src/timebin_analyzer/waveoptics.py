@@ -196,7 +196,7 @@ def shift_and_tilt(field: ScalarField, dx, alpha) -> ScalarField:
     out = field.grid
     if dx != 0.0:
         fx, _ = _spectral_axes(field)
-        spec = np.fft.fft2(np.fft.ifftshift(out))
+        spec = _spectrum(field)
         spec *= np.exp(-2j * math.pi * fx * dx)
         out = np.fft.fftshift(np.fft.ifft2(spec))
     if alpha != 0.0:
@@ -206,11 +206,16 @@ def shift_and_tilt(field: ScalarField, dx, alpha) -> ScalarField:
     return ScalarField(out, field.extent, field.wavelength)
 
 
-def _signal_bandwidth(field: ScalarField):
+def _spectrum(field: ScalarField):
+    """Unshifted 2-D spectrum of the field grid."""
+    return np.fft.fft2(np.fft.ifftshift(field.grid))
+
+
+def _signal_bandwidth(field: ScalarField, spec):
     """Radial frequency containing all but 1e-12 of the spectral power."""
     fx, fy = _spectral_axes(field)
     fr = np.hypot(fx, fy).ravel()
-    p = np.abs(np.fft.fft2(np.fft.ifftshift(field.grid))).ravel() ** 2
+    p = np.abs(spec).ravel() ** 2
     order = np.argsort(fr)
     cum = np.cumsum(p[order])
     total = cum[-1]
@@ -222,7 +227,12 @@ def _signal_bandwidth(field: ScalarField):
 
 def alias_free_range(field: ScalarField):
     """Maximum |distance| for alias-free angular-spectrum propagation."""
-    f_sig = 1.1 * _signal_bandwidth(field)
+    return _alias_free_range(field, _spectrum(field))
+
+
+def _alias_free_range(field: ScalarField, spec):
+    """:func:`alias_free_range` from the spectrum ``spec`` of ``field``."""
+    f_sig = 1.1 * _signal_bandwidth(field, spec)
     inv_lam = 1.0 / field.wavelength
     if f_sig <= 0 or f_sig >= inv_lam:
         return 0.0 if f_sig >= inv_lam else math.inf
@@ -233,7 +243,8 @@ def alias_free_range(field: ScalarField):
 
 def _angular_spectra(field: ScalarField, distance):
     """Spectrum A of ``field`` and A K, K the alias-checked kernel over distance."""
-    z_max = alias_free_range(field)
+    spec = _spectrum(field)
+    z_max = _alias_free_range(field, spec)
     if abs(distance) > z_max:
         factor = abs(distance) / max(z_max, 1e-300)
         raise AliasingError(
@@ -241,7 +252,6 @@ def _angular_spectra(field: ScalarField, distance):
             f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
             f"at fixed cell size, i.e. use >= {math.ceil(field.n * factor)} samples"
         )
-    spec = np.fft.fft2(np.fft.ifftshift(field.grid))
     fx, fy = _spectral_axes(field)
     inv_lam2 = 1.0 / field.wavelength**2
     arg = inv_lam2 - fx**2 - fy**2

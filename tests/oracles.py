@@ -2,9 +2,13 @@
 
 These deliberately avoid the production code paths: the eigensolver is
 a classical Jacobi rotation method on a real-symmetric embedding, the
-partial transpose and Kronecker product use explicit index loops, and
-integrals are done by direct quadrature.
+partial transpose and Kronecker product use explicit index loops,
+Hermitian coordinates are Frobenius traces against an explicit list of
+basis matrices, the PPT feasibility cross-check is cyclic projection,
+and integrals are done by direct quadrature.
 """
+
+import math
 
 import numpy as np
 
@@ -117,3 +121,87 @@ def fit_period(times, values):
         if resid < best[0]:
             best = (resid, period)
     return best[1]
+
+
+def hermitian_basis(dim):
+    """Orthonormal real basis of the Hermitian dim x dim matrices.
+
+    Ordered as: diagonal unit matrices, then for each i<j the symmetric
+    pair (E_ij + E_ji)/sqrt(2), then the antisymmetric i(E_ij - E_ji)/sqrt(2).
+    Orthonormal under the Frobenius inner product Tr(A B).
+    """
+    basis = []
+    for i in range(dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[i, i] = 1.0
+        basis.append(m)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = inv_sqrt2
+            m[j, i] = inv_sqrt2
+            basis.append(m)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = -1j * inv_sqrt2
+            m[j, i] = 1j * inv_sqrt2
+            basis.append(m)
+    return basis
+
+
+def basis_traces(m, basis):
+    """Real coordinates Tr(b^dagger m) of a matrix in an orthonormal basis."""
+    m = np.asarray(m, dtype=complex)
+    return np.array([np.trace(b.conj().T @ m).real for b in basis])
+
+
+def alternating_projections(cs, iterations=4000, gap_tol=1e-6):
+    """PPT feasibility by cyclic projection onto the PSD cone, the cone of
+    states with PSD partial transpose, and the affine constraint set.
+
+    ``cs`` is a 2x3 constraint set (operators C_k, targets b_k).  Returns
+    (feasible, rho, gap): if the sets intersect, the iterates converge
+    and the residual gap falls below ``gap_tol``; for an empty
+    intersection the gap stalls at a positive value.
+    """
+    basis = np.array(hermitian_basis(6))
+    rows = np.array([basis_traces(op, basis) for op in cs.operators])
+    b = np.asarray(cs.targets, dtype=float)
+    pinv = np.linalg.pinv(rows)
+
+    def pt(m):
+        return partial_transpose_loops(m, 2, 3)
+
+    def min_eig(m):
+        return float(np.linalg.eigvalsh(m)[0])
+
+    def project_affine(x):
+        return x + pinv @ (b - rows @ x)
+
+    def project_psd(rho):
+        w, v = np.linalg.eigh(rho)
+        return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+    x = project_affine(np.zeros(len(basis)))
+    gap = math.inf
+    for _ in range(iterations):
+        rho = np.tensordot(x, basis, axes=1)
+        rho_psd = project_psd(rho)
+        rho_ppt = pt(project_psd(pt(rho_psd)))
+        x_new = project_affine(basis_traces(rho_ppt, basis))
+        gap = float(np.linalg.norm(x_new - x))
+        x = x_new
+        rho = np.tensordot(x, basis, axes=1)
+        if gap < 1e-12 and min_eig(rho) > -gap_tol and min_eig(pt(rho)) > -gap_tol:
+            break
+    rho = np.tensordot(x, basis, axes=1)
+    residual = max(
+        abs(float(np.trace(rho @ op).real) - t)
+        for op, t in zip(cs.operators, cs.targets)
+    )
+    feasible = (
+        min_eig(rho) > -gap_tol and min_eig(pt(rho)) > -gap_tol and residual < gap_tol
+    )
+    return feasible, rho, gap

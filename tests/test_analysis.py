@@ -126,3 +126,9 @@ class TestStabilitySeries:
         drift = chsh.DriftModel()
         with pytest.raises(ValueError):
             analysis.stability_series(0.8, drift, 0.0, 1.0)
+        with pytest.raises(ValueError, match="v_xy"):
+            analysis.stability_series(1.5, drift, 10.0, 1.0)
+        with pytest.raises(ValueError, match="rate"):
+            analysis.stability_series(0.8, drift, 10.0, 1.0, rate=math.nan)
+        with pytest.raises(ValueError, match="duration"):
+            analysis.stability_series(0.8, drift, 10.0, 100.0)

@@ -144,6 +144,10 @@ class TestDriftModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             chsh.DriftModel("random-walk")
+        for bad in ({"period": math.nan}, {"period": math.inf}, {"period": 0.0},
+                    {"amount": math.nan}, {"phase0": math.inf}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                chsh.DriftModel("linear", **bad)
 
 
 class TestSimulateDriftScan:

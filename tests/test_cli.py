@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from timebin_analyzer import cli, verify
 
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 
@@ -62,6 +66,23 @@ class TestNptVerify:
         assert run(["npt-verify", "--vz", "1.0", "--vxy", "0.0",
                     "--out-dir", str(tmp_path)]) == 0
         assert "FEASIBLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra, golden",
+        [
+            ([], {"npt_verify.csv": "npt_verify_paper_point.csv"}),
+            (["--vz", "0.9", "--vxy", "0.3"],
+             {"npt_verify.csv": "npt_verify_vz0.9_vxy0.3.csv",
+              "npt_witness.json": "npt_witness_vz0.9_vxy0.3.json"}),
+        ],
+        ids=["paper_point", "feasible"],
+    )
+    def test_golden_bytes(self, tmp_path, extra, golden):
+        # Margin, iteration count and witness digits pin the solver path.
+        assert run(["npt-verify", *extra, "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
+        for name, reference in golden.items():
+            assert (tmp_path / name).read_bytes() == (DATA / reference).read_bytes()
 
     def test_nonconvergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -129,21 +150,37 @@ class TestVisibilityScan:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "command, flag, value, name",
+        "argv, name",
         [
-            ("visibility-scan", "--sigma", "nan", "sigma"),
-            ("visibility-scan", "--delta-l0", "nan", "delta_l0"),
-            ("visibility-scan", "--wavelength", "nan", "wavelength"),
-            ("visibility-scan", "--focal-length", "nan", "focal_length"),
-            ("visibility-scan", "--delta-l0", "inf", "delta_l0"),
-            ("visibility-scan", "--alpha-max", "nan", "alpha_max"),
-            ("visibility-scan", "--alpha-steps", "0", "alpha_steps"),
-            ("expectation-aoi", "--alpha-steps", "0", "alpha_steps"),
+            pytest.param(argv, name, id="-".join([*argv, name]))
+            for argv, name in [
+                (["visibility-scan", "--sigma", "nan"], "sigma"),
+                (["visibility-scan", "--delta-l0", "nan"], "delta_l0"),
+                (["visibility-scan", "--wavelength", "nan"], "wavelength"),
+                (["visibility-scan", "--focal-length", "nan"], "focal_length"),
+                (["visibility-scan", "--delta-l0", "inf"], "delta_l0"),
+                (["visibility-scan", "--alpha-max", "nan"], "alpha_max"),
+                (["visibility-scan", "--alpha-steps", "0"], "alpha_steps"),
+                (["expectation-aoi", "--alpha-steps", "0"], "alpha_steps"),
+                (["chsh-scan", "--drift-period", "nan"], "period"),
+                (["chsh-scan", "--drift-amount", "nan"], "amount"),
+                (["chsh-scan", "--rate", "nan"], "rate"),
+                (["chsh-scan", "--duration", "inf"], "duration"),
+                (["chsh-scan", "--bucket", "500s", "--duration", "120s"], "duration"),
+                (["stability", "--vxy", "1.5"], "v_xy"),
+                (["stability", "--vxy", "nan"], "v_xy"),
+                (["stability", "--bucket", "0s"], "bucket"),
+                (["stability", "--rate", "-1"], "rate"),
+                (["npt-verify", "--vz", "0", "--vxy", "0", "--tol", "nan"], "tol"),
+                (["npt-boundary", "--vz-grid", "0.9", "--resolution", "nan"],
+                 "resolution"),
+                (["npt-boundary", "--vz-grid", "0.9", "--resolution", "0"],
+                 "resolution"),
+            ]
         ],
     )
-    def test_bad_sweep_input_rejected(self, tmp_path, capsys, command, flag, value,
-                                      name):
-        assert run([command, flag, value, "--out-dir", str(tmp_path)]) == 2
+    def test_bad_sweep_input_rejected(self, tmp_path, capsys, argv, name):
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 2
         assert f"error: {name} must be" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
@@ -189,6 +226,29 @@ class TestNptBoundary:
         rows = [l.split(",") for l in lines[1:]]
         assert float(rows[0][1]) >= float(rows[1][1])
         assert float(rows[1][1]) < 0.804
+
+
+    def test_golden_bytes(self, tmp_path):
+        assert run([
+            "npt-boundary", "--vz-grid", "0.952", "--out-dir", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "npt_boundary.csv").read_bytes() == (
+            DATA / "npt_boundary_vz0.952.csv"
+        ).read_bytes()
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy serves only the solver; subcommands that never solve
+        # must not pay for loading it.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        code = "import sys, timebin_analyzer.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestConfigPrecedence:

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from timebin_analyzer import quantum as q
+from timebin_analyzer import verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_povm
 
 from oracles import (
+    basis_traces,
+    hermitian_basis,
     jacobi_eigvalsh,
     kron_loops,
     partial_transpose_loops,
@@ -209,17 +212,44 @@ class TestSerialization:
 
 
 class TestHermitianBasis:
+    """The index map against the oracle's explicit basis and traces."""
+
     def test_orthonormal_and_complete(self):
-        basis = q.hermitian_basis(6)
+        basis = hermitian_basis(6)
         assert len(basis) == 36
-        gram = np.array(
-            [[np.trace(a.conj().T @ b).real for b in basis] for a in basis]
-        )
+        gram = np.array([basis_traces(b, basis) for b in basis])
         assert np.max(np.abs(gram - np.eye(36))) < 1e-14
+        assert np.array_equal(q.vec_hermitian(np.array(basis)), gram)
 
     def test_vec_round_trip(self):
         rng = np.random.default_rng(20)
-        basis = q.hermitian_basis(6)
         m = random_hermitian(rng, 6)
-        x = q.vec_hermitian(m, basis)
-        assert np.max(np.abs(q.unvec_hermitian(x, basis) - m)) < 1e-13
+        x = q.vec_hermitian(m)
+        assert x.shape == (36,)
+        assert np.max(np.abs(q.unvec_hermitian(x) - m)) < 1e-13
+
+    def test_vec_matches_basis_traces(self):
+        rng = np.random.default_rng(21)
+        basis = hermitian_basis(6)
+        eff = AnalyzerEfficiencies(0.9, 0.9)
+        matrices = [random_hermitian(rng, 6) for _ in range(20)]
+        matrices += verify.build_constraints(0.952, 0.804, eff).operators
+        # A gradient is Hermitian only to rounding; both triangles count.
+        matrices.append(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        for m in matrices:
+            assert np.array_equal(q.vec_hermitian(m), basis_traces(m, basis))
+        stacked = q.vec_hermitian(np.array(matrices))
+        assert np.array_equal(stacked, [basis_traces(m, basis) for m in matrices])
+
+    def test_unvec_matches_basis_sum(self):
+        rng = np.random.default_rng(22)
+        basis = np.array(hermitian_basis(6))
+        for _ in range(20):
+            x = rng.normal(size=36)
+            assert np.array_equal(
+                q.unvec_hermitian(x), np.tensordot(x, basis, axes=1)
+            )
+
+    def test_unvec_rejects_bad_length(self):
+        with pytest.raises(q.DimensionMismatchError):
+            q.unvec_hermitian(np.zeros(35))

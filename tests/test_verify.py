@@ -8,7 +8,7 @@ from timebin_analyzer import states as st
 from timebin_analyzer import verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
-from oracles import jacobi_eigvalsh
+from oracles import alternating_projections, jacobi_eigvalsh
 
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 
@@ -117,49 +117,8 @@ class TestAlternatingProjections:
     def test_agreement_with_margin_solver(self, v_z, v_xy, expected):
         cs = verify.build_constraints(v_z, v_xy, EFF)
         assert verify.sdp_feasible(cs).feasible is expected
-        feasible, _, _ = verify.alternating_projections(cs)
+        feasible, _, _ = alternating_projections(cs)
         assert feasible is expected
-
-
-class TestBlockDiagonalRestriction:
-    def test_verdicts_match_full_problem(self):
-        for v_z, v_xy in ((0.952, 0.804), (0.9, 0.3), (0.0, 0.0)):
-            cs = verify.build_constraints(v_z, v_xy, EFF)
-            full = verify.sdp_feasible(cs)
-            block = verify.sdp_feasible(verify.block_diagonal_restriction(cs))
-            assert full.feasible == block.feasible
-            assert block.margin == pytest.approx(full.margin, abs=1e-6)
-
-    def test_mixed_state_remains_feasible_in_restricted_form(self):
-        cs = verify.block_diagonal_restriction(
-            verify.build_constraints(0.0, 0.0, EFF)
-        )
-        report = verify.sdp_feasible(cs)
-        assert report.feasible and report.margin > 0.1
-
-    def test_structure_violation_detected(self):
-        cs = verify.build_constraints(0.9, 0.3, EFF)
-        bad = cs.operators[1].copy()
-        bad[0, 1] = 0.1
-        bad[1, 0] = 0.1
-        cs.operators[1] = bad
-        with pytest.raises(verify.StructureError):
-            verify.block_diagonal_restriction(cs)
-
-    def test_threshold_agreement_on_grid(self):
-        # Restricted and full problems give the same bisection threshold.
-        grid = [0.85, 0.9, 0.952]
-        full_points = verify.boundary_scan(grid, EFF)
-        for point in full_points:
-            v_z, thr = point.v_z, point.threshold
-            cs_lo = verify.block_diagonal_restriction(
-                verify.build_constraints(v_z, thr - 2e-3, EFF)
-            )
-            cs_hi = verify.block_diagonal_restriction(
-                verify.build_constraints(v_z, thr + 1e-3, EFF)
-            )
-            assert verify.sdp_feasible(cs_lo).feasible
-            assert not verify.sdp_feasible(cs_hi).feasible
 
 
 class TestPptOracle:
@@ -227,3 +186,13 @@ class TestBoundaryScan:
         header, rows = verify.boundary_to_rows(points)
         assert header == ["v_z", "v_xy_threshold", "margin", "iterations"]
         assert len(rows) == 1 and rows[0][0] == 0.9
+
+    def test_threshold_agreement_on_grid(self):
+        # The bisection threshold is bracketed: feasible just below it,
+        # infeasible just above it.
+        for point in verify.boundary_scan([0.85, 0.9, 0.952], EFF):
+            v_z, thr = point.v_z, point.threshold
+            cs_lo = verify.build_constraints(v_z, thr - 2e-3, EFF)
+            cs_hi = verify.build_constraints(v_z, thr + 1e-3, EFF)
+            assert verify.sdp_feasible(cs_lo).feasible
+            assert not verify.sdp_feasible(cs_hi).feasible

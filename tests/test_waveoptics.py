@@ -254,7 +254,7 @@ class TestAoiVisibilityScan:
 
     @pytest.mark.parametrize("angles", [1, 9, 41])
     def test_one_kernel_per_sweep(self, gaussian, geom, monkeypatch, angles):
-        calls = {"kernel": 0, "range": 0, "overlap": 0}
+        calls = {"kernel": 0, "range": 0, "fft2": 0, "overlap": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -264,13 +264,15 @@ class TestAoiVisibilityScan:
 
         spectra = counted("kernel", w._angular_spectra)
         monkeypatch.setattr(w, "_angular_spectra", spectra)
-        monkeypatch.setattr(w, "alias_free_range", counted("range", w.alias_free_range))
+        # The alias-free range is taken from the sweep's own spectrum.
+        monkeypatch.setattr(w, "_signal_bandwidth", counted("range", w._signal_bandwidth))
+        monkeypatch.setattr(np.fft, "fft2", counted("fft2", np.fft.fft2))
         monkeypatch.setattr(w, "overlap", counted("overlap", w.overlap))
         alphas = np.linspace(0.0, 2e-3, angles)
         assert w.aoi_visibility_scan(gaussian, geom, alphas, False).shape == (angles,)
-        assert calls == {"kernel": 1, "range": 1, "overlap": 0}
+        assert calls == {"kernel": 1, "range": 1, "fft2": 1, "overlap": 0}
         assert w.aoi_visibility_scan(gaussian, geom, alphas, True).shape == (angles,)
-        assert calls == {"kernel": 1, "range": 1, "overlap": 1}
+        assert calls == {"kernel": 1, "range": 1, "fft2": 1, "overlap": 1}
 
     def test_empty_sweep_does_not_propagate(self, gaussian, geom, monkeypatch):
         def fail(*args):
