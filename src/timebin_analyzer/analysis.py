@@ -124,6 +124,10 @@ def expectation_vs_aoi(
     zero over any window spanning many periods.  The relative photon
     collection rate is included as a separate column.
     """
+    if not -1.0 <= v_xy <= 1.0:
+        raise ValueError(f"v_xy must be in [-1, 1], got {v_xy}")
+    if not math.isfinite(fixed_phase):
+        raise ValueError(f"fixed_phase must be finite, got {fixed_phase}")
     alphas = np.asarray(alphas, dtype=float)
     if relay:
         e_vals = np.full(alphas.shape, v_xy * math.cos(fixed_phase))
@@ -175,15 +179,13 @@ def stability_series(
         e1, e2 = e1_ideal, e2_ideal
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-        mean = rate * bucket / 4.0
-        e1 = np.empty_like(e1_ideal)
-        e2 = np.empty_like(e2_ideal)
-        for k in range(times.size):
-            for target, ideal in ((e1, e1_ideal), (e2, e2_ideal)):
-                n_plus = rng.poisson(mean * (1.0 + ideal[k]))
-                n_minus = rng.poisson(mean * (1.0 - ideal[k]))
-                total = n_plus + n_minus
-                target[k] = (n_plus - n_minus) / total if total > 0 else 0.0
+        ideal = np.column_stack([e1_ideal, e2_ideal])
+        # Means ordered (bucket, quadrature, +/-): the draws come in that order.
+        mean = rate * bucket / 4.0 * np.stack([1.0 + ideal, 1.0 - ideal], axis=-1)
+        plus, minus = np.moveaxis(rng.poisson(mean), -1, 0)
+        total = plus + minus
+        e = np.divide(plus - minus, total, out=np.zeros(total.shape), where=total > 0)
+        e1, e2 = e.T
     combined = np.array(
         [_chsh.combined_expectation(a, b) for a, b in zip(e1, e2)]
     )

@@ -199,21 +199,19 @@ def simulate_drift_scan(
     if (rho.dim_a, rho.dim_b) != (2, 3):
         raise ValueError("drift scan expects a 2x2 or 2x3 state")
 
-    n = times.size
-    phases = drift.phase(times)
-    p_plus, p_minus = alice_setting(alice_axis)
     static = bob_povm(eff)
-
-    lam = {(det, b): np.empty(n) for det in DETECTORS for b in BINS}
-    for k, phi in enumerate(phases):
-        bins = {
-            "early": static["E"],
-            "late": static["L"],
-            "mid": bob_povm(eff, relative_phase=phi)["X"],
-        }
-        for det, proj in zip(DETECTORS, (p_plus, p_minus)):
-            for b, op in bins.items():
-                lam[(det, b)][k] = rate * bucket * rho.expectation(tensor(proj, op))
+    ops = {
+        "early": static["E"],
+        "mid": bob_povm(eff, relative_phase=drift.phase(times))["X"],
+        "late": static["L"],
+    }
+    # One trace per (detector, bin): a single value for the static bins,
+    # one per bucket for the middle bin; np.full spreads either over the scan.
+    lam = {
+        (det, b): np.full(times.size, rate * bucket * rho.expectation(tensor(proj, op)))
+        for det, proj in zip(DETECTORS, alice_setting(alice_axis))
+        for b, op in ops.items()
+    }
 
     if seed is None:
         counts = lam
@@ -249,7 +247,8 @@ def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
     E(t1, t2) pairs the '+' orientation of the superposition basis at t1
     with the '-' orientation at t2 (where the drifted phase has moved),
     so E(t1,t2) = (N+(t1) + N-(t2) - N-(t1) - N+(t2)) / (total).  Cells
-    whose four counts vanish are undefined and excluded from the argmax.
+    whose four counts vanish are undefined, hold NaN and are excluded
+    from the argmax.
     """
     n_plus, n_minus = trace.middle_series()
     p1 = n_plus[:, None]
@@ -258,11 +257,16 @@ def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
     m2 = n_minus[None, :]
     total = p1 + m2 + m1 + p2
     defined = total > 0
-    surface = np.full((trace.n_buckets, trace.n_buckets), np.nan)
-    np.divide(p1 + m2 - m1 - p2, total, out=surface, where=defined)
     if not np.any(defined):
         raise ZeroDenominatorError("every surface cell is undefined")
-    masked = np.where(defined, np.abs(surface), -np.inf)
+    # Built in place: at n buckets every temporary is another n^2 array.
+    surface = p1 + m2
+    surface -= m1
+    surface -= p2
+    np.divide(surface, total, out=surface, where=defined)
+    surface[~defined] = np.nan
+    masked = np.abs(surface, out=total)
+    masked[~defined] = -np.inf
     flat = int(np.argmax(masked))
     argmax = np.unravel_index(flat, surface.shape)
     value = float(surface[argmax])
@@ -354,31 +358,25 @@ def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> Chs
 
 
 def trace_to_rows(trace: DriftTrace):
-    """Rows (t, six counts) for CSV export."""
+    """Rows (t, six counts) for CSV export, one array row per bucket."""
     header = ["time_s"] + [f"{det}{b}" for det in DETECTORS for b in BINS]
-    rows = []
-    for k in range(trace.n_buckets):
-        rows.append(
-            [trace.times[k]]
-            + [trace.counts[(det, b)][k] for det in DETECTORS for b in BINS]
-        )
-    return header, rows
+    series = [trace.counts[(det, b)] for det in DETECTORS for b in BINS]
+    return header, np.column_stack([trace.times] + series)
 
 
 def surface_to_rows(result: SurfaceResult):
-    """Rows (t1, t2, E, defined) for CSV export."""
+    """Rows (t1, t2, E, defined) for CSV export, one array row per cell.
+
+    Undefined cells hold NaN and ``defined`` is 0.0 or 1.0.
+    """
     header = ["t1_s", "t2_s", "expectation", "defined"]
-    rows = []
     n = result.times.size
-    for i in range(n):
-        for j in range(n):
-            ok = bool(result.defined[i, j])
-            rows.append(
-                [
-                    result.times[i],
-                    result.times[j],
-                    result.surface[i, j] if ok else math.nan,
-                    int(ok),
-                ]
-            )
+    rows = np.column_stack(
+        [
+            np.repeat(result.times, n),
+            np.tile(result.times, n),
+            result.surface.ravel(),
+            result.defined.ravel(),
+        ]
+    )
     return header, rows

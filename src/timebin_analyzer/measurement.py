@@ -49,20 +49,18 @@ def bob_povm(eff: AnalyzerEfficiencies, relative_phase=0.0):
     The middle-bin element X interferes the early component transmitted
     through the long path with the late component through the short
     path; its early/late relative phase defaults to zero and can be set
-    for sensitivity studies.
+    for sensitivity studies.  For an array of phases every element is a
+    stack of shape ``phases.shape + (3, 3)``.
     """
     eta_l, eta_s = eff.eta_l, eff.eta_s
-    cross = np.sqrt(eta_l * eta_s) * np.exp(1j * relative_phase)
-    m_e = 0.25 * np.diag([0.0, eta_s, 0.0]).astype(complex)
-    m_l = 0.25 * np.diag([0.0, 0.0, eta_l]).astype(complex)
-    m_x = 0.25 * np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [0.0, eta_l, cross],
-            [0.0, np.conj(cross), eta_s],
-        ],
-        dtype=complex,
-    )
+    phase = np.asarray(relative_phase, dtype=float)
+    cross = np.sqrt(eta_l * eta_s) * np.exp(1j * phase)
+    elements = np.zeros((3,) + phase.shape + (3, 3), dtype=complex)
+    m_e, m_l, m_x = elements
+    m_e[..., 1, 1] = m_x[..., 2, 2] = eta_s
+    m_l[..., 2, 2] = m_x[..., 1, 1] = eta_l
+    m_x[..., 1, 2], m_x[..., 2, 1] = cross, np.conj(cross)
+    m_e, m_l, m_x = 0.25 * elements
     m_none = np.eye(3, dtype=complex) - m_e - m_l - m_x
     return {"E": m_e, "L": m_l, "X": m_x, "none": m_none}
 

@@ -90,19 +90,21 @@ def min_eigenvalue(m):
 def expectation(rho, obs):
     """Tr(rho * obs) for Hermitian rho and obs; returns the real part.
 
-    The imaginary residue must be below 1e-10 and is discarded after the
-    check.
+    Stacks (..., d, d) broadcast and give an array; a single pair gives a
+    float.  Every imaginary residue must be below 1e-10 and is discarded
+    after the check.
     """
     rho = np.asarray(rho, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
-    if rho.shape != obs.shape:
+    if rho.shape[-2:] != obs.shape[-2:]:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match observable shape {obs.shape}"
         )
-    val = np.trace(rho @ obs)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation value has imaginary residue {val.imag}")
-    return float(val.real)
+    val = np.trace(rho @ obs, axis1=-2, axis2=-1)
+    bad = np.abs(val.imag) > 1e-10 * np.maximum(1.0, np.abs(val.real))
+    if np.any(bad):
+        raise ValueError(f"expectation value has imaginary residue {val.imag[bad][0]}")
+    return float(val.real) if val.ndim == 0 else val.real
 
 
 @dataclass

@@ -23,7 +23,6 @@ from .quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    expectation,
     tensor,
 )
 
@@ -171,15 +170,14 @@ def _default_measurements(rho: DensityMatrix):
     return alice, bob
 
 
-def visibility_z(rho: DensityMatrix, alice=None, bob=None) -> ZVisibilityResult:
+def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
     """Conditional visibilities in the computational basis and their average.
 
     v_plus conditions on Bob's early bin, v_minus on his late bin:
     v_plus = (N_HE - N_VE) / (N_HE + N_VE) and analogously for v_minus
     with the roles of H and V swapped.
     """
-    default_alice, default_bob = _default_measurements(rho)
-    alice = default_alice if alice is None else alice
+    alice, default_bob = _default_measurements(rho)
     bob = default_bob if bob is None else bob
 
     n_he = rho.expectation(tensor(alice["H"], bob["E"]))
@@ -199,8 +197,12 @@ def visibility_z(rho: DensityMatrix, alice=None, bob=None) -> ZVisibilityResult:
 
 
 def alice_phase_projectors(phi):
-    """Equatorial projector pair (|H> +/- e^{i phi}|V>)/sqrt(2) outcomes."""
-    sigma = math.cos(phi) * PAULI_X + math.sin(phi) * PAULI_Y
+    """Equatorial projector pair (|H> +/- e^{i phi}|V>)/sqrt(2) outcomes.
+
+    For an array of phases each projector is a stack ``phi.shape + (2, 2)``.
+    """
+    phi = np.asarray(phi, dtype=float)[..., None, None]
+    sigma = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
     return 0.5 * (IDENTITY_2 + sigma), 0.5 * (IDENTITY_2 - sigma)
 
 
@@ -221,9 +223,7 @@ def fit_cosine(phases, values):
     return float(offset), float(amplitude), float(phi0), residual
 
 
-def visibility_xy(
-    rho: DensityMatrix, phase_grid, bob_x=None, alice=None
-) -> XYVisibilityResult:
+def visibility_xy(rho: DensityMatrix, phase_grid, bob_x=None) -> XYVisibilityResult:
     """Superposition-basis visibility from a scan of Alice's phase.
 
     Coincidence rates with Bob's middle-bin element are evaluated on the
@@ -241,14 +241,9 @@ def visibility_xy(
         _, default_bob = _default_measurements(rho)
         bob_x = default_bob["X"]
 
-    rate_plus = np.empty(phases.size)
-    rate_minus = np.empty(phases.size)
-    for k, phi in enumerate(phases):
-        p_plus, p_minus = alice_phase_projectors(phi)
-        if alice is not None:
-            p_plus, p_minus = alice(phi)
-        rate_plus[k] = rho.expectation(tensor(p_plus, bob_x))
-        rate_minus[k] = rho.expectation(tensor(p_minus, bob_x))
+    p_plus, p_minus = alice_phase_projectors(phases)
+    rate_plus = rho.expectation(tensor(p_plus, bob_x))
+    rate_minus = rho.expectation(tensor(p_minus, bob_x))
 
     a_plus, b_plus, phi0, _ = fit_cosine(phases, rate_plus)
     a_minus, b_minus, _, _ = fit_cosine(phases, rate_minus)

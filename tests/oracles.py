@@ -5,7 +5,8 @@ a classical Jacobi rotation method on a real-symmetric embedding, the
 partial transpose and Kronecker product use explicit index loops,
 Hermitian coordinates are Frobenius traces against an explicit list of
 basis matrices, the PPT feasibility cross-check is cyclic projection,
-and integrals are done by direct quadrature.
+drift-scan rates are traced one bucket at a time, and integrals are
+done by direct quadrature.
 """
 
 import math
@@ -205,3 +206,32 @@ def alternating_projections(cs, iterations=4000, gap_tol=1e-6):
         min_eig(rho) > -gap_tol and min_eig(pt(rho)) > -gap_tol and residual < gap_tol
     )
     return feasible, rho, gap
+
+
+def drift_scan_rates_loop(rho, projectors, eta_l, eta_s, phases, scale):
+    """Expected drift-scan counts, one middle-bin element and six traces per bucket.
+
+    ``rho`` is a 6x6 (2x3) state, ``projectors`` Alice's (+, -) pair,
+    ``phases`` the analyzer phase of each bucket and ``scale`` the pairs
+    per bucket.  Returns the six series keyed by (detector, bin), as
+    ``DriftTrace.counts`` holds them in noiseless mode.
+    """
+
+    def kron(a, b):
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(6, 6)
+
+    rho = np.asarray(rho, dtype=complex)
+    m_e = 0.25 * np.diag([0.0, eta_s, 0.0]).astype(complex)
+    m_l = 0.25 * np.diag([0.0, 0.0, eta_l]).astype(complex)
+    bins = ("early", "mid", "late")
+    rates = {(det, b): np.empty(len(phases)) for det in "+-" for b in bins}
+    for k, phi in enumerate(phases):
+        cross = np.sqrt(eta_l * eta_s) * np.exp(1j * phi)
+        m_x = 0.25 * np.array(
+            [[0.0, 0.0, 0.0], [0.0, eta_l, cross], [0.0, np.conj(cross), eta_s]],
+            dtype=complex,
+        )
+        for det, proj in zip("+-", projectors):
+            for b, op in (("early", m_e), ("mid", m_x), ("late", m_l)):
+                rates[(det, b)][k] = scale * np.trace(rho @ kron(proj, op)).real
+    return rates

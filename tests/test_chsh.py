@@ -8,7 +8,7 @@ from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
-from oracles import fit_period, random_density_matrix
+from oracles import drift_scan_rates_loop, fit_period, random_density_matrix
 
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 
@@ -198,6 +198,31 @@ class TestSimulateDriftScan:
     def test_validation(self, noisy):
         with pytest.raises(ValueError):
             chsh.simulate_drift_scan(noisy, EFF, drift_2pi(1.0), rate=-5.0)
+
+    @pytest.mark.parametrize("n", [40, 240, 1200])
+    @pytest.mark.parametrize("kind", ["linear", "sinusoidal"])
+    @pytest.mark.parametrize("phase0", [0.0, 1.3])
+    @pytest.mark.parametrize("etas", [(0.9, 0.9), (0.8, 0.5)])
+    @pytest.mark.parametrize("axis", ["z+x", "z-x", "x", "y"])
+    @pytest.mark.parametrize("embedded", [False, True], ids=["2x2", "2x3"])
+    def test_matches_per_bucket_loop(
+        self, noisy, n, kind, phase0, etas, axis, embedded
+    ):
+        rho = st.embed_2x3(noisy, 0.7) if embedded else noisy
+        drift = chsh.DriftModel(kind, amount=2.5, period=90.0, phase0=phase0)
+        rate, bucket = 1000.0, 0.5
+        trace = chsh.simulate_drift_scan(
+            rho, AnalyzerEfficiencies(*etas), drift, alice_axis=axis, rate=rate,
+            duration=n * bucket, bucket=bucket, seed=None,
+        )
+        six = rho if embedded else st.embed_2x3(rho, 1.0)
+        expected = drift_scan_rates_loop(
+            six.matrix, chsh.alice_setting(axis), *etas, drift.phase(trace.times),
+            rate * bucket,
+        )
+        assert trace.counts.keys() == expected.keys()
+        for key, series in expected.items():
+            assert np.array_equal(trace.counts[key], series), key
 
 
 class TestMaxExpectationSurface:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -162,6 +163,9 @@ class TestVisibilityScan:
                 (["visibility-scan", "--alpha-max", "nan"], "alpha_max"),
                 (["visibility-scan", "--alpha-steps", "0"], "alpha_steps"),
                 (["expectation-aoi", "--alpha-steps", "0"], "alpha_steps"),
+                (["expectation-aoi", "--vxy", "2"], "v_xy"),
+                (["expectation-aoi", "--vxy", "nan"], "v_xy"),
+                (["expectation-aoi", "--fixed-phase", "nan"], "fixed_phase"),
                 (["chsh-scan", "--drift-period", "nan"], "period"),
                 (["chsh-scan", "--drift-amount", "nan"], "amount"),
                 (["chsh-scan", "--rate", "nan"], "rate"),
@@ -211,6 +215,49 @@ class TestStability:
         a = (tmp_path / "x" / "stability.csv").read_bytes()
         b = (tmp_path / "y" / "stability.csv").read_bytes()
         assert a == b
+
+
+CHSH_SCAN_20S = ["chsh-scan", "--duration", "20s", "--drift-period", "20s"]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (CHSH_SCAN_20S + ["--seed", "9"], {
+            "chsh_trace_a1.csv": "chsh_scan_seed9_trace_a1.csv",
+            "chsh_trace_a2.csv": "chsh_scan_seed9_trace_a2.csv",
+            "chsh_summary.csv": "chsh_scan_seed9_summary.csv",
+            "chsh_surface_a1.csv":
+                "af62d73d6cc5ba868cc3c0a44b82bbd5bce508d0c7e38bdc96423a6128d7d266",
+            "chsh_surface_a2.csv":
+                "2a9c91fe9e981d0fb8b9fd297805f81ca6040369fbfb09919c3400da0e623445",
+        }),
+        (CHSH_SCAN_20S + ["--seed", "none"], {
+            "chsh_trace_a1.csv": "chsh_scan_noiseless_trace_a1.csv",
+            "chsh_trace_a2.csv": "chsh_scan_noiseless_trace_a2.csv",
+            "chsh_summary.csv": "chsh_scan_noiseless_summary.csv",
+            "chsh_surface_a1.csv":
+                "7a785b4ae5ac2650d55a63960c902c024a8a3dd4cfa3a076ad487d695e636cff",
+            "chsh_surface_a2.csv":
+                "46700b7439b3b5fb403bbdd0b790f6a6e1c215d140dd4d2861a53bafd254eb7e",
+        }),
+        (["stability", "--seed", "3", "--duration", "600s", "--bucket", "10s"],
+         {"stability.csv": "stability_seed3.csv"}),
+        (["stability", "--rate", "none"], {"stability.csv": "stability_noiseless.csv"}),
+    ],
+    ids=["chsh_seed9", "chsh_noiseless", "stability_seed3", "stability_noiseless"],
+)
+def test_drift_golden_bytes(tmp_path, argv, golden):
+    # Each reference is a file under tests/data or, for the 40x40
+    # surfaces, the SHA-256 of the expected bytes.
+    assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
+    for name, reference in golden.items():
+        written = (tmp_path / name).read_bytes()
+        if name.startswith("chsh_surface"):
+            assert hashlib.sha256(written).hexdigest() == reference
+        else:
+            assert written == (DATA / reference).read_bytes()
 
 
 class TestNptBoundary:

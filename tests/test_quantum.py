@@ -167,6 +167,29 @@ class TestExpectation:
         with pytest.raises(q.DimensionMismatchError):
             q.expectation(np.eye(4) / 4, np.eye(6))
 
+    def test_stack_matches_single_values(self):
+        rng = np.random.default_rng(19)
+        rho = random_density_matrix(rng, 6)
+        stack = np.array([random_hermitian(rng, 6) for _ in range(12)])
+        stack = stack.reshape(3, 4, 6, 6)
+        values = q.expectation(rho, stack)
+        assert values.shape == (3, 4)
+        singles = [q.expectation(rho, obs) for obs in stack.reshape(12, 6, 6)]
+        assert isinstance(singles[0], float)
+        assert np.array_equal(values.ravel(), singles)
+
+    def test_stack_with_non_hermitian_element_raises(self):
+        rng = np.random.default_rng(20)
+        rho = random_density_matrix(rng, 6)
+        stack = np.array([random_hermitian(rng, 6) for _ in range(5)])
+        stack[3, 0, 1] += 0.5j
+        with pytest.raises(ValueError, match="imaginary residue"):
+            q.expectation(rho, stack)
+
+    def test_stack_trailing_shape_mismatch(self):
+        with pytest.raises(q.DimensionMismatchError):
+            q.expectation(np.eye(6) / 6, np.zeros((4, 4, 4)))
+
 
 class TestDensityMatrix:
     def test_validation_passes(self):
