@@ -62,8 +62,9 @@ if plt is not None:
     ax1.set_xlabel("time [s]")
     ax1.set_ylabel("expected counts per bucket")
     ax1.legend(fontsize=7)
+    dense, _ = chsh.expectation_surface(trace)
     im = ax2.imshow(
-        surface.surface, origin="lower", cmap="RdBu_r", vmin=-1, vmax=1,
+        dense, origin="lower", cmap="RdBu_r", vmin=-1, vmax=1,
         extent=[0, duration, 0, duration],
     )
     ax2.set_xlabel("t2 [s]")

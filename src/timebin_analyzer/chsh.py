@@ -7,6 +7,10 @@ points in time, the early/late counts at one time providing the
 computational-basis outcomes and the middle-bin counts at two times
 providing the two orientations of the superposition basis.  The maximum
 over the two-time surface recovers the full correlation.
+
+``max_expectation_surface`` finds that maximum in O(n) memory without
+building the surface; ``expectation_surface`` builds the dense n x n
+surface, which only the CSV export and plots need.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ class ZeroDenominatorError(ValueError):
 
 def expectation_from_counts(n_pp, n_mm, n_pm, n_mp):
     """Correlation (N++ + N-- - N+- - N-+) / (sum of all four)."""
+    for c in (n_pp, n_mm, n_pm, n_mp):
+        if not math.isfinite(c):
+            raise ValueError(f"coincidence count must be finite, got {c}")
     total = n_pp + n_mm + n_pm + n_mp
     if total <= 0:
         raise ZeroDenominatorError("coincidence counts sum to zero")
@@ -42,8 +49,10 @@ class CountTable:
 
     def __post_init__(self):
         for key, four in self.counts.items():
-            if len(four) != 4 or any(c < 0 for c in four):
-                raise ValueError(f"setting {key}: need four nonnegative counts")
+            if len(four) != 4 or not all(0 <= c < math.inf for c in four):
+                raise ValueError(
+                    f"setting {key}: need four finite nonnegative counts, got {four}"
+                )
             if sum(four) <= 0:
                 raise ValueError(f"setting {key}: all counts are zero")
 
@@ -51,11 +60,17 @@ class CountTable:
         return expectation_from_counts(*self.counts[(i, j)])
 
 
+def check_expectations(values):
+    """Raise ValueError naming the first value outside [-1, 1] or NaN."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.abs(values) <= 1.0 + 1e-12)
+    if bad.any():
+        raise ValueError(f"expectation value {values[bad][0]} outside [-1, 1]")
+
+
 def chsh_s(e11, e12, e21, e22):
     """CHSH parameter |E(A1,B1) - E(A1,B2) + E(A2,B1) + E(A2,B2)|."""
-    for e in (e11, e12, e21, e22):
-        if abs(e) > 1.0 + 1e-12:
-            raise ValueError(f"expectation value {e} outside [-1, 1]")
+    check_expectations((e11, e12, e21, e22))
     return abs(e11 - e12 + e21 + e22)
 
 
@@ -69,9 +84,7 @@ def s_theo(v_z, v_xy):
 
 def combined_expectation(e1, e2):
     """Drift-invariant magnitude sqrt(e1^2 + e2^2) of two quadratures."""
-    for e in (e1, e2):
-        if abs(e) > 1.0 + 1e-12:
-            raise ValueError(f"expectation value {e} outside [-1, 1]")
+    check_expectations((e1, e2))
     return math.hypot(e1, e2)
 
 
@@ -234,21 +247,27 @@ def simulate_drift_scan(
 
 class SurfaceResult(NamedTuple):
     times: np.ndarray
-    surface: np.ndarray
-    defined: np.ndarray
     max_abs: float
     argmax: tuple
     value_at_argmax: float
 
 
-def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
+# Cells whose exact E lies within this margin of the Dinkelbach optimum are
+# re-evaluated.  For nonnegative counts the dense expression, the optimum and
+# the candidate test d_i - mu s_i >= d_j + mu s_j (relative to s_i + s_j) each
+# err by less than 8 u, u = 2**-53; 1e-9 exceeds their sum (about 3e-15) by
+# far, so the cell the dense argmax picks is always a candidate.
+_CANDIDATE_MARGIN = 1e-9
+
+
+def expectation_surface(trace: DriftTrace):
     """Two-time expectation surface of the middle-bin coincidences.
 
     E(t1, t2) pairs the '+' orientation of the superposition basis at t1
     with the '-' orientation at t2 (where the drifted phase has moved),
-    so E(t1,t2) = (N+(t1) + N-(t2) - N-(t1) - N+(t2)) / (total).  Cells
-    whose four counts vanish are undefined, hold NaN and are excluded
-    from the argmax.
+    so E(t1,t2) = (N+(t1) + N-(t2) - N-(t1) - N+(t2)) / (total).  Returns
+    ``(surface, defined)``, two n x n arrays; cells whose four counts
+    vanish are undefined and hold NaN.
     """
     n_plus, n_minus = trace.middle_series()
     p1 = n_plus[:, None]
@@ -257,25 +276,77 @@ def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
     m2 = n_minus[None, :]
     total = p1 + m2 + m1 + p2
     defined = total > 0
-    if not np.any(defined):
-        raise ZeroDenominatorError("every surface cell is undefined")
     # Built in place: at n buckets every temporary is another n^2 array.
     surface = p1 + m2
     surface -= m1
     surface -= p2
     np.divide(surface, total, out=surface, where=defined)
     surface[~defined] = np.nan
-    masked = np.abs(surface, out=total)
-    masked[~defined] = -np.inf
-    flat = int(np.argmax(masked))
-    argmax = np.unravel_index(flat, surface.shape)
-    value = float(surface[argmax])
+    return surface, defined
+
+
+def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
+    """Largest |E(t1, t2)| of ``expectation_surface`` in O(n) memory.
+
+    Returns the cell and value the dense surface gives: largest |E|,
+    first row-major index on ties, undefined cells excluded.  With
+    d = N+ - N- and s = N+ + N-, E(i, j) = (d_i - d_j) / (s_i + s_j) is
+    linear-fractional and separable, so Dinkelbach's iteration (Mgmt.
+    Sci. 13, 1967) finds its maximum lambda with two argmaxes per step.
+    Every cell within a margin of lambda, in both orientations, is then
+    re-evaluated with the dense expression, in blocks of fewer than 3n
+    cells.  The counts must be nonnegative, as every scan's are.
+    """
+    n_plus, n_minus = trace.middle_series()
+    n = n_plus.size
+    d = n_plus - n_minus
+    s = n_plus + n_minus
+    if not np.any(s > 0):
+        raise ZeroDenominatorError("every surface cell is undefined")
+    lam = 0.0
+    while True:
+        i = int(np.argmax(d - lam * s))
+        j = int(np.argmax(-d - lam * s))
+        if not s[i] + s[j] > 0:
+            break
+        value = (d[i] - d[j]) / (s[i] + s[j])
+        if not value > lam:
+            break
+        lam = value
+
+    # Cell (i, j) has E >= mu exactly when d_i - mu s_i >= d_j + mu s_j.
+    mu = lam - _CANDIDATE_MARGIN
+    col_key = d + mu * s
+    order = np.argsort(col_key, kind="stable")
+    per_row = np.searchsorted(col_key[order], d - mu * s, side="right")
+    # Consecutive rows whose candidates end in the same 2n-cell stretch
+    # form one block of fewer than 3n cells.
+    block = np.cumsum(per_row) // (2 * n)
+    best = (-np.inf, 0, math.nan)  # (|E|, row-major index, E)
+    for rows in np.split(np.arange(n), np.flatnonzero(np.diff(block)) + 1):
+        counts = per_row[rows]
+        starts = np.cumsum(counts) - counts
+        cols = order[np.arange(starts[-1] + counts[-1]) - np.repeat(starts, counts)]
+        rows = np.repeat(rows, counts)
+        i = np.concatenate([rows, cols])
+        j = np.concatenate([cols, rows])
+        # The dense surface's expression, in its order of operations.
+        total = n_plus[i] + n_minus[j] + n_minus[i] + n_plus[j]
+        defined = total > 0
+        values = n_plus[i] + n_minus[j]
+        values -= n_minus[i]
+        values -= n_plus[j]
+        np.divide(values, total, out=values, where=defined)
+        masked = np.where(defined, np.abs(values), -np.inf)
+        flat = i * n + j
+        k = np.lexsort((flat, -masked))[0]
+        if (masked[k], -flat[k]) > (best[0], -best[1]):
+            best = (masked[k], int(flat[k]), float(values[k]))
+    _, flat, value = best
     return SurfaceResult(
         times=trace.times,
-        surface=surface,
-        defined=defined,
         max_abs=abs(value),
-        argmax=(int(argmax[0]), int(argmax[1])),
+        argmax=divmod(flat, n),
         value_at_argmax=value,
     )
 
@@ -364,19 +435,21 @@ def trace_to_rows(trace: DriftTrace):
     return header, np.column_stack([trace.times] + series)
 
 
-def surface_to_rows(result: SurfaceResult):
-    """Rows (t1, t2, E, defined) for CSV export, one array row per cell.
+def surface_to_rows(trace: DriftTrace):
+    """Rows (t1, t2, E, defined) of ``expectation_surface`` for CSV export,
+    one array row per cell.
 
     Undefined cells hold NaN and ``defined`` is 0.0 or 1.0.
     """
     header = ["t1_s", "t2_s", "expectation", "defined"]
-    n = result.times.size
+    surface, defined = expectation_surface(trace)
+    n = trace.times.size
     rows = np.column_stack(
         [
-            np.repeat(result.times, n),
-            np.tile(result.times, n),
-            result.surface.ravel(),
-            result.defined.ravel(),
+            np.repeat(trace.times, n),
+            np.tile(trace.times, n),
+            surface.ravel(),
+            defined.ravel(),
         ]
     )
     return header, rows

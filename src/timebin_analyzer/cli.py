@@ -89,16 +89,20 @@ def _write_csv(path, columns, rows, params, fmt="%.12g"):
     for key in sorted(params):
         lines.append(f"# {key}={params[key]}")
     lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, str):
-                cells.append(value)
-            elif isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(fmt % value)
-        lines.append(",".join(cells))
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        row_fmt = ",".join([fmt] * rows.shape[1])
+        lines.extend(row_fmt % tuple(row) for row in rows.tolist())
+    else:
+        for row in rows:
+            cells = []
+            for value in row:
+                if isinstance(value, str):
+                    cells.append(value)
+                elif isinstance(value, (int, np.integer)):
+                    cells.append(str(int(value)))
+                else:
+                    cells.append(fmt % value)
+            lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -299,8 +303,7 @@ def cmd_chsh_scan(settings):
         header, rows = chsh.trace_to_rows(traces[axis])
         path = _out_path(settings, f"chsh_trace_{tag}.csv")
         _write_csv(path, header, rows, {**base_params, "alice_axis": axis})
-        surface = chsh.max_expectation_surface(traces[axis])
-        sheader, srows = chsh.surface_to_rows(surface)
+        sheader, srows = chsh.surface_to_rows(traces[axis])
         spath = _out_path(settings, f"chsh_surface_{tag}.csv")
         _write_csv(spath, sheader, srows, {**base_params, "alice_axis": axis})
     summary_rows = [

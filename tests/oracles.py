@@ -5,8 +5,9 @@ a classical Jacobi rotation method on a real-symmetric embedding, the
 partial transpose and Kronecker product use explicit index loops,
 Hermitian coordinates are Frobenius traces against an explicit list of
 basis matrices, the PPT feasibility cross-check is cyclic projection,
-drift-scan rates are traced one bucket at a time, and integrals are
-done by direct quadrature.
+drift-scan rates are traced one bucket at a time, the two-time surface
+maximum is taken over every cell of the dense surface, and integrals
+are done by direct quadrature.
 """
 
 import math
@@ -235,3 +236,32 @@ def drift_scan_rates_loop(rho, projectors, eta_l, eta_s, phases, scale):
             for b, op in (("early", m_e), ("mid", m_x), ("late", m_l)):
                 rates[(det, b)][k] = scale * np.trace(rho @ kron(proj, op)).real
     return rates
+
+
+def max_expectation_surface_dense(n_plus, n_minus):
+    """Largest |E| of the dense two-time surface, as (max_abs, argmax, value).
+
+    Builds every cell E(i, j) = ((N+_i + N-_j) - N-_i) - N+_j over the sum
+    of the four, excludes cells whose counts sum to zero and takes the
+    first row-major argmax of |E|.
+    """
+    from timebin_analyzer.chsh import ZeroDenominatorError
+
+    p1 = n_plus[:, None]
+    m1 = n_minus[:, None]
+    p2 = n_plus[None, :]
+    m2 = n_minus[None, :]
+    total = p1 + m2 + m1 + p2
+    defined = total > 0
+    if not np.any(defined):
+        raise ZeroDenominatorError("every surface cell is undefined")
+    surface = p1 + m2
+    surface -= m1
+    surface -= p2
+    np.divide(surface, total, out=surface, where=defined)
+    surface[~defined] = np.nan
+    masked = np.abs(surface, out=total)
+    masked[~defined] = -np.inf
+    argmax = np.unravel_index(int(np.argmax(masked)), surface.shape)
+    value = float(surface[argmax])
+    return abs(value), (int(argmax[0]), int(argmax[1])), value

@@ -1,14 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from timebin_analyzer import chsh
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
-from oracles import drift_scan_rates_loop, fit_period, random_density_matrix
+from oracles import (
+    drift_scan_rates_loop,
+    fit_period,
+    max_expectation_surface_dense,
+    random_density_matrix,
+)
 
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 
@@ -22,6 +30,45 @@ def noisy():
 
 def drift_2pi(duration):
     return chsh.DriftModel("linear", amount=2.0 * math.pi, period=duration)
+
+
+# Non-finite or non-positive values, for the checks that must reject them.
+NOT_POSITIVE = hst.one_of(
+    hst.floats(max_value=0.0), hst.sampled_from([math.inf, math.nan])
+)
+NOT_FINITE = hst.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def scan_grid(test):
+    """The 192 noiseless scans of ``test_matches_per_bucket_loop``, as
+    parameters (n, kind, phase0, etas, axis, embedded)."""
+    for name, values, ids in [
+        ("embedded", [False, True], ["2x2", "2x3"]),
+        ("axis", ["z+x", "z-x", "x", "y"], None),
+        ("etas", [(0.9, 0.9), (0.8, 0.5)], None),
+        ("phase0", [0.0, 1.3], None),
+        ("kind", ["linear", "sinusoidal"], None),
+        ("n", [40, 240, 1200], None),
+    ]:
+        test = pytest.mark.parametrize(name, values, ids=ids)(test)
+    return test
+
+
+def grid_scan(rho, n, kind, phase0, etas, axis, embedded):
+    """One noiseless scan of the grid: (state, drift, trace)."""
+    rho = st.embed_2x3(rho, 0.7) if embedded else rho
+    drift = chsh.DriftModel(kind, amount=2.5, period=90.0, phase0=phase0)
+    trace = chsh.simulate_drift_scan(
+        rho, AnalyzerEfficiencies(*etas), drift, alice_axis=axis, rate=1000.0,
+        duration=n * 0.5, bucket=0.5, seed=None,
+    )
+    return rho, drift, trace
+
+
+def assert_matches_dense(trace):
+    res = chsh.max_expectation_surface(trace)
+    expected = max_expectation_surface_dense(*trace.middle_series())
+    assert (res.max_abs, res.argmax, res.value_at_argmax) == expected
 
 
 class TestExpectationFromCounts:
@@ -47,6 +94,14 @@ class TestExpectationFromCounts:
         with pytest.raises(ValueError):
             chsh.CountTable({(1, 1): (0, 0, 0, 0)})
 
+    def test_nan_count_rejected(self):
+        with pytest.raises(ValueError, match="finite, got nan"):
+            chsh.expectation_from_counts(math.nan, 1, 1, 1)
+
+    def test_count_table_rejects_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            chsh.CountTable({(1, 1): (math.nan, 1, 1, 1)})
+
 
 class TestChshS:
     def test_tsirelson_configuration(self):
@@ -55,6 +110,10 @@ class TestChshS:
 
     def test_all_zero(self):
         assert chsh.chsh_s(0, 0, 0, 0) == 0.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="expectation value nan"):
+            chsh.chsh_s(math.nan, 0, 0, 0)
 
     def test_depolarized_state_contractions(self, noisy):
         # Settings: A1/A2 along z+-x; B1 = sigma_z; B2 = sigma_phi at the
@@ -131,6 +190,10 @@ class TestCombinedExpectation:
     def test_three_four_five(self):
         assert chsh.combined_expectation(0.4, 0.3) == pytest.approx(0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="expectation value nan"):
+            chsh.combined_expectation(0.4, math.nan)
+
 
 class TestDriftModel:
     def test_linear(self):
@@ -148,6 +211,24 @@ class TestDriftModel:
                     {"amount": math.nan}, {"phase0": math.inf}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 chsh.DriftModel("linear", **bad)
+
+    @given(period=NOT_POSITIVE)
+    def test_rejects_bad_period(self, period):
+        with pytest.raises(ValueError, match="period"):
+            chsh.DriftModel("linear", period=period)
+
+    @given(name=hst.sampled_from(["amount", "phase0"]), value=NOT_FINITE)
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            chsh.DriftModel("sinusoidal", **{name: value})
+
+
+class TestBucketTimes:
+    @given(name=hst.sampled_from(["rate", "duration", "bucket"]), value=NOT_POSITIVE)
+    def test_rejects_bad_value(self, name, value):
+        args = {"duration": 10.0, "bucket": 0.5, "rate": 1000.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            chsh.bucket_times(**args)
 
 
 class TestSimulateDriftScan:
@@ -199,26 +280,15 @@ class TestSimulateDriftScan:
         with pytest.raises(ValueError):
             chsh.simulate_drift_scan(noisy, EFF, drift_2pi(1.0), rate=-5.0)
 
-    @pytest.mark.parametrize("n", [40, 240, 1200])
-    @pytest.mark.parametrize("kind", ["linear", "sinusoidal"])
-    @pytest.mark.parametrize("phase0", [0.0, 1.3])
-    @pytest.mark.parametrize("etas", [(0.9, 0.9), (0.8, 0.5)])
-    @pytest.mark.parametrize("axis", ["z+x", "z-x", "x", "y"])
-    @pytest.mark.parametrize("embedded", [False, True], ids=["2x2", "2x3"])
+    @scan_grid
     def test_matches_per_bucket_loop(
         self, noisy, n, kind, phase0, etas, axis, embedded
     ):
-        rho = st.embed_2x3(noisy, 0.7) if embedded else noisy
-        drift = chsh.DriftModel(kind, amount=2.5, period=90.0, phase0=phase0)
-        rate, bucket = 1000.0, 0.5
-        trace = chsh.simulate_drift_scan(
-            rho, AnalyzerEfficiencies(*etas), drift, alice_axis=axis, rate=rate,
-            duration=n * bucket, bucket=bucket, seed=None,
-        )
+        rho, drift, trace = grid_scan(noisy, n, kind, phase0, etas, axis, embedded)
         six = rho if embedded else st.embed_2x3(rho, 1.0)
         expected = drift_scan_rates_loop(
             six.matrix, chsh.alice_setting(axis), *etas, drift.phase(trace.times),
-            rate * bucket,
+            1000.0 * 0.5,
         )
         assert trace.counts.keys() == expected.keys()
         for key, series in expected.items():
@@ -250,22 +320,76 @@ class TestMaxExpectationSurface:
             res = chsh.max_expectation_surface(trace)
             assert res.max_abs == pytest.approx(0.804, abs=1e-6)
 
+    @scan_grid
+    def test_matches_dense(self, noisy, n, kind, phase0, etas, axis, embedded):
+        _, _, trace = grid_scan(noisy, n, kind, phase0, etas, axis, embedded)
+        assert_matches_dense(trace)
+        assert_matches_dense(chsh._subtrace(trace, slice(0, None, 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_with_undefined_cells(self, noisy, seed):
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift_2pi(120.0), alice_axis="z+x", rate=3.0,
+            duration=120.0, seed=seed,
+        )
+        n_plus, n_minus = trace.middle_series()
+        assert np.any(n_plus + n_minus == 0)
+        assert_matches_dense(trace)
+
+    @pytest.mark.parametrize("duration", [0.5, 60.0])
+    def test_constant_series(self, noisy, duration):
+        still = chsh.DriftModel("linear", amount=0.0, period=10.0)
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, still, alice_axis="x", duration=duration, seed=None
+        )
+        assert trace.n_buckets == round(duration / 0.5)
+        assert_matches_dense(trace)
+        assert chsh.max_expectation_surface(trace).max_abs < 1e-14
+
+    def test_all_zero_counts(self, noisy):
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
+        )
+        for det in chsh.DETECTORS:
+            trace.counts[(det, "mid")][:] = 0.0
+        with pytest.raises(chsh.ZeroDenominatorError):
+            max_expectation_surface_dense(*trace.middle_series())
+        with pytest.raises(chsh.ZeroDenominatorError):
+            chsh.max_expectation_surface(trace)
+
+    def test_memory_linear_in_scan_length(self, noisy):
+        # One dense 20000 x 20000 float array would be 3.2 GB.
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift_2pi(600.0), alice_axis="z+x", duration=10_000.0,
+            seed=3,
+        )
+        tracemalloc.start()
+        try:
+            chsh.max_expectation_surface(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n_buckets == 20_000
+        assert peak < 16e6
+
+
+class TestExpectationSurface:
     def test_undefined_cells_excluded(self, noisy):
         trace = chsh.simulate_drift_scan(
             noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
         )
         trace.counts[("+", "mid")][0] = 0.0
         trace.counts[("-", "mid")][0] = 0.0
-        res = chsh.max_expectation_surface(trace)
-        assert not res.defined[0, 0]
-        assert math.isnan(res.surface[0, 0])
+        surface, defined = chsh.expectation_surface(trace)
+        assert not defined[0, 0]
+        assert math.isnan(surface[0, 0])
 
     def test_antisymmetry(self, noisy):
         trace = chsh.simulate_drift_scan(
             noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
         )
-        res = chsh.max_expectation_surface(trace)
-        assert np.allclose(res.surface, -res.surface.T, atol=1e-12, equal_nan=True)
+        surface, _ = chsh.expectation_surface(trace)
+        assert np.allclose(surface, -surface.T, atol=1e-12, equal_nan=True)
 
 
 class TestZExpectation:
@@ -309,6 +433,6 @@ class TestEstimateChsh:
         header, rows = chsh.trace_to_rows(t1)
         assert header[0] == "time_s" and len(header) == 7
         assert len(rows) == t1.n_buckets
-        sheader, srows = chsh.surface_to_rows(chsh.max_expectation_surface(t1))
+        sheader, srows = chsh.surface_to_rows(t1)
         assert sheader == ["t1_s", "t2_s", "expectation", "defined"]
         assert len(srows) == t1.n_buckets**2

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from timebin_analyzer import cli, verify
 
@@ -44,6 +46,25 @@ class TestParseQuantity:
     def test_bad_quantity(self):
         with pytest.raises(cli.CliError):
             cli.parse_quantity("fast", "time")
+
+    @given(
+        unit=hst.sampled_from(
+            [(kind, suffix) for kind, units in cli._UNITS.items() for suffix in units]
+        ),
+        value=hst.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_suffix_round_trip(self, unit, value):
+        kind, suffix = unit
+        parsed = cli.parse_quantity(f"{value!r}{suffix}", kind)
+        assert parsed == value * cli._UNITS[kind][suffix]
+
+    # Without digits or the letter n ("nan", "inf") float() parses nothing;
+    # the unit letters make the suffix branch run too.
+    @given(text=hst.text(alphabet="abcdegkmorsu.+-_ ", max_size=8))
+    def test_non_numeric_rejected(self, text):
+        for kind in cli._UNITS:
+            with pytest.raises(cli.CliError):
+                cli.parse_quantity(text, kind)
 
 
 class TestRelayCheck:
