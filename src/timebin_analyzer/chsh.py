@@ -41,25 +41,6 @@ def expectation_from_counts(n_pp, n_mm, n_pm, n_mp):
     return (n_pp + n_mm - n_pm - n_mp) / total
 
 
-@dataclass
-class CountTable:
-    """Joint coincidence counts N_ij^{++,--,+-,-+} per setting pair (i, j)."""
-
-    counts: dict
-
-    def __post_init__(self):
-        for key, four in self.counts.items():
-            if len(four) != 4 or not all(0 <= c < math.inf for c in four):
-                raise ValueError(
-                    f"setting {key}: need four finite nonnegative counts, got {four}"
-                )
-            if sum(four) <= 0:
-                raise ValueError(f"setting {key}: all counts are zero")
-
-    def expectation(self, i, j):
-        return expectation_from_counts(*self.counts[(i, j)])
-
-
 def check_expectations(values):
     """Raise ValueError naming the first value outside [-1, 1] or NaN."""
     values = np.asarray(values, dtype=float)

@@ -1,8 +1,8 @@
 """Ray-optics model of an unbalanced Michelson time-bin analyzer.
 
 Closed-form expressions for the angle-dependent path difference, the
-lateral offset between the two output rays, the output fringe intensity
-and visibility, the phase sensitivity to the angle of incidence, and the
+lateral offset between the two output rays, the output fringe
+visibility, the phase sensitivity to the angle of incidence, and the
 ABCD ray-transfer matrix of the relay-lens system that symmetrizes the
 two arms.
 
@@ -100,16 +100,6 @@ def path_difference(geom: InterferometerGeometry, alpha):
     return 0.5 * geom.delta_l0 * bracket + delta * np.tan(alpha - math.pi / 4)
 
 
-def fringe_intensity(geom: InterferometerGeometry, alpha, phi, amplitude=1.0):
-    """Integrated output intensity of the two offset Gaussian beams.
-
-    I(delta(alpha), phi) = pi a^2 sigma^2 (1 + exp(-delta^2/(2 sigma^2)) cos phi)
-    """
-    delta = lateral_offset(geom, alpha)
-    envelope = np.exp(-(delta**2) / (2.0 * geom.sigma**2))
-    return math.pi * amplitude**2 * geom.sigma**2 * (1.0 + envelope * np.cos(phi))
-
-
 def visibility(geom: InterferometerGeometry, alpha):
     """Angle-dependent fringe visibility V(alpha), in [0, 1].
 
@@ -154,8 +144,8 @@ def relay_single_pass(focal_length):
     same in optical order and in printed order.  A single pass equals
     minus the identity; the round trip (squared) is the identity.
     """
-    if focal_length <= 0:
-        raise ValueError(f"focal_length must be > 0, got {focal_length}")
+    if not 0 < focal_length < math.inf:
+        raise ValueError(f"focal_length must be finite and > 0, got {focal_length}")
     f = float(focal_length)
     m = free_space(f) @ thin_lens(f) @ free_space(2 * f) @ thin_lens(f) @ free_space(f)
     return m

@@ -172,14 +172,6 @@ def operator_from_dict(d):
     return m
 
 
-def density_matrix_to_dict(dm: DensityMatrix):
-    return operator_to_dict(dm.matrix, dm.dim_a, dm.dim_b)
-
-
-def density_matrix_from_dict(d):
-    return DensityMatrix(operator_from_dict(d), int(d["dim_a"]), int(d["dim_b"]))
-
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 

@@ -48,9 +48,9 @@ class ScalarField:
         n = self.grid.shape[0]
         if self.grid.shape != (n, n) or n < 64:
             raise ValueError(f"grid must be square with N >= 64, got {self.grid.shape}")
-        if self.extent <= 0:
+        if not (self.extent > 0):
             raise ValueError(f"extent must be > 0, got {self.extent}")
-        if self.wavelength <= 0:
+        if not (self.wavelength > 0):
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
 
     @property
@@ -87,7 +87,7 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
     (sigma at least 3 cells) and contain its tails (extent >= 12 sigma).
     """
     _require_power_of_two(grid_n)
-    if sigma <= 0:
+    if not (sigma > 0):
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if extent is None:
         extent = 16.0 * sigma
@@ -371,21 +371,3 @@ def aoi_visibility_scan(field, geom, alphas, relay, relay_model="identity"):
     pa = np.sum(np.abs(spec) ** 2)
     pb = np.sum(np.abs(spec_long) ** 2)
     return geom.v0 * _visibility(overlaps, pa, pb)
-
-
-def write_field_csv(field: ScalarField, path, kind="magnitude"):
-    """Write the field magnitude or phase grid as CSV rows."""
-    if kind == "magnitude":
-        data = np.abs(field.grid)
-    elif kind == "phase":
-        data = np.angle(field.grid)
-    else:
-        raise ValueError(f"kind must be 'magnitude' or 'phase', got {kind!r}")
-    header = (
-        f"# scalar field {kind}; n={field.n} extent_m={field.extent!r} "
-        f"wavelength_m={field.wavelength!r}\n"
-    )
-    with open(path, "w") as fh:
-        fh.write(header)
-        for row in data:
-            fh.write(",".join(f"{v:.9e}" for v in row) + "\n")

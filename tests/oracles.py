@@ -6,8 +6,9 @@ partial transpose and Kronecker product use explicit index loops,
 Hermitian coordinates are Frobenius traces against an explicit list of
 basis matrices, the PPT feasibility cross-check is cyclic projection,
 drift-scan rates are traced one bucket at a time, the two-time surface
-maximum is taken over every cell of the dense surface, and integrals
-are done by direct quadrature.
+maximum is taken over every cell of the dense surface, integrals are
+done by direct quadrature, the ray-model fringe intensity is written out
+from its closed form, and the classical boundary is the unit circle.
 """
 
 import math
@@ -93,6 +94,24 @@ def gaussian_overlap_quadrature(sigma, delta, half_width=None, samples=20001):
     num = np.trapezoid(e1 * e2, x)
     den = np.trapezoid(e1 * e1, x)
     return num / den
+
+
+def fringe_intensity(geom, alpha, phi, amplitude=1.0):
+    """Integrated output intensity of the two offset Gaussian beams.
+
+    I = pi a^2 sigma^2 (1 + exp(-delta^2/(2 sigma^2)) cos phi), with the
+    lateral offset delta = delta_l0 tan(alpha) / (1 + tan(alpha)).
+    """
+    t = np.tan(alpha)
+    delta = geom.delta_l0 * t / (1.0 + t)
+    envelope = np.exp(-(delta**2) / (2.0 * geom.sigma**2))
+    return math.pi * amplitude**2 * geom.sigma**2 * (1.0 + envelope * np.cos(phi))
+
+
+def boundary_closed_form(v_z):
+    """Classical boundary in v_xy at fixed v_z: the unit circle
+    v_z^2 + v_xy^2 = 1, independent of the analyzer efficiencies."""
+    return math.sqrt(1.0 - v_z**2)
 
 
 def central_difference(f, x, h):

@@ -88,19 +88,9 @@ class TestExpectationFromCounts:
         with pytest.raises(chsh.ZeroDenominatorError):
             chsh.expectation_from_counts(0, 0, 0, 0)
 
-    def test_count_table(self):
-        table = chsh.CountTable({(1, 1): (707, 707, 146, 146)})
-        assert table.expectation(1, 1) == pytest.approx(0.65768, abs=1e-5)
-        with pytest.raises(ValueError):
-            chsh.CountTable({(1, 1): (0, 0, 0, 0)})
-
     def test_nan_count_rejected(self):
         with pytest.raises(ValueError, match="finite, got nan"):
             chsh.expectation_from_counts(math.nan, 1, 1, 1)
-
-    def test_count_table_rejects_nan(self):
-        with pytest.raises(ValueError, match="nan"):
-            chsh.CountTable({(1, 1): (math.nan, 1, 1, 1)})
 
 
 class TestChshS:

@@ -180,6 +180,8 @@ class TestVisibilityScan:
                 (["visibility-scan", "--delta-l0", "nan"], "delta_l0"),
                 (["visibility-scan", "--wavelength", "nan"], "wavelength"),
                 (["visibility-scan", "--focal-length", "nan"], "focal_length"),
+                (["relay-check", "--focal-length", "nan"], "focal_length"),
+                (["relay-check", "--focal-length", "inf"], "focal_length"),
                 (["visibility-scan", "--delta-l0", "inf"], "delta_l0"),
                 (["visibility-scan", "--alpha-max", "nan"], "alpha_max"),
                 (["visibility-scan", "--alpha-steps", "0"], "alpha_steps"),
@@ -317,6 +319,21 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_npt_verify_does_not_load_scipy(self, tmp_path):
+        # The feasibility solver needs numpy alone.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        code = (
+            "import sys; from timebin_analyzer import cli; "
+            f"code = cli.main(['npt-verify', '--out-dir', {str(tmp_path)!r}]); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 class TestConfigPrecedence:

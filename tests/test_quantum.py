@@ -221,12 +221,6 @@ class TestSerialization:
         back = q.operator_from_dict(json.loads(payload))
         assert np.allclose(back, m, atol=0)
 
-    def test_density_matrix_round_trip(self):
-        dm = q.DensityMatrix(bell_state_2x3(), 2, 3)
-        back = q.density_matrix_from_dict(q.density_matrix_to_dict(dm))
-        assert np.array_equal(back.matrix, dm.matrix)
-        assert (back.dim_a, back.dim_b) == (2, 3)
-
     def test_shape_mismatch_rejected(self):
         d = q.operator_to_dict(np.eye(6), 2, 3)
         d["dim_b"] = 2

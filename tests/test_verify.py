@@ -8,7 +8,7 @@ from timebin_analyzer import states as st
 from timebin_analyzer import verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
-from oracles import alternating_projections, jacobi_eigvalsh
+from oracles import alternating_projections, boundary_closed_form, jacobi_eigvalsh
 
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 
@@ -63,13 +63,28 @@ class TestSdpFeasible:
         assert report.margin < -1e-3
         assert elapsed < 10.0
 
-    def test_perfect_z_zero_xy_feasible_with_witness(self):
-        report = verify.sdp_feasible(verify.build_constraints(1.0, 0.0, EFF))
+    @pytest.mark.parametrize(
+        "v_z, v_xy",
+        [(1.0, 0.0), (0.0, 1.0), (0.0, 1.0 - 2.0**-19)],
+        ids=["perfect_z", "perfect_xy", "near_perfect_xy"],
+    )
+    def test_perfect_z_zero_xy_feasible_with_witness(self, v_z, v_xy):
+        # Edge points of the feasible region, where the optimal margin is
+        # zero or tiny and the Newton system is close to singular.
+        cs = verify.build_constraints(v_z, v_xy, EFF)
+        report = verify.sdp_feasible(cs)
         assert report.feasible
         witness = report.witness
         assert witness is not None
+        assert max(abs(v) for v in cs.residuals(witness).values()) < 1e-8
         assert q.min_eigenvalue(witness) >= -1e-8
         assert q.min_eigenvalue(q.partial_transpose(witness, 2, 3)) >= -1e-8
+
+    def test_newton_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(verify, "_NEWTON_BUDGET", 5)
+        with pytest.raises(verify.NonConvergenceError, match="5 Newton steps") as info:
+            verify.sdp_feasible(verify.build_constraints(0.952, 0.804, EFF))
+        assert set(info.value.diagnostics) == {"mu", "decrement", "t"}
 
     def test_zero_visibilities_strictly_interior(self):
         report = verify.sdp_feasible(verify.build_constraints(0.0, 0.0, EFF))
@@ -186,6 +201,20 @@ class TestBoundaryScan:
         header, rows = verify.boundary_to_rows(points)
         assert header == ["v_z", "v_xy_threshold", "margin", "iterations"]
         assert len(rows) == 1 and rows[0][0] == 0.9
+
+    @pytest.mark.parametrize("eta_l, eta_s", [(0.9, 0.9), (0.8, 0.5)])
+    def test_threshold_is_first_grid_point_above_circle(self, eta_l, eta_s):
+        # v_z = 1 is left out: there the margin just above the circle is
+        # inside the tol band, so tol rather than the circle sets the
+        # threshold.
+        resolution = 1e-3
+        points = verify.boundary_scan(
+            [0.5, 0.7, 0.9, 0.952], AnalyzerEfficiencies(eta_l, eta_s),
+            resolution=resolution,
+        )
+        for point in points:
+            circle = boundary_closed_form(point.v_z)
+            assert point.threshold - resolution < circle <= point.threshold
 
     def test_threshold_agreement_on_grid(self):
         # The bisection threshold is bracketed: feasible just below it,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ class TestMakeGaussian:
             w.make_gaussian(SIGMA, grid_n=512, extent=8 * SIGMA)  # tails clipped
         with pytest.raises(w.GridResolutionError):
             w.make_gaussian(1e-5, grid_n=64, extent=0.02)  # beam under-resolved
+
+    def test_nan_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma must be > 0, got nan"):
+                w.make_gaussian(math.nan)
+            for name in ("extent", "wavelength"):
+                values = {"extent": 0.01, "wavelength": 776e-9, name: math.nan}
+                with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
+                    w.ScalarField(np.ones((64, 64)), **values)
 
 
 class TestMakeSpeckle:
@@ -299,20 +310,3 @@ class TestAoiVisibilityScan:
     def test_angle_domain_error(self, gaussian, geom):
         with pytest.raises(g.AngleDomainError):
             w.aoi_visibility_scan(gaussian, geom, [0.0, 1.0], False)
-
-
-class TestCsvExport:
-    def test_magnitude_and_phase(self, tmp_path):
-        field = w.make_gaussian(SIGMA, grid_n=64, extent=16 * SIGMA)
-        for kind in ("magnitude", "phase"):
-            path = tmp_path / f"{kind}.csv"
-            w.write_field_csv(field, path, kind)
-            lines = path.read_text().splitlines()
-            assert lines[0].startswith("# scalar field")
-            assert len(lines) == 1 + 64
-            assert len(lines[1].split(",")) == 64
-
-    def test_unknown_kind(self, tmp_path):
-        field = w.make_gaussian(SIGMA, grid_n=64, extent=16 * SIGMA)
-        with pytest.raises(ValueError):
-            w.write_field_csv(field, tmp_path / "x.csv", "intensity")
