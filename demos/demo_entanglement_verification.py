@@ -3,8 +3,10 @@
 A 2x3 feasibility program asks whether any state with a positive
 partial transpose could have produced the measured visibilities through
 the lossy analyzer.  If none can, the measurement certifies
-entanglement.  The classical boundary in the (v_z, v_xy) plane is
-computed by bisection and is independent of the analyzer losses.
+entanglement.  The classical boundary in the (v_z, v_xy) plane is found
+by a bracketed search on the solver margin over a grid of v_xy.  It is
+independent of the analyzer losses and, as the tests check, lies on the
+circle v_z^2 + v_xy^2 = 1.
 """
 
 import math

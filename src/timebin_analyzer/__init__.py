@@ -7,7 +7,7 @@ Subpackages by concern:
 - :mod:`timebin_analyzer.waveoptics`: scalar-field propagation,
   speckle fields, and overlap-based fringe visibility.
 - :mod:`timebin_analyzer.quantum`: dense operators, tensor products,
-  partial transpose, eigendecomposition, expectation values.
+  partial transpose, expectation values.
 - :mod:`timebin_analyzer.states`: hybrid entangled state, the
   depolarization channel, and entanglement visibilities.
 - :mod:`timebin_analyzer.measurement`: Alice's projectors and Bob's

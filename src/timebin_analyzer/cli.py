@@ -601,6 +601,9 @@ def main(argv=None) -> int:
         return func(settings)
     except verify.NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
+        if exc.diagnostics:
+            pairs = " ".join(f"{k}={v}" for k, v in sorted(exc.diagnostics.items()))
+            print(f"diagnostics: {pairs}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

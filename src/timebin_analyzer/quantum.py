@@ -68,20 +68,6 @@ def partial_transpose(m, dim_a=2, dim_b=None):
     return blocks.transpose(2, 1, 0, 3).reshape(n, n)
 
 
-def eig_hermitian(m, tol=1e-10):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns.  Raises :class:`NotHermitianError` when the
-    input is not Hermitian within ``tol`` (relative to its magnitude).
-    """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w, v
-
-
 def min_eigenvalue(m):
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0])

@@ -199,6 +199,20 @@ def _newton_direction(hess, rhs):
     return np.linalg.solve(chol.T, y), float(y @ y)
 
 
+def _log_det_derivatives(c):
+    """Gradient and Hessian of -log det F_1 - log det F_2 in w, from
+    c[b, k] = F_b^-1 A_bk for the blocks b and coordinates k.
+
+    grad_k = -sum_b Tr c[b, k] and hess_kl = sum_b Tr(c[b, k] c[b, l]),
+    the latter as one (K, 72) x (72, K) product.
+    """
+    k = c.shape[1]
+    grad = -c.diagonal(axis1=2, axis2=3).sum(-1).real.sum(axis=0)
+    left = c.transpose(1, 0, 2, 3).reshape(k, 72)
+    right = c.transpose(0, 3, 2, 1).reshape(72, k)
+    return grad, (left @ right).T.real
+
+
 def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     """Decide whether a PSD state with PSD partial transpose satisfies ``cs``.
 
@@ -216,13 +230,14 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     # F_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
     basis = np.concatenate([unvec_hermitian(sub.null.T), -np.eye(6)[None]])
     a = np.stack([basis, [partial_transpose(m) for m in basis]])
+    a_flat = a.transpose(1, 0, 2, 3).reshape(len(basis), 72)
     x0 = unvec_hermitian(sub.x0)
     f0 = np.stack([x0, partial_transpose(x0)])
 
     def factor(w):
         """Cholesky factors of both blocks, or None outside the cone."""
         try:
-            return np.linalg.cholesky(f0 + np.tensordot(w, a, axes=(0, 1)))
+            return np.linalg.cholesky(f0 + np.dot(w[None], a_flat).reshape(2, 6, 6))
         except np.linalg.LinAlgError:
             return None
 
@@ -237,10 +252,9 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     steps = 0
     while True:
         inv = np.linalg.inv(chol)
-        c = (inv.conj().transpose(0, 2, 1) @ inv)[:, None] @ a
-        grad = -np.trace(c, axis1=2, axis2=3).real.sum(axis=0)
+        f_inv = inv.conj().transpose(0, 2, 1) @ inv
+        grad, hess = _log_det_derivatives(f_inv[:, None] @ a)
         grad[-1] -= 1.0 / mu
-        hess = np.einsum("bkij,blji->kl", c, c, optimize=True).real
         step, decrement = _newton_direction(hess, -grad)
         if decrement <= _DECREMENT_TOL:
             if 12 * mu <= _GAP_TARGET:
@@ -284,7 +298,11 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
 
 @dataclass
 class BoundaryPoint:
-    """One point of the classical boundary: threshold in v_xy at fixed v_z."""
+    """One point of the classical boundary: threshold in v_xy at fixed v_z.
+
+    ``margin`` is the solver margin at ``threshold``; ``iterations`` is
+    the number of Newton steps summed over every solve the scan made.
+    """
 
     v_z: float
     threshold: float
@@ -300,14 +318,27 @@ def boundary_scan(
     resolution=1e-3,
     qubit_mass=DEFAULT_QUBIT_MASS,
 ) -> list:
-    """Smallest infeasible v_xy for each v_z, by bisection to ``resolution``.
+    """Smallest infeasible v_xy on a dyadic grid, for each v_z.
 
-    Visibilities at or above the threshold certify entanglement.  When
-    even v_xy = 1 is consistent with a PPT state the point is reported
-    unbracketed with an infinite threshold.
+    The grid step is 2^-m, the largest power of two not above
+    ``resolution``.  The threshold is the grid point k/2^m with
+    (k-1)/2^m feasible and k/2^m infeasible (margin < -tol): where the
+    verdict changes once along the grid, the point bisection of [0, 1]
+    reaches, found with fewer solves.  Each step
+    rounds to the grid the regula falsi estimate of the zero of
+    margin + tol, with the Illinois rule (halve the value kept at an end
+    that two steps in a row left in place), and takes the midpoint
+    instead when the bracket is more than eight times as wide as
+    bisection's after as many steps.  Visibilities at or above the
+    threshold certify entanglement.  When even v_xy = 1 is consistent
+    with a PPT state the point is reported unbracketed with an infinite
+    threshold.
     """
     if not 0 < resolution < math.inf:
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    n = 1
+    while 1.0 / n > resolution:
+        n *= 2
     points = []
     for v_z in v_z_values:
         report_lo = sdp_feasible(
@@ -326,18 +357,31 @@ def boundary_scan(
                 BoundaryPoint(float(v_z), math.inf, report_hi.margin, iterations, False)
             )
             continue
-        lo, hi = 0.0, 1.0
+        # Grid indices: lo is feasible and hi infeasible throughout.
+        lo, hi = 0, n
+        f_lo, f_hi = report_lo.margin + tol, report_hi.margin + tol
         margin_hi = report_hi.margin
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            report = sdp_feasible(build_constraints(v_z, mid, eff, qubit_mass), tol=tol)
-            iterations += report.iterations
-            if report.feasible:
-                lo = mid
+        moved, steps = None, 0
+        while hi - lo > 1:
+            if (hi - lo) * 2**steps > 8 * n:
+                k = (lo + hi) // 2
             else:
-                hi = mid
+                k = lo + round((hi - lo) * f_lo / (f_lo - f_hi))
+                k = min(max(k, lo + 1), hi - 1)
+            cs = build_constraints(v_z, k / n, eff, qubit_mass)
+            report = sdp_feasible(cs, tol=tol)
+            iterations += report.iterations
+            steps += 1
+            if report.feasible:
+                if moved == "lo":
+                    f_hi /= 2
+                lo, f_lo, moved = k, report.margin + tol, "lo"
+            else:
+                if moved == "hi":
+                    f_lo /= 2
+                hi, f_hi, moved = k, report.margin + tol, "hi"
                 margin_hi = report.margin
-        points.append(BoundaryPoint(float(v_z), hi, margin_hi, iterations, True))
+        points.append(BoundaryPoint(float(v_z), hi / n, margin_hi, iterations, True))
     return points
 
 

@@ -48,10 +48,12 @@ class ScalarField:
         n = self.grid.shape[0]
         if self.grid.shape != (n, n) or n < 64:
             raise ValueError(f"grid must be square with N >= 64, got {self.grid.shape}")
-        if not (self.extent > 0):
-            raise ValueError(f"extent must be > 0, got {self.extent}")
-        if not (self.wavelength > 0):
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        for name in ("extent", "wavelength"):
+            value = getattr(self, name)
+            if not (value > 0):
+                raise ValueError(f"{name} must be > 0, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def n(self) -> int:
@@ -91,8 +93,10 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if extent is None:
         extent = 16.0 * sigma
-    if extent < 12.0 * sigma:
-        raise ValueError(f"extent {extent} must be at least 12*sigma = {12 * sigma}")
+    if not 12.0 * sigma <= extent < math.inf:
+        raise ValueError(
+            f"extent {extent} must be finite and at least 12*sigma = {12 * sigma}"
+        )
     cell = extent / grid_n
     if sigma < 3.0 * cell:
         raise GridResolutionError(

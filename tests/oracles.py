@@ -8,7 +8,8 @@ basis matrices, the PPT feasibility cross-check is cyclic projection,
 drift-scan rates are traced one bucket at a time, the two-time surface
 maximum is taken over every cell of the dense surface, integrals are
 done by direct quadrature, the ray-model fringe intensity is written out
-from its closed form, and the classical boundary is the unit circle.
+from its closed form, the classical boundary is the unit circle, and the
+boundary search is plain bisection.
 """
 
 import math
@@ -112,6 +113,42 @@ def boundary_closed_form(v_z):
     """Classical boundary in v_xy at fixed v_z: the unit circle
     v_z^2 + v_xy^2 = 1, independent of the analyzer efficiencies."""
     return math.sqrt(1.0 - v_z**2)
+
+
+def boundary_scan_bisect(
+    v_z_values, eff, tol=1e-7, resolution=1e-3, qubit_mass=2.0 / 3.0
+):
+    """Classical boundary by plain bisection of [0, 1] in v_xy on the
+    verdict of ``verify.sdp_feasible``, until the bracket is at most
+    ``resolution`` wide.  Same outputs as ``verify.boundary_scan``."""
+    from timebin_analyzer import verify
+
+    def solve(v_z, v_xy):
+        cs = verify.build_constraints(v_z, v_xy, eff, qubit_mass)
+        return verify.sdp_feasible(cs, tol=tol)
+
+    points = []
+    for v_z in v_z_values:
+        report_lo = solve(v_z, 0.0)
+        assert report_lo.feasible, f"v_xy = 0 infeasible at v_z = {v_z}"
+        report_hi = solve(v_z, 1.0)
+        iterations = report_lo.iterations + report_hi.iterations
+        if report_hi.feasible:
+            points.append(verify.BoundaryPoint(
+                float(v_z), math.inf, report_hi.margin, iterations, False))
+            continue
+        lo, hi = 0.0, 1.0
+        margin_hi = report_hi.margin
+        while hi - lo > resolution:
+            mid = 0.5 * (lo + hi)
+            report = solve(v_z, mid)
+            iterations += report.iterations
+            if report.feasible:
+                lo = mid
+            else:
+                hi, margin_hi = mid, report.margin
+        points.append(verify.BoundaryPoint(float(v_z), hi, margin_hi, iterations, True))
+    return points
 
 
 def central_difference(f, x, h):

@@ -113,6 +113,13 @@ class TestNptVerify:
         monkeypatch.setattr(cli.verify, "sdp_feasible", explode)
         assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
 
+    def test_exit_3_prints_solver_diagnostics(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_NEWTON_BUDGET", 5)
+        assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "exhausted 5 Newton steps" in err
+        assert "diagnostics: decrement=" in err and " mu=" in err and " t=" in err
+
 
 class TestVisibilityScan:
     def test_paper_row(self, tmp_path):

@@ -99,49 +99,6 @@ class TestPartialTranspose:
             assert np.allclose(np.sort(w), np.sort(expected), atol=1e-10)
 
 
-class TestEigHermitian:
-    def test_diagonal(self):
-        w, _ = q.eig_hermitian(np.diag([3.0, -1.0, 2.0]).astype(complex))
-        assert np.allclose(w, [-1.0, 2.0, 3.0])
-
-    def test_pauli_x(self):
-        w, _ = q.eig_hermitian(q.PAULI_X)
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_trace_identity_on_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            m = random_hermitian(rng, 6)
-            w, _ = q.eig_hermitian(m)
-            assert np.sum(w) == pytest.approx(np.trace(m).real, abs=1e-10)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(14)
-        m = random_hermitian(rng, 6)
-        w, v = q.eig_hermitian(m)
-        rebuilt = (v * w) @ v.conj().T
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10
-
-    def test_matches_jacobi_oracle(self):
-        rng = np.random.default_rng(15)
-        for _ in range(5):
-            m = random_hermitian(rng, 6)
-            w, _ = q.eig_hermitian(m)
-            assert np.allclose(w, jacobi_eigvalsh(m), atol=1e-8)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(q.NotHermitianError):
-            q.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_psd_inputs(self):
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            rho = random_density_matrix(rng, 6)
-            w, _ = q.eig_hermitian(rho)
-            assert w[0] >= -1e-10
-
-
 class TestExpectation:
     def test_identity(self):
         assert q.expectation(np.eye(6) / 6.0, np.eye(6)) == pytest.approx(1.0)

@@ -8,7 +8,12 @@ from timebin_analyzer import states as st
 from timebin_analyzer import verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
-from oracles import alternating_projections, boundary_closed_form, jacobi_eigvalsh
+from oracles import (
+    alternating_projections,
+    boundary_closed_form,
+    boundary_scan_bisect,
+    jacobi_eigvalsh,
+)
 
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 
@@ -124,6 +129,21 @@ class TestSdpFeasible:
             assert feasible.feasible
 
 
+def test_log_det_derivatives_match_trace_and_einsum():
+    # c[b, k] = F_b^-1 A_bk with F_b positive definite and A_bk Hermitian.
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+    f = g @ g.conj().transpose(0, 2, 1) + np.eye(6)
+    h = rng.normal(size=(2, 32, 6, 6)) + 1j * rng.normal(size=(2, 32, 6, 6))
+    a = h + h.conj().transpose(0, 1, 3, 2)
+    c = np.linalg.inv(f)[:, None] @ a
+    grad, hess = verify._log_det_derivatives(c)
+    ref_grad = -np.trace(c, axis1=2, axis2=3).real.sum(axis=0)
+    ref_hess = np.einsum("bkij,blji->kl", c, c, optimize=True).real
+    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+    assert np.linalg.norm(hess - ref_hess) <= 1e-12 * np.linalg.norm(ref_hess)
+
+
 class TestAlternatingProjections:
     @pytest.mark.parametrize(
         "v_z, v_xy, expected",
@@ -215,6 +235,53 @@ class TestBoundaryScan:
         for point in points:
             circle = boundary_closed_form(point.v_z)
             assert point.threshold - resolution < circle <= point.threshold
+
+    def test_bracketing_matches_bisection_with_fewer_solves(self, monkeypatch):
+        # The criterion-08 grid and efficiency pairs, plus v_z = 0 (unbracketed),
+        # -0.6 and 0.99, and qubit mass 0.3: same threshold, margin and
+        # bracketing as plain bisection, never more solves per point, and
+        # at most 7 solves per point on average over the criterion-08 grid.
+        solves, reports = [], {}
+        solve = verify.sdp_feasible
+
+        def counted(cs, tol=verify.DEFAULT_TOL):
+            # Every call counts; a repeat of a (deterministic) solve is
+            # served from the cache to keep the test short.
+            solves.append(cs)
+            key = (cs.v_z, cs.v_xy, cs.eff, cs.qubit_mass, tol)
+            if key not in reports:
+                reports[key] = solve(cs, tol=tol)
+            return reports[key]
+
+        monkeypatch.setattr(verify, "sdp_feasible", counted)
+        criterion_08 = [0.5, 0.7, 0.8, 0.9, 0.952, 1.0]
+        cases = [
+            (v_z, (eta_l, eta_s), verify.DEFAULT_QUBIT_MASS)
+            for eta_l, eta_s in [(0.9, 0.9), (0.45, 0.45), (0.8, 0.5), (0.5, 0.8)]
+            for v_z in criterion_08 + [0.0, -0.6, 0.99]
+        ] + [(0.9, (0.9, 0.9), 0.3)]
+        grid_solves = []
+        for v_z, eta, mass in cases:
+            eff = AnalyzerEfficiencies(*eta)
+            solves.clear()
+            (point,) = verify.boundary_scan([v_z], eff, qubit_mass=mass)
+            n_scan = len(solves)
+            solves.clear()
+            (ref,) = boundary_scan_bisect([v_z], eff, qubit_mass=mass)
+            assert (point.threshold, point.margin, point.bracketed) == (
+                ref.threshold, ref.margin, ref.bracketed
+            ), (v_z, eta, mass)
+            assert n_scan <= len(solves), (v_z, eta, mass)
+            if v_z in criterion_08 and mass == verify.DEFAULT_QUBIT_MASS:
+                grid_solves.append(n_scan)
+        assert sum(grid_solves) <= 7 * len(grid_solves)
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.3, 2.0**-4])
+    def test_grid_step_matches_bisection(self, resolution):
+        # The grid step is the largest power of two not above resolution.
+        point = verify.boundary_scan([0.9], EFF, resolution=resolution)[0]
+        ref = boundary_scan_bisect([0.9], EFF, resolution=resolution)[0]
+        assert (point.threshold, point.margin) == (ref.threshold, ref.margin)
 
     def test_threshold_agreement_on_grid(self):
         # The bisection threshold is bracketed: feasible just below it,

@@ -59,6 +59,14 @@ class TestMakeGaussian:
                 with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
                     w.ScalarField(np.ones((64, 64)), **values)
 
+    @pytest.mark.parametrize("name", ["extent", "wavelength"])
+    def test_infinite_rejected(self, name):
+        values = {"extent": 0.01, "wavelength": 776e-9, name: math.inf}
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            w.ScalarField(np.ones((64, 64)), **values)
+        with pytest.raises(ValueError, match=f"{name} .*must be finite"):
+            w.make_gaussian(1e-3, **{name: math.inf})
+
 
 class TestMakeSpeckle:
     def test_single_mode_limit(self):
