@@ -14,6 +14,7 @@ import numpy as np
 from . import chsh as _chsh
 from . import geometry as _geometry
 from . import waveoptics as _waveoptics
+from ._checks import finite_in
 
 # Photon collection falls to zero at this angle; a raised-cosine
 # surrogate for the fiber-coupling rolloff.  It scales rates, never
@@ -124,11 +125,9 @@ def expectation_vs_aoi(
     zero over any window spanning many periods.  The relative photon
     collection rate is included as a separate column.
     """
-    if not -1.0 <= v_xy <= 1.0:
-        raise ValueError(f"v_xy must be in [-1, 1], got {v_xy}")
-    if not math.isfinite(fixed_phase):
-        raise ValueError(f"fixed_phase must be finite, got {fixed_phase}")
-    alphas = np.asarray(alphas, dtype=float)
+    finite_in("v_xy", v_xy, -1, 1)
+    finite_in("fixed_phase", fixed_phase)
+    alphas = _geometry._check_alpha(alphas)
     if relay:
         e_vals = np.full(alphas.shape, v_xy * math.cos(fixed_phase))
     else:
@@ -169,8 +168,7 @@ def stability_series(
     the per-bucket coincidences are Poisson distributed and the
     expectation values carry shot noise; ``rate=None`` is noiseless.
     """
-    if not -1.0 <= v_xy <= 1.0:
-        raise ValueError(f"v_xy must be in [-1, 1], got {v_xy}")
+    finite_in("v_xy", v_xy, -1, 1)
     times = _chsh.bucket_times(duration, bucket, rate)
     phases = drift.phase(times)
     e1_ideal = v_xy * np.cos(phases)

@@ -16,11 +16,12 @@ surface, which only the CSV export and plots need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import finite_in
 from .measurement import AnalyzerEfficiencies, bob_povm
 from .quantum import DensityMatrix, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tensor
 from .states import embed_2x3
@@ -33,8 +34,7 @@ class ZeroDenominatorError(ValueError):
 def expectation_from_counts(n_pp, n_mm, n_pm, n_mp):
     """Correlation (N++ + N-- - N+- - N-+) / (sum of all four)."""
     for c in (n_pp, n_mm, n_pm, n_mp):
-        if not math.isfinite(c):
-            raise ValueError(f"coincidence count must be finite, got {c}")
+        finite_in("coincidence count", c)
     total = n_pp + n_mm + n_pm + n_mp
     if total <= 0:
         raise ZeroDenominatorError("coincidence counts sum to zero")
@@ -57,9 +57,8 @@ def chsh_s(e11, e12, e21, e22):
 
 def s_theo(v_z, v_xy):
     """Predicted CHSH parameter sqrt(2) * (v_z + v_xy) from visibilities."""
-    for name, v in (("v_z", v_z), ("v_xy", v_xy)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
+    finite_in("v_z", v_z, 0, 1)
+    finite_in("v_xy", v_xy, 0, 1)
     return math.sqrt(2.0) * (v_z + v_xy)
 
 
@@ -86,11 +85,9 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in ("linear", "sinusoidal"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        for name in ("amount", "phase0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.period < math.inf:
-            raise ValueError(f"period must be finite and > 0, got {self.period}")
+        finite_in("amount", self.amount)
+        finite_in("phase0", self.phase0)
+        finite_in("period", self.period, 0, open_lo=True)
 
     def phase(self, t):
         t = np.asarray(t, dtype=float)
@@ -106,8 +103,8 @@ def bucket_times(duration, bucket, rate=None):
     and > 0, and the duration must round to at least one bucket.
     """
     for name, value in (("rate", rate), ("duration", duration), ("bucket", bucket)):
-        if value is not None and not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if value is not None:
+            finite_in(name, value, 0, open_lo=True)
     n = int(round(duration / bucket))
     if n < 1:
         raise ValueError(
@@ -134,9 +131,7 @@ def alice_setting(axis):
             raise ValueError(f"unknown Alice axis {axis!r}")
         axis = named[axis]
     vec = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("Bloch vector must be nonzero")
+    norm = finite_in("axis norm", np.linalg.norm(vec), 0, open_lo=True)
     nx, ny, nz = vec / norm
     sigma = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
     return 0.5 * (IDENTITY_2 + sigma), 0.5 * (IDENTITY_2 - sigma)
@@ -152,13 +147,6 @@ class DriftTrace:
 
     times: np.ndarray
     counts: dict
-    drift: DriftModel
-    rate: float
-    bucket: float
-    alice_axis: object
-    eff: AnalyzerEfficiencies
-    seed: object = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_buckets(self):
@@ -213,17 +201,7 @@ def simulate_drift_scan(
         rng = np.random.Generator(np.random.PCG64(seed))
         counts = {key: rng.poisson(lam[key]).astype(float) for key in sorted(lam)}
 
-    return DriftTrace(
-        times=times,
-        counts=counts,
-        drift=drift,
-        rate=rate,
-        bucket=bucket,
-        alice_axis=alice_axis,
-        eff=eff,
-        seed=seed,
-        meta={"duration": duration, "noiseless": seed is None},
-    )
+    return DriftTrace(times, counts)
 
 
 class SurfaceResult(NamedTuple):
@@ -376,17 +354,7 @@ def _surface_term(trace: DriftTrace, split: bool):
 
 
 def _subtrace(trace: DriftTrace, sel) -> DriftTrace:
-    return DriftTrace(
-        times=trace.times[sel],
-        counts={key: trace.counts[key][sel] for key in trace.counts},
-        drift=trace.drift,
-        rate=trace.rate,
-        bucket=trace.bucket,
-        alice_axis=trace.alice_axis,
-        eff=trace.eff,
-        seed=trace.seed,
-        meta=dict(trace.meta),
-    )
+    return DriftTrace(trace.times[sel], {k: c[sel] for k, c in trace.counts.items()})
 
 
 def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> ChshEstimate:

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, chsh, geometry, svg, verify
+from ._checks import finite_in
 from .measurement import AnalyzerEfficiencies
 from .quantum import operator_to_dict
 from .states import DepolarizationParams, depolarize, hybrid_bell_state
@@ -47,24 +48,44 @@ class CliError(ValueError):
 
 
 def parse_quantity(text, kind):
-    """Parse '1.49mm' style values into SI base units."""
+    """Parse '1.49mm' style values into SI base units; a bare number is already SI."""
     if isinstance(text, (int, float)):
         return float(text)
     s = str(text).strip()
     units = _UNITS[kind]
-    for suffix in sorted(units, key=len, reverse=True):
-        if suffix and s.endswith(suffix):
-            try:
-                return float(s[: -len(suffix)]) * units[suffix]
-            except ValueError as exc:
-                raise CliError(f"cannot parse {kind} quantity {text!r}") from exc
+    by_length = sorted(units, key=len, reverse=True)
+    suffix = next((u for u in by_length if u and s.endswith(u)), "")
     try:
-        return float(s)
+        return float(s[: len(s) - len(suffix)]) * units.get(suffix, 1.0)
     except ValueError as exc:
-        raise CliError(
-            f"cannot parse {kind} quantity {text!r}; "
-            f"known suffixes: {', '.join(u for u in units if u)}"
-        ) from exc
+        raise CliError(f"cannot parse {kind} quantity {text!r}") from exc
+
+
+_SWITCH = {"on": True, "true": True, "off": False, "false": False}
+_EXPECTED = {
+    **{kind: f"a number with an optional unit ({', '.join(units)})"
+       for kind, units in _UNITS.items()},
+    "none": "a number",
+    "int": "an integer",
+    "numbers": "comma-separated numbers",
+    "switch": "on, off, true, false or a JSON boolean",
+}
+
+
+def _setting(settings, key, kind="none"):
+    """``settings[key]`` as an "int", a list of "numbers", an on/off "switch" or
+    a quantity of the unit ``kind``; CliError names ``key`` if it does not convert."""
+    value = settings[key]
+    try:
+        if kind == "int":
+            return int(str(value))  # a JSON 2.7 is refused, not truncated
+        if kind == "numbers":
+            return [float(v) for v in str(value).split(",")]
+        if kind == "switch":
+            return value if isinstance(value, bool) else _SWITCH[value]
+        return parse_quantity(value, kind)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise CliError(f"{key} must be {_EXPECTED[kind]}, got {value!r}") from exc
 
 
 def _merge_settings(defaults, config, args_dict, command):
@@ -115,23 +136,33 @@ def _out_path(settings, filename):
 
 def _geometry_from(settings):
     return geometry.InterferometerGeometry(
-        delta_l0=parse_quantity(settings["delta_l0"], "length"),
-        sigma=parse_quantity(settings["sigma"], "length"),
-        v0=float(settings["v0"]),
-        wavelength=parse_quantity(settings["wavelength"], "length"),
-        focal_length=parse_quantity(settings["focal_length"], "length"),
+        delta_l0=_setting(settings, "delta_l0", "length"),
+        sigma=_setting(settings, "sigma", "length"),
+        v0=_setting(settings, "v0"),
+        wavelength=_setting(settings, "wavelength", "length"),
+        focal_length=_setting(settings, "focal_length", "length"),
+    )
+
+
+def _efficiencies_from(settings):
+    return AnalyzerEfficiencies(
+        _setting(settings, "eta_l"), _setting(settings, "eta_s")
+    )
+
+
+def _drift_from(settings):
+    return chsh.DriftModel(
+        kind=settings["drift"],
+        amount=_setting(settings, "drift_amount", "angle"),
+        period=_setting(settings, "drift_period", "time"),
     )
 
 
 def _sweep_range(settings):
     """Largest angle and number of angles of a sweep, validated."""
-    alpha_max = parse_quantity(settings["alpha_max"], "angle")
-    steps = int(settings["alpha_steps"])
-    if not math.isfinite(alpha_max):
-        raise CliError(f"alpha_max must be finite, got {alpha_max}")
-    if steps < 1:
-        raise CliError(f"alpha_steps must be >= 1, got {steps}")
-    return alpha_max, steps
+    alpha_max = _setting(settings, "alpha_max", "angle")
+    steps = _setting(settings, "alpha_steps", "int")
+    return finite_in("alpha_max", alpha_max), finite_in("alpha_steps", steps, 1)
 
 
 def _maybe_svg(settings, csv_path, series, title, xlabel, ylabel):
@@ -156,14 +187,14 @@ def cmd_visibility_scan(settings):
     geom = _geometry_from(settings)
     alpha_max, steps = _sweep_range(settings)
     alphas = np.linspace(0.0, alpha_max, steps)
-    relay = settings["relay"] in (True, "on", "true")
+    relay = _setting(settings, "relay", "switch")
     spec = analysis.FieldSpec(
         mode=settings["mode"],
-        grid_n=int(settings["grid_n"]),
-        mode_count=int(settings["mode_count"]),
-        seed=int(settings["seed"]),
+        grid_n=_setting(settings, "grid_n", "int"),
+        mode_count=_setting(settings, "mode_count", "int"),
+        seed=_setting(settings, "seed", "int"),
     )
-    jobs = int(settings["jobs"])
+    jobs = _setting(settings, "jobs", "int")
     curve = analysis.aoi_sweep(geom, spec, alphas, relay)
     params = {**curve.params, "seed": settings["seed"], "jobs": jobs}
     path = _out_path(settings, "visibility_scan.csv")
@@ -184,7 +215,7 @@ def cmd_visibility_scan(settings):
 
 
 def cmd_relay_check(settings):
-    f = parse_quantity(settings["focal_length"], "length")
+    f = _setting(settings, "focal_length", "length")
     m = geometry.relay_matrix(f)
     residual = float(np.max(np.abs(m - np.eye(2))))
     det = float(np.linalg.det(m))
@@ -263,20 +294,16 @@ def cmd_phase_sensitivity(settings):
 
 def cmd_chsh_scan(settings):
     params = DepolarizationParams.unbiased(
-        float(settings["p_xy"]), float(settings["p_z"])
+        _setting(settings, "p_xy"), _setting(settings, "p_z")
     )
     rho = depolarize(hybrid_bell_state(), params)
-    eff = AnalyzerEfficiencies(float(settings["eta_l"]), float(settings["eta_s"]))
-    duration = parse_quantity(settings["duration"], "time")
-    bucket = parse_quantity(settings["bucket"], "time")
-    drift = chsh.DriftModel(
-        kind=settings["drift"],
-        amount=parse_quantity(settings["drift_amount"], "angle"),
-        period=parse_quantity(settings["drift_period"], "time"),
-    )
-    rate = float(settings["rate"])
+    eff = _efficiencies_from(settings)
+    duration = _setting(settings, "duration", "time")
+    bucket = _setting(settings, "bucket", "time")
+    drift = _drift_from(settings)
+    rate = _setting(settings, "rate")
     seed = settings["seed"]
-    seed = None if seed in (None, "none") else int(seed)
+    seed = None if seed in (None, "none") else _setting(settings, "seed", "int")
     traces = {}
     for idx, axis in enumerate(("z+x", "z-x")):
         scan_seed = None if seed is None else seed + idx
@@ -333,12 +360,12 @@ def cmd_chsh_scan(settings):
 
 
 def cmd_npt_verify(settings):
-    eff = AnalyzerEfficiencies(float(settings["eta_l"]), float(settings["eta_s"]))
+    eff = _efficiencies_from(settings)
     cs = verify.build_constraints(
-        float(settings["vz"]), float(settings["vxy"]), eff,
-        qubit_mass=float(settings["qubit_mass"]),
+        _setting(settings, "vz"), _setting(settings, "vxy"), eff,
+        qubit_mass=_setting(settings, "qubit_mass"),
     )
-    report = verify.sdp_feasible(cs, tol=float(settings["tol"]))
+    report = verify.sdp_feasible(cs, tol=_setting(settings, "tol"))
     rows = [
         ["verdict", report.verdict],
         ["margin", report.margin],
@@ -378,12 +405,12 @@ def cmd_npt_verify(settings):
 
 
 def cmd_npt_boundary(settings):
-    eff = AnalyzerEfficiencies(float(settings["eta_l"]), float(settings["eta_s"]))
-    grid = [float(v) for v in str(settings["vz_grid"]).split(",")]
-    jobs = int(settings["jobs"])
-    tol = float(settings["tol"])
-    resolution = float(settings["resolution"])
-    mass = float(settings["qubit_mass"])
+    eff = _efficiencies_from(settings)
+    grid = _setting(settings, "vz_grid", "numbers")
+    jobs = _setting(settings, "jobs", "int")
+    tol = _setting(settings, "tol")
+    resolution = _setting(settings, "resolution")
+    mass = _setting(settings, "qubit_mass")
     results = verify.boundary_scan(grid, eff, tol, resolution, mass)
     header, rows = verify.boundary_to_rows(results)
     path = _out_path(settings, "npt_boundary.csv")
@@ -417,20 +444,15 @@ def cmd_npt_boundary(settings):
 
 
 def cmd_stability(settings):
-    drift = chsh.DriftModel(
-        kind=settings["drift"],
-        amount=parse_quantity(settings["drift_amount"], "angle"),
-        period=parse_quantity(settings["drift_period"], "time"),
-    )
-    rate = settings["rate"]
-    rate = None if rate in (None, "none") else float(rate)
+    drift = _drift_from(settings)
+    rate = None if settings["rate"] in (None, "none") else _setting(settings, "rate")
     curve = analysis.stability_series(
-        v_xy=float(settings["vxy"]),
+        v_xy=_setting(settings, "vxy"),
         drift=drift,
-        duration=parse_quantity(settings["duration"], "time"),
-        bucket=parse_quantity(settings["bucket"], "time"),
+        duration=_setting(settings, "duration", "time"),
+        bucket=_setting(settings, "bucket", "time"),
         rate=rate,
-        seed=int(settings["seed"]),
+        seed=_setting(settings, "seed", "int"),
     )
     path = _out_path(settings, "stability.csv")
     _write_csv(path, curve.columns, curve.rows, curve.params)
@@ -454,10 +476,10 @@ def cmd_expectation_aoi(settings):
     geom = _geometry_from(settings)
     alpha_max, steps = _sweep_range(settings)
     alphas = np.linspace(-alpha_max, alpha_max, steps)
-    relay = settings["relay"] in (True, "on", "true")
+    relay = _setting(settings, "relay", "switch")
     curve = analysis.expectation_vs_aoi(
-        geom, float(settings["vxy"]), alphas, relay,
-        fixed_phase=parse_quantity(settings["fixed_phase"], "angle"),
+        geom, _setting(settings, "vxy"), alphas, relay,
+        fixed_phase=_setting(settings, "fixed_phase", "angle"),
     )
     path = _out_path(settings, "expectation_aoi.csv")
     _write_csv(path, curve.columns, curve.rows, curve.params)

@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import finite_in
+
 ALPHA_LIMIT = math.pi / 4
 
 
@@ -49,11 +51,8 @@ class InterferometerGeometry:
 
     def __post_init__(self):
         for name in ("delta_l0", "sigma", "wavelength", "focal_length"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0.0 <= self.v0 <= 1.0:
-            raise ValueError(f"v0 must be in [0, 1], got {self.v0}")
+            finite_in(name, getattr(self, name), 0, open_lo=True)
+        finite_in("v0", self.v0, 0, 1)
 
 
 class PhaseResult(NamedTuple):
@@ -73,9 +72,10 @@ def intensity_std_from_sigma(sigma):
 
 def _check_alpha(alpha):
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(np.abs(alpha) >= ALPHA_LIMIT):
+    bad = ~(np.abs(alpha) < ALPHA_LIMIT)
+    if bad.any():
         raise AngleDomainError(
-            f"|alpha| must be < pi/4 rad for the ray model, got {alpha}"
+            f"|alpha| must be < pi/4 rad for the ray model, got {alpha[bad][0]}"
         )
     return alpha
 
@@ -132,8 +132,9 @@ def free_space(d):
 
 def thin_lens(f):
     """ABCD matrix of a thin lens with focal length f."""
+    finite_in("f", f)
     if f == 0:
-        raise ValueError("focal length must be nonzero")
+        raise ValueError(f"f must be nonzero, got {f}")
     return np.array([[1.0, 0.0], [-1.0 / float(f), 1.0]])
 
 
@@ -144,9 +145,7 @@ def relay_single_pass(focal_length):
     same in optical order and in printed order.  A single pass equals
     minus the identity; the round trip (squared) is the identity.
     """
-    if not 0 < focal_length < math.inf:
-        raise ValueError(f"focal_length must be finite and > 0, got {focal_length}")
-    f = float(focal_length)
+    f = float(finite_in("focal_length", focal_length, 0, open_lo=True))
     m = free_space(f) @ thin_lens(f) @ free_space(2 * f) @ thin_lens(f) @ free_space(f)
     return m
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite_in
 from .quantum import min_eigenvalue
 
 
@@ -29,9 +30,8 @@ class AnalyzerEfficiencies:
     eta_s: float
 
     def __post_init__(self):
-        for name, value in (("eta_l", self.eta_l), ("eta_s", self.eta_s)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        finite_in("eta_l", self.eta_l, 0, 1)
+        finite_in("eta_s", self.eta_s, 0, 1)
 
 
 def alice_povm():

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import finite_in
 from .measurement import alice_povm, bob_povm, ideal_bob_projectors
 from .quantum import (
     DensityMatrix,
@@ -49,11 +50,9 @@ class DepolarizationParams:
     p_z: float
 
     def __post_init__(self):
-        for name, p in (("p_x", self.p_x), ("p_y", self.p_y), ("p_z", self.p_z)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.p_x + self.p_y + self.p_z > 1.0 + 1e-12:
-            raise ValueError("p_x + p_y + p_z must not exceed 1")
+        for name in ("p_x", "p_y", "p_z"):
+            finite_in(name, getattr(self, name), 0, 1)
+        finite_in("p_x + p_y + p_z", self.p_x + self.p_y + self.p_z, hi=1 + 1e-12)
 
     @classmethod
     def unbiased(cls, p_xy, p_z):
@@ -69,9 +68,8 @@ class VisibilityPair:
     v_xy: float
 
     def __post_init__(self):
-        for name, v in (("v_z", self.v_z), ("v_xy", self.v_xy)):
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [-1, 1], got {v}")
+        finite_in("v_z", self.v_z, -1, 1)
+        finite_in("v_xy", self.v_xy, -1, 1)
 
 
 class ZVisibilityResult(NamedTuple):
@@ -102,8 +100,7 @@ def embed_2x3(rho22: DensityMatrix, arrival_prob: float) -> DensityMatrix:
     photon arrives and the qubit block carries the input state, otherwise
     Bob holds vacuum and Alice keeps her reduced state.
     """
-    if not 0.0 <= arrival_prob <= 1.0:
-        raise ValueError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
+    finite_in("arrival_prob", arrival_prob, 0, 1)
     if (rho22.dim_a, rho22.dim_b) != (2, 2):
         raise ValueError("embed_2x3 expects a 2x2-qubit input state")
     out = np.zeros((6, 6), dtype=complex)

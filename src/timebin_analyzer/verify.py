@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite_in
 from .measurement import AnalyzerEfficiencies, alice_povm, bob_povm
 from .quantum import (
     DensityMatrix,
@@ -64,7 +65,9 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class ConstraintSet:
-    """Affine constraints Tr(rho C_k) = b_k of the feasibility program."""
+    """Affine constraints Tr(rho C_k) = b_k of the feasibility program, with
+    their least-squares solution ``x0`` in Hermitian coordinates and the
+    ``singular_values`` of the constraint rows, both found on construction."""
 
     operators: list
     targets: list
@@ -73,6 +76,16 @@ class ConstraintSet:
     v_z: float
     v_xy: float
     qubit_mass: float
+
+    def __post_init__(self):
+        rows = vec_hermitian(np.array(self.operators))
+        b = np.asarray(self.targets, dtype=float)
+        self.x0, _, _, self.singular_values = np.linalg.lstsq(rows, b, rcond=None)
+        residual = float(np.max(np.abs(rows @ self.x0 - b)))
+        if residual > 1e-9:
+            raise NonConvergenceError(
+                "constraints are inconsistent", {"residual": residual}
+            )
 
     def residuals(self, rho):
         return {
@@ -106,11 +119,9 @@ def build_constraints(
     operators, both z-conditionals sharing v_z.  Trace one and the
     detected-sector mass complete the set.
     """
-    for name, v in (("v_z", v_z), ("v_xy", v_xy)):
-        if not -1.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [-1, 1], got {v}")
-    if not 0.0 < qubit_mass <= 1.0:
-        raise ValueError(f"qubit_mass must be in (0, 1], got {qubit_mass}")
+    finite_in("v_z", v_z, -1, 1)
+    finite_in("v_xy", v_xy, -1, 1)
+    finite_in("qubit_mass", qubit_mass, 0, 1, open_lo=True)
     alice = alice_povm()
     bob = bob_povm(eff)
 
@@ -128,16 +139,7 @@ def build_constraints(
     ]
     targets = [1.0, 0.0, 0.0, 0.0, float(qubit_mass)]
     labels = ["trace", "vis_plus_z", "vis_minus_z", "vis_xy", "qubit_mass"]
-
-    rank = np.linalg.matrix_rank(vec_hermitian(np.array(operators)), tol=1e-10)
-    if rank < len(operators):
-        warnings.warn(
-            f"constraints are rank deficient (rank {rank} of {len(operators)}); "
-            "the analyzer efficiencies may be degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ConstraintSet(
+    cs = ConstraintSet(
         operators=operators,
         targets=targets,
         labels=labels,
@@ -146,28 +148,15 @@ def build_constraints(
         v_xy=float(v_xy),
         qubit_mass=float(qubit_mass),
     )
-
-
-class _Subspace:
-    """Affine subspace {x0 + N z} of Hermitian coordinates (see
-    :func:`~timebin_analyzer.quantum.vec_hermitian`)."""
-
-    def __init__(self, cs: ConstraintSet):
-        rows = vec_hermitian(np.array(cs.operators))
-        b = np.asarray(cs.targets, dtype=float)
-        self.x0, *_ = np.linalg.lstsq(rows, b, rcond=None)
-        if np.max(np.abs(rows @ self.x0 - b)) > 1e-9:
-            raise NonConvergenceError(
-                "constraints are inconsistent",
-                {"residual": float(np.max(np.abs(rows @ self.x0 - b)))},
-            )
-        u, s, vt = np.linalg.svd(rows)
-        rank = int(np.sum(s > 1e-12 * s[0]))
-        self.null = vt[rank:].T  # columns span the nullspace
-        self.dim = self.null.shape[1]
-
-    def rho(self, z):
-        return unvec_hermitian(self.x0 + self.null @ z)
+    rank = int(np.sum(cs.singular_values > 1e-10))
+    if rank < len(operators):
+        warnings.warn(
+            f"constraints are rank deficient (rank {rank} of {len(operators)}); "
+            "the analyzer efficiencies may be degenerate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return cs
 
 
 # Path-following schedule.  Each centring takes damped Newton steps on
@@ -224,14 +213,16 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     :class:`NonConvergenceError` when the Newton-step budget runs out or
     a line search stalls.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    sub = _Subspace(cs)
+    finite_in("tol", tol, 0, open_lo=True)
+    # The null basis (11 kB) is not kept on cs: callers hold many constraint sets.
+    _, s, vt = np.linalg.svd(vec_hermitian(np.array(cs.operators)))
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    null = vt[rank:].T  # columns span the nullspace
     # F_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
-    basis = np.concatenate([unvec_hermitian(sub.null.T), -np.eye(6)[None]])
+    basis = np.concatenate([unvec_hermitian(null.T), -np.eye(6)[None]])
     a = np.stack([basis, [partial_transpose(m) for m in basis]])
     a_flat = a.transpose(1, 0, 2, 3).reshape(len(basis), 72)
-    x0 = unvec_hermitian(sub.x0)
+    x0 = unvec_hermitian(cs.x0)
     f0 = np.stack([x0, partial_transpose(x0)])
 
     def factor(w):
@@ -245,7 +236,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum()
         return -w[-1] / mu - log_det
 
-    w = np.zeros(sub.dim + 1)
+    w = np.zeros(null.shape[1] + 1)
     w[-1] = min(min_eigenvalue(f) for f in f0) - 1.0
     chol = factor(w)
     mu = 1.0
@@ -283,7 +274,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         w, chol = trial, chol_trial
         steps += 1
 
-    rho = sub.rho(w[:-1])
+    rho = unvec_hermitian(cs.x0 + null @ w[:-1])
     min_eig, min_eig_pt = min_eigenvalue(rho), min_eigenvalue(partial_transpose(rho))
     margin = min(min_eig, min_eig_pt)
     feasible = margin >= -tol
@@ -334,8 +325,7 @@ def boundary_scan(
     with a PPT state the point is reported unbracketed with an infinite
     threshold.
     """
-    if not 0 < resolution < math.inf:
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    finite_in("resolution", resolution, 0, open_lo=True)
     n = 1
     while 1.0 / n > resolution:
         n *= 2

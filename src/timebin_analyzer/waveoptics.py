@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as _geometry
+from ._checks import finite_in
 
 
 class GridResolutionError(ValueError):
@@ -48,12 +49,8 @@ class ScalarField:
         n = self.grid.shape[0]
         if self.grid.shape != (n, n) or n < 64:
             raise ValueError(f"grid must be square with N >= 64, got {self.grid.shape}")
-        for name in ("extent", "wavelength"):
-            value = getattr(self, name)
-            if not (value > 0):
-                raise ValueError(f"{name} must be > 0, got {value}")
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+        finite_in("extent", self.extent, 0, open_lo=True)
+        finite_in("wavelength", self.wavelength, 0, open_lo=True)
 
     @property
     def n(self) -> int:
@@ -89,14 +86,10 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
     (sigma at least 3 cells) and contain its tails (extent >= 12 sigma).
     """
     _require_power_of_two(grid_n)
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    finite_in("sigma", sigma, 0, open_lo=True)
     if extent is None:
         extent = 16.0 * sigma
-    if not 12.0 * sigma <= extent < math.inf:
-        raise ValueError(
-            f"extent {extent} must be finite and at least 12*sigma = {12 * sigma}"
-        )
+    finite_in("extent", extent, 12.0 * sigma)
     cell = extent / grid_n
     if sigma < 3.0 * cell:
         raise GridResolutionError(
@@ -141,13 +134,14 @@ def make_speckle(
     and defaults to a value that fits the highest mode inside the grid.
     """
     _require_power_of_two(grid_n)
-    if mode_count < 1:
-        raise ValueError(f"mode_count must be >= 1, got {mode_count}")
+    finite_in("mode_count", mode_count, 1)
+    finite_in("extent", extent, 0, open_lo=True)
     top = mode_count - 1  # highest 1D order present
     if mode_width is None:
         # Keep the highest mode's reach (turning point plus tail margin)
         # within a third of the extent.
         mode_width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
+    finite_in("mode_width", mode_width, 0, open_lo=True)
     cell = extent / grid_n
     lobe = math.pi * math.sqrt(2.0) * mode_width / math.sqrt(2 * top + 1)
     if lobe < 3.0 * cell:

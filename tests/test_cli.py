@@ -210,6 +210,11 @@ class TestVisibilityScan:
                  "resolution"),
                 (["npt-boundary", "--vz-grid", "0.9", "--resolution", "0"],
                  "resolution"),
+                (["visibility-scan", "--relay", "yes"], "relay"),
+                (["expectation-aoi", "--relay", "yes"], "relay"),
+                (["npt-verify", "--eta-l", "abc"], "eta_l"),
+                (["visibility-scan", "--alpha-steps", "x"], "alpha_steps"),
+                (["npt-boundary", "--vz-grid", "0.5,"], "vz_grid"),
             ]
         ],
     )
@@ -368,6 +373,14 @@ class TestConfigPrecedence:
         assert run(["stability", "--config", str(config),
                     "--out-dir", str(tmp_path)]) == 2
 
+    def test_fractional_integer_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"expectation-aoi": {"alpha_steps": 2.7}}))
+        assert run(["expectation-aoi", "--config", str(config),
+                    "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: alpha_steps must be an integer, got 2.7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "env"))
         assert run(["relay-check"]) == 0
@@ -400,3 +413,18 @@ class TestUsageErrors:
     def test_bad_unit_value(self, tmp_path):
         assert run(["visibility-scan", "--alpha-max", "fast",
                     "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("words", [["on", "true", True], ["off", "false", False]])
+    def test_relay_words_and_json_booleans(self, tmp_path, words):
+        outputs = set()
+        for i, word in enumerate(words):
+            config = tmp_path / f"config{i}.json"
+            config.write_text(json.dumps({"expectation-aoi": {"relay": word}}))
+            out = tmp_path / str(i)
+            assert run([
+                "expectation-aoi", "--config", str(config), "--alpha-steps", "41",
+                "--out-dir", str(out),
+            ]) == 0
+            outputs.add((out / "expectation_aoi.csv").read_text())
+        (text,) = outputs
+        assert f"# relay={words[-1]}" in text
