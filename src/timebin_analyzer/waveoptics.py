@@ -171,9 +171,16 @@ def make_speckle(
     return ScalarField(grid, extent, wavelength).normalized()
 
 
-def _spectral_axes(field: ScalarField):
-    f = np.fft.fftfreq(field.n, d=field.cell)
-    return f[:, None], f[None, :]
+def _folded_frequencies(field: ScalarField):
+    """FFT frequencies f[:N//2+1] and, per FFT index i, the index min(i, N - i).
+
+    ``fftfreq`` is odd-symmetric to the bit, f[N - i] == -f[i], so anything
+    built from fx^2 + fy^2 is fixed by its values on the (N//2+1)^2 quadrant
+    of folded indices, for even and odd N.
+    """
+    n = field.n
+    i = np.arange(n)
+    return np.fft.fftfreq(n, d=field.cell)[: n // 2 + 1], np.minimum(i, n - i)
 
 
 def _check_shift(field: ScalarField, dx_abs):
@@ -190,10 +197,12 @@ def shift_and_tilt(field: ScalarField, dx, alpha) -> ScalarField:
     tilt multiplies by exp(i 2 pi sin(alpha) x / wavelength).  Shifts
     beyond a quarter extent would wrap around and are rejected.
     """
+    finite_in("dx", dx)
+    finite_in("alpha", alpha)
     _check_shift(field, abs(dx))
     out = field.grid
     if dx != 0.0:
-        fx, _ = _spectral_axes(field)
+        fx = np.fft.fftfreq(field.n, d=field.cell)[:, None]
         spec = _spectrum(field)
         spec *= np.exp(-2j * math.pi * fx * dx)
         out = np.fft.fftshift(np.fft.ifft2(spec))
@@ -210,17 +219,30 @@ def _spectrum(field: ScalarField):
 
 
 def _signal_bandwidth(field: ScalarField, spec):
-    """Radial frequency containing all but 1e-12 of the spectral power."""
-    fx, fy = _spectral_axes(field)
-    fr = np.hypot(fx, fy).ravel()
-    p = np.abs(spec).ravel() ** 2
-    order = np.argsort(fr)
-    cum = np.cumsum(p[order])
+    """Radial frequency containing all but 1e-12 of the spectral power.
+
+    Cells are grouped into rings by the exact integer key kx^2 + ky^2 of
+    their folded indices.  Radii of distinct keys differ by far more than
+    an ulp, so ascending keys are ascending radii: the ring at which the
+    ascending cumulative ring power first reaches (1 - 1e-12) of the total
+    gives the bandwidth, as the largest radius among its cells.  Sorting
+    every cell by radius instead breaks ties between equal radii
+    arbitrarily and rounds the cumulative sum cell by cell, which can move
+    the answer by an ulp or, rarely, to the adjacent ring.
+    """
+    f, k = _folded_frequencies(field)
+    k2 = k * k
+    ring_power = np.bincount(
+        (k2[:, None] + k2[None, :]).ravel(), weights=(np.abs(spec) ** 2).ravel()
+    )
+    cum = np.cumsum(ring_power)
     total = cum[-1]
     if total <= 0:
         return 0.0
-    idx = int(np.searchsorted(cum, (1.0 - 1e-12) * total))
-    return float(fr[order][min(idx, fr.size - 1)])
+    ring = min(int(np.searchsorted(cum, (1.0 - 1e-12) * total)), cum.size - 1)
+    m2 = np.arange(f.size) ** 2
+    i, j = np.nonzero(m2[:, None] + m2[None, :] == ring)
+    return float(np.max(np.hypot(f[i], f[j])))
 
 
 def alias_free_range(field: ScalarField):
@@ -250,18 +272,28 @@ def _angular_spectra(field: ScalarField, distance):
             f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
             f"at fixed cell size, i.e. use >= {math.ceil(field.n * factor)} samples"
         )
-    fx, fy = _spectral_axes(field)
-    inv_lam2 = 1.0 / field.wavelength**2
-    arg = inv_lam2 - fx**2 - fy**2
-    kernel = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
-    np.exp(kernel, out=kernel)
+    kernel = _kernel(field, distance)
+    return spec, np.multiply(spec, kernel, out=kernel)
+
+
+def _kernel(field: ScalarField, distance):
+    """Angular-spectrum kernel exp(2 pi i d sqrt(1/lambda^2 - fx^2 - fy^2)) on
+    the FFT grid; evanescent components decay instead.
+
+    It depends on (|kx|, |ky|) alone, so it is evaluated on the folded
+    quadrant and expanded to N x N by gathering rows, then columns.
+    """
+    f, k = _folded_frequencies(field)
+    arg = 1.0 / field.wavelength**2 - f[:, None] ** 2 - f[None, :] ** 2
+    quadrant = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
+    np.exp(quadrant, out=quadrant)
     evanescent = arg < 0
     if np.any(evanescent):
         decay = np.exp(
             np.clip(-2.0 * math.pi * abs(distance) * np.sqrt(-arg[evanescent]), -700, 0)
         )
-        kernel[evanescent] = decay
-    return spec, np.multiply(spec, kernel, out=kernel)
+        quadrant[evanescent] = decay
+    return quadrant.take(k, axis=0).take(k, axis=1)
 
 
 def propagate(field: ScalarField, distance) -> ScalarField:
@@ -271,6 +303,7 @@ def propagate(field: ScalarField, distance) -> ScalarField:
     carry no evanescent content.  Raises :class:`AliasingError` with the
     required grid when the kernel would alias at the field's bandwidth.
     """
+    finite_in("distance", distance)
     if distance == 0.0:
         return ScalarField(field.grid.copy(), field.extent, field.wavelength)
     _, spec_long = _angular_spectra(field, distance)

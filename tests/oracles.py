@@ -8,8 +8,11 @@ basis matrices, the PPT feasibility cross-check is cyclic projection,
 drift-scan rates are traced one bucket at a time, the two-time surface
 maximum is taken over every cell of the dense surface, integrals are
 done by direct quadrature, the ray-model fringe intensity is written out
-from its closed form, the classical boundary is the unit circle, and the
-boundary search is plain bisection.
+from its closed form, the classical boundary is the unit circle, the
+boundary search is plain bisection, the angular-spectrum kernel is built
+on the full N x N frequency grid, and the signal bandwidth is taken
+either from an argsort of every radial frequency or from a cell-by-cell
+loop over rings.
 """
 
 import math
@@ -321,3 +324,68 @@ def max_expectation_surface_dense(n_plus, n_minus):
     argmax = np.unravel_index(int(np.argmax(masked)), surface.shape)
     value = float(surface[argmax])
     return abs(value), (int(argmax[0]), int(argmax[1])), value
+
+
+def angular_spectrum_kernel_dense(field, distance):
+    """exp(2 pi i d sqrt(1/lambda^2 - fx^2 - fy^2)) evaluated on every cell
+    of the N x N FFT frequency grid; evanescent cells decay as
+    exp(-2 pi |d| sqrt(fx^2 + fy^2 - 1/lambda^2)), clipped at exp(-700)."""
+    f = np.fft.fftfreq(field.n, d=field.cell)
+    fx, fy = f[:, None], f[None, :]
+    inv_lam2 = 1.0 / field.wavelength**2
+    arg = inv_lam2 - fx**2 - fy**2
+    kernel = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
+    np.exp(kernel, out=kernel)
+    evanescent = arg < 0
+    if np.any(evanescent):
+        decay = np.exp(
+            np.clip(-2.0 * math.pi * abs(distance) * np.sqrt(-arg[evanescent]), -700, 0)
+        )
+        kernel[evanescent] = decay
+    return kernel
+
+
+def signal_bandwidth_argsort(field, spec):
+    """Radial frequency holding all but 1e-12 of the power of the unshifted
+    spectrum ``spec``: every cell sorted by hypot(fx, fy), then one
+    cumulative sum in that order."""
+    f = np.fft.fftfreq(field.n, d=field.cell)
+    fr = np.hypot(f[:, None], f[None, :]).ravel()
+    p = np.abs(spec).ravel() ** 2
+    order = np.argsort(fr)
+    cum = np.cumsum(p[order])
+    total = cum[-1]
+    if total <= 0:
+        return 0.0
+    idx = int(np.searchsorted(cum, (1.0 - 1e-12) * total))
+    return float(fr[order][min(idx, fr.size - 1)])
+
+
+def signal_bandwidth_ring_loop(field, spec, number=float):
+    """The ring rule, one cell at a time: cells are grouped by the integer
+    key kx^2 + ky^2 (k = min(i, N - i) per FFT index), each ring's power is
+    summed in row-major cell order, the rings are accumulated in ascending
+    key order, and the first ring whose cumulative power reaches
+    (1 - 1e-12) of the total gives its largest radius.  With
+    ``number=fractions.Fraction`` the sums and the threshold are exact."""
+    n = field.n
+    f = np.fft.fftfreq(n, d=field.cell)
+    power = (np.abs(spec) ** 2).tolist()
+    rings = {}
+    for i in range(n):
+        for j in range(n):
+            key = min(i, n - i) ** 2 + min(j, n - j) ** 2
+            p, radius = rings.get(key, (number(0), 0.0))
+            rings[key] = (
+                p + number(power[i][j]),
+                max(radius, float(np.hypot(f[i], f[j]))),
+            )
+    cumulative = []
+    running = number(0)
+    for key in sorted(rings):
+        running += rings[key][0]
+        cumulative.append((running, rings[key][1]))
+    if running <= 0:
+        return 0.0
+    threshold = (number(1) - number(1e-12)) * running
+    return next(radius for cum, radius in cumulative if cum >= threshold)

@@ -20,6 +20,7 @@ GEOM = geometry.InterferometerGeometry(**GEOM_KW)
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 CS = verify.build_constraints(0.9, 0.3, EFF)
 DRIFT = chsh.DriftModel()
+FIELD = waveoptics.make_gaussian(1e-3, grid_n=64)
 
 
 def below(lo):
@@ -123,6 +124,15 @@ GUARDED = {
         lambda v: waveoptics.make_speckle(3, 0, grid_n=64, mode_width=v),
         "mode_width",
         POSITIVE,
+    ),
+    "propagate.distance": (
+        lambda v: waveoptics.propagate(FIELD, v), "distance", FINITE
+    ),
+    "shift_and_tilt.dx": (
+        lambda v: waveoptics.shift_and_tilt(FIELD, v, 0.0), "dx", FINITE
+    ),
+    "shift_and_tilt.alpha": (
+        lambda v: waveoptics.shift_and_tilt(FIELD, 0.0, v), "alpha", FINITE
     ),
     "DriftModel.amount": (lambda v: chsh.DriftModel(amount=v), "amount", FINITE),
     "DriftModel.phase0": (lambda v: chsh.DriftModel(phase0=v), "phase0", FINITE),

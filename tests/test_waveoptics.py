@@ -1,14 +1,22 @@
 import dataclasses
+import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from timebin_analyzer import geometry as g
 from timebin_analyzer import waveoptics as w
+from timebin_analyzer.analysis import FieldSpec
 
-from oracles import gaussian_overlap_quadrature
+from oracles import (
+    angular_spectrum_kernel_dense,
+    gaussian_overlap_quadrature,
+    signal_bandwidth_argsort,
+    signal_bandwidth_ring_loop,
+)
 
 SIGMA = 1.49e-3 / 2.0  # intensity std matching the reference geometry
 
@@ -188,6 +196,92 @@ class TestPropagate:
             w.propagate(gaussian, 100.0)
         assert "extent" in str(err.value)
 
+    # SHA-256 of propagate(...).grid.tobytes(): a faster kernel or
+    # bandwidth must not change a single output bit.
+    @pytest.mark.parametrize(
+        "kind, distance, digest",
+        [
+            ("gaussian", 0.6,
+             "bc55aa3bdc5dd61ebe4ec13a626c3ddcdd33a48711eb1897724d8816a8b5c015"),
+            ("gaussian", -2.0,
+             "61deba7fd273f5050d4a145d7857d14bf238d590221440abdf889bf35bc2e8e0"),
+            ("speckle", 0.6,
+             "82e9f04f1fe301c74d7550cdf74632a6b2e71ce26191e5ed2b949d3aae24e039"),
+        ],
+    )
+    def test_pinned_bytes(self, gaussian, kind, distance, digest):
+        field = gaussian if kind == "gaussian" else w.make_speckle(20, 3, grid_n=256)
+        out = w.propagate(field, distance)
+        assert hashlib.sha256(out.grid.tobytes()).hexdigest() == digest
+
+
+class TestKernelAndBandwidth:
+    @pytest.mark.parametrize("distance", [0.6, -0.6])
+    @pytest.mark.parametrize(
+        "n, extent",
+        [(64, 0.012), (65, 0.012), (128, 0.012), (512, 0.012), (64, 19e-6)],
+    )
+    def test_kernel_bit_identical_to_dense(self, n, extent, distance):
+        field = w.ScalarField(np.ones((n, n)), extent, 776e-9)
+        dense = angular_spectrum_kernel_dense(field, distance)
+        # Cells finer than lambda/2 put part of the grid past 1/lambda.
+        assert (extent < 776e-9 * n / 2) == bool(np.any(np.abs(dense) < 0.5))
+        kernel = w._kernel(field, distance)
+        assert kernel.shape == (n, n)
+        assert np.array_equal(kernel.view(np.uint64), dense.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 256])
+    def test_bandwidth_equals_ring_loop(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        fields = [w.ScalarField(noise, 0.01, 776e-9)]
+        if n & (n - 1) == 0:
+            fields += [
+                w.make_gaussian(SIGMA, grid_n=n, extent=0.012),
+                w.make_speckle(5, seed=n, grid_n=n),
+            ]
+        for field in fields:
+            spec = w._spectrum(field)
+            assert w._signal_bandwidth(field, spec) == signal_bandwidth_ring_loop(
+                field, spec
+            )
+
+    def test_bandwidth_is_largest_radius_of_crossing_ring(self):
+        # All power on ring 5365, whose cells differ in hypot(fx, fy) by an
+        # ulp on this grid.
+        field = w.ScalarField(np.ones((128, 128)), 0.012, 776e-9)
+        f = np.fft.fftfreq(128, d=field.cell)
+        k = np.minimum(np.arange(128), 128 - np.arange(128))
+        ring = k[:, None] ** 2 + k[None, :] ** 2 == 5365
+        radius = np.hypot(f[:, None], f[None, :])[ring]
+        assert radius.min() < radius.max()
+        assert w._signal_bandwidth(field, ring.astype(complex)) == radius.max()
+
+    # The golden visibility_scan_*.csv inputs, then each field kind of the
+    # aoi_sweep benchmark.
+    @pytest.mark.parametrize(
+        "mode, grid_n, mode_count, seed",
+        [("gaussian", 256, 1, 0), ("speckle", 256, 15, 5), ("gaussian", 512, 1, 0)]
+        + [("speckle", 256, m, 1) for m in (5, 10, 20, 30)]
+        + [("speckle", 512, m, 1) for m in (10, 30, 50)],
+    )
+    def test_bandwidth_equals_argsort_on_sweep_fields(
+        self, geom, mode, grid_n, mode_count, seed
+    ):
+        field = FieldSpec(mode, grid_n, mode_count=mode_count, seed=seed).build(geom)
+        spec = w._spectrum(field)
+        assert w._signal_bandwidth(field, spec) == signal_bandwidth_argsort(field, spec)
+
+    def test_bandwidth_ring_is_the_exact_crossing(self):
+        # A field where the cell-by-cell argsort sum rounds across the
+        # 1e-12 threshold and returns the ring below; exact sums agree with
+        # the ring version.
+        field = w.make_speckle(30, seed=4, grid_n=256)
+        spec = w._spectrum(field)
+        rings = w._signal_bandwidth(field, spec)
+        assert rings == signal_bandwidth_ring_loop(field, spec, Fraction)
+        assert rings > signal_bandwidth_argsort(field, spec)
+
 
 class TestInterfere:
     def test_relay_restores_v0(self, gaussian, geom):
@@ -236,6 +330,7 @@ class TestInterfere:
         field = w.make_gaussian(0.5e-3, grid_n=1024, extent=0.024)
         vis = w.interfere(field, geom, 0.0, relay=True, relay_model="lenses")
         assert vis == pytest.approx(1.0, abs=1e-6)
+        assert repr(vis) == "0.9999999999998515"
 
 
 def reference_scan(field, geom, alphas, relay):
