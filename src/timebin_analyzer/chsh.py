@@ -8,9 +8,11 @@ computational-basis outcomes and the middle-bin counts at two times
 providing the two orientations of the superposition basis.  The maximum
 over the two-time surface recovers the full correlation.
 
-``max_expectation_surface`` finds that maximum in O(n) memory without
-building the surface; ``expectation_surface`` builds the dense n x n
-surface, which only the CSV export and plots need.
+One private function writes the cell expression; every surface reader
+evaluates it on the cells it needs.  ``max_expectation_surface`` finds
+the maximum in O(n) memory without building the surface,
+``surface_to_rows`` streams it for CSV export in blocks of whole rows,
+and ``expectation_surface`` builds the dense n x n surface for plots.
 """
 
 from __future__ import annotations
@@ -218,6 +220,26 @@ class SurfaceResult(NamedTuple):
 # far, so the cell the dense argmax picks is always a candidate.
 _CANDIDATE_MARGIN = 1e-9
 
+# Cells per block of the streamed surface export, rounded down to whole rows.
+_EXPORT_BLOCK_CELLS = 2**12
+
+
+def _cells(n_plus, n_minus, i, j):
+    """E(i, j) = (N+_i + N-_j - N-_i - N+_j) / total at index arrays ``i``, ``j``.
+
+    Returns ``(values, defined)`` in the broadcast shape of ``i`` and
+    ``j``; cells whose four counts vanish are undefined and hold NaN.
+    """
+    total = n_plus[i] + n_minus[j] + n_minus[i] + n_plus[j]
+    defined = total > 0
+    # Built in place: every temporary is another array of the cells' size.
+    values = n_plus[i] + n_minus[j]
+    values -= n_minus[i]
+    values -= n_plus[j]
+    np.divide(values, total, out=values, where=defined)
+    values[~defined] = np.nan
+    return values, defined
+
 
 def expectation_surface(trace: DriftTrace):
     """Two-time expectation surface of the middle-bin coincidences.
@@ -228,20 +250,8 @@ def expectation_surface(trace: DriftTrace):
     ``(surface, defined)``, two n x n arrays; cells whose four counts
     vanish are undefined and hold NaN.
     """
-    n_plus, n_minus = trace.middle_series()
-    p1 = n_plus[:, None]
-    m1 = n_minus[:, None]
-    p2 = n_plus[None, :]
-    m2 = n_minus[None, :]
-    total = p1 + m2 + m1 + p2
-    defined = total > 0
-    # Built in place: at n buckets every temporary is another n^2 array.
-    surface = p1 + m2
-    surface -= m1
-    surface -= p2
-    np.divide(surface, total, out=surface, where=defined)
-    surface[~defined] = np.nan
-    return surface, defined
+    idx = np.arange(trace.n_buckets)
+    return _cells(*trace.middle_series(), idx[:, None], idx[None, :])
 
 
 def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
@@ -253,8 +263,8 @@ def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
     linear-fractional and separable, so Dinkelbach's iteration (Mgmt.
     Sci. 13, 1967) finds its maximum lambda with two argmaxes per step.
     Every cell within a margin of lambda, in both orientations, is then
-    re-evaluated with the dense expression, in blocks of fewer than 3n
-    cells.  The counts must be nonnegative, as every scan's are.
+    re-evaluated with the surface's cell expression, in blocks of fewer
+    than 3n cells.  The counts must be nonnegative, as every scan's are.
     """
     n_plus, n_minus = trace.middle_series()
     n = n_plus.size
@@ -289,13 +299,7 @@ def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
         rows = np.repeat(rows, counts)
         i = np.concatenate([rows, cols])
         j = np.concatenate([cols, rows])
-        # The dense surface's expression, in its order of operations.
-        total = n_plus[i] + n_minus[j] + n_minus[i] + n_plus[j]
-        defined = total > 0
-        values = n_plus[i] + n_minus[j]
-        values -= n_minus[i]
-        values -= n_plus[j]
-        np.divide(values, total, out=values, where=defined)
+        values, defined = _cells(n_plus, n_minus, i, j)
         masked = np.where(defined, np.abs(values), -np.inf)
         flat = i * n + j
         k = np.lexsort((flat, -masked))[0]
@@ -385,20 +389,25 @@ def trace_to_rows(trace: DriftTrace):
 
 
 def surface_to_rows(trace: DriftTrace):
-    """Rows (t1, t2, E, defined) of ``expectation_surface`` for CSV export,
-    one array row per cell.
+    """Header and row blocks (t1, t2, E, defined) of ``expectation_surface``
+    for CSV export.
 
-    Undefined cells hold NaN and ``defined`` is 0.0 or 1.0.
+    The rows come from a generator of float arrays, one row per cell,
+    each block holding whole t1 rows of about ``_EXPORT_BLOCK_CELLS``
+    cells, so memory stays O(n + block).  Undefined cells hold NaN and
+    ``defined`` is 0.0 or 1.0.
     """
     header = ["t1_s", "t2_s", "expectation", "defined"]
-    surface, defined = expectation_surface(trace)
-    n = trace.times.size
-    rows = np.column_stack(
-        [
-            np.repeat(trace.times, n),
-            np.tile(trace.times, n),
-            surface.ravel(),
-            defined.ravel(),
-        ]
-    )
-    return header, rows
+    n = trace.n_buckets
+    step = max(1, _EXPORT_BLOCK_CELLS // n)
+    n_plus, n_minus = trace.middle_series()
+
+    def blocks():
+        for first in range(0, n, step):
+            rows = np.arange(first, min(first + step, n))
+            i = np.repeat(rows, n)
+            j = np.tile(np.arange(n), rows.size)
+            values, defined = _cells(n_plus, n_minus, i, j)
+            yield np.column_stack([trace.times[i], trace.times[j], values, defined])
+
+    return header, blocks()

@@ -106,25 +106,33 @@ def _merge_settings(defaults, config, args_dict, command):
 
 
 def _write_csv(path, columns, rows, params, fmt="%.12g"):
-    lines = [f"# timebin-analyzer {__version__}"]
-    for key in sorted(params):
-        lines.append(f"# {key}={params[key]}")
-    lines.append(",".join(columns))
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        row_fmt = ",".join([fmt] * rows.shape[1])
-        lines.extend(row_fmt % tuple(row) for row in rows.tolist())
-    else:
-        for row in rows:
-            cells = []
-            for value in row:
-                if isinstance(value, str):
-                    cells.append(value)
-                elif isinstance(value, (int, np.integer)):
-                    cells.append(str(int(value)))
-                else:
-                    cells.append(fmt % value)
-            lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header lines, the column names and then ``rows`` to ``path``.
+
+    ``rows`` is a float array (one CSV row per array row), an iterable of
+    such arrays written block by block as they arrive (as
+    ``chsh.surface_to_rows`` yields them), or a list of rows whose cells
+    are str, int or float.  Floats are formatted with ``fmt``.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = [rows]
+    with open(path, "w") as out:
+        out.write(f"# timebin-analyzer {__version__}\n")
+        out.writelines(f"# {key}={params[key]}\n" for key in sorted(params))
+        out.write(",".join(columns) + "\n")
+        for part in rows:
+            if isinstance(part, np.ndarray):
+                row_fmt = ",".join([fmt] * part.shape[1]) + "\n"
+                out.write("".join([row_fmt % tuple(row) for row in part.tolist()]))
+            else:
+                cells = []
+                for value in part:
+                    if isinstance(value, str):
+                        cells.append(value)
+                    elif isinstance(value, (int, np.integer)):
+                        cells.append(str(int(value)))
+                    else:
+                        cells.append(fmt % value)
+                out.write(",".join(cells) + "\n")
 
 
 def _out_path(settings, filename):
@@ -251,18 +259,10 @@ def cmd_phase_sensitivity(settings):
     aoi_per_pi = geom.wavelength / (2.0 * abs(d1))
     nominal = 349e-9
     residual = abs(aoi_per_pi - nominal) / nominal
-    dphi_5pi = abs(
-        geometry.phase(geom, 1.75e-6).unwrapped - geometry.phase(geom, 0.0).unwrapped
-    )
-    dphi_pi = abs(
-        geometry.phase(geom, aoi_per_pi).unwrapped
-        - geometry.phase(geom, 0.0).unwrapped
-    )
-    ratio = abs(
-        geometry.phase(geom, 1.75e-6).unwrapped - geometry.phase(geom, 0.0).unwrapped
-    ) / abs(
-        geometry.phase(geom, 349e-9).unwrapped - geometry.phase(geom, 0.0).unwrapped
-    )
+    phi0 = geometry.phase(geom, 0.0).unwrapped
+    dphi_5pi = abs(geometry.phase(geom, 1.75e-6).unwrapped - phi0)
+    dphi_pi = abs(geometry.phase(geom, aoi_per_pi).unwrapped - phi0)
+    ratio = dphi_5pi / abs(geometry.phase(geom, nominal).unwrapped - phi0)
     rows = [
         ["slope_m_per_rad", d1],
         ["aoi_per_pi_rad", aoi_per_pi],

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import finite_in
-from .measurement import alice_povm, bob_povm, ideal_bob_projectors
+from .measurement import AnalyzerEfficiencies, alice_povm, bob_povm, ideal_bob_projectors
 from .quantum import (
     DensityMatrix,
     IDENTITY_2,
@@ -104,17 +104,10 @@ def embed_2x3(rho22: DensityMatrix, arrival_prob: float) -> DensityMatrix:
     if (rho22.dim_a, rho22.dim_b) != (2, 2):
         raise ValueError("embed_2x3 expects a 2x2-qubit input state")
     out = np.zeros((6, 6), dtype=complex)
-    blocks = rho22.matrix.reshape(2, 2, 2, 2)
     # Bob index mapping: qubit {E, L} -> lossy {none, E, L} positions 1, 2.
-    for a in range(2):
-        for a2 in range(2):
-            for b in range(2):
-                for b2 in range(2):
-                    out[3 * a + 1 + b, 3 * a2 + 1 + b2] = arrival_prob * blocks[a, b, a2, b2]
-    alice = rho22.alice_marginal()
-    for a in range(2):
-        for a2 in range(2):
-            out[3 * a, 3 * a2] += (1.0 - arrival_prob) * alice[a, a2]
+    v = out.reshape(2, 3, 2, 3)
+    v[:, 1:, :, 1:] = arrival_prob * rho22.matrix.reshape(2, 2, 2, 2)
+    v[:, 0, :, 0] += (1.0 - arrival_prob) * rho22.alice_marginal()
     return DensityMatrix(out, dim_a=2, dim_b=3)
 
 
@@ -159,8 +152,6 @@ def _default_measurements(rho: DensityMatrix):
     if rho.dim_b == 2:
         bob = ideal_bob_projectors()
     elif rho.dim_b == 3:
-        from .measurement import AnalyzerEfficiencies
-
         bob = bob_povm(AnalyzerEfficiencies(1.0, 1.0))
     else:
         raise ValueError(f"unsupported Bob dimension {rho.dim_b}")

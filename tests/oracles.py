@@ -165,6 +165,24 @@ def random_density_matrix(rng, dim):
     return m / np.trace(m).real
 
 
+def embed_2x3_loops(rho22, arrival_prob):
+    """6x6 matrix of ``states.embed_2x3`` by explicit index loops: qubit
+    block at Bob positions 1, 2 scaled by ``arrival_prob``, Alice's
+    marginal at Bob's vacuum position 0 scaled by the loss."""
+    out = np.zeros((6, 6), dtype=complex)
+    blocks = rho22.matrix.reshape(2, 2, 2, 2)
+    for a in range(2):
+        for a2 in range(2):
+            for b in range(2):
+                for b2 in range(2):
+                    out[3 * a + 1 + b, 3 * a2 + 1 + b2] = arrival_prob * blocks[a, b, a2, b2]
+    alice = rho22.alice_marginal()
+    for a in range(2):
+        for a2 in range(2):
+            out[3 * a, 3 * a2] += (1.0 - arrival_prob) * alice[a, a2]
+    return out
+
+
 def fit_period(times, values):
     """Best-fit period of a sinusoid by scanning least-squares residuals."""
     times = np.asarray(times, dtype=float)
@@ -297,29 +315,37 @@ def drift_scan_rates_loop(rho, projectors, eta_l, eta_s, phases, scale):
     return rates
 
 
-def max_expectation_surface_dense(n_plus, n_minus):
-    """Largest |E| of the dense two-time surface, as (max_abs, argmax, value).
+def expectation_surface_dense(n_plus, n_minus):
+    """Dense two-time surface by broadcasting, as (surface, defined).
 
     Builds every cell E(i, j) = ((N+_i + N-_j) - N-_i) - N+_j over the sum
-    of the four, excludes cells whose counts sum to zero and takes the
-    first row-major argmax of |E|.
+    of the four; cells whose counts sum to zero are undefined and hold NaN.
     """
-    from timebin_analyzer.chsh import ZeroDenominatorError
-
     p1 = n_plus[:, None]
     m1 = n_minus[:, None]
     p2 = n_plus[None, :]
     m2 = n_minus[None, :]
     total = p1 + m2 + m1 + p2
     defined = total > 0
-    if not np.any(defined):
-        raise ZeroDenominatorError("every surface cell is undefined")
     surface = p1 + m2
     surface -= m1
     surface -= p2
     np.divide(surface, total, out=surface, where=defined)
     surface[~defined] = np.nan
-    masked = np.abs(surface, out=total)
+    return surface, defined
+
+
+def max_expectation_surface_dense(n_plus, n_minus):
+    """Largest |E| of ``expectation_surface_dense``, as (max_abs, argmax, value).
+
+    Excludes undefined cells and takes the first row-major argmax of |E|.
+    """
+    from timebin_analyzer.chsh import ZeroDenominatorError
+
+    surface, defined = expectation_surface_dense(n_plus, n_minus)
+    if not np.any(defined):
+        raise ZeroDenominatorError("every surface cell is undefined")
+    masked = np.abs(surface)
     masked[~defined] = -np.inf
     argmax = np.unravel_index(int(np.argmax(masked)), surface.shape)
     value = float(surface[argmax])

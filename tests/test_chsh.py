@@ -13,6 +13,7 @@ from timebin_analyzer.measurement import AnalyzerEfficiencies
 
 from oracles import (
     drift_scan_rates_loop,
+    expectation_surface_dense,
     fit_period,
     max_expectation_surface_dense,
     random_density_matrix,
@@ -374,6 +375,29 @@ class TestExpectationSurface:
         assert not defined[0, 0]
         assert math.isnan(surface[0, 0])
 
+    @pytest.mark.parametrize(
+        "seed, rate, zeroed",
+        [(None, 1000.0, None), (5, 1000.0, None), (2, 3.0, None),
+         (None, 1000.0, slice(3, 7)), (None, 1000.0, slice(None))],
+        ids=["noiseless", "seeded", "sparse", "zeroed_buckets", "all_zeroed"],
+    )
+    def test_matches_dense_bits(self, noisy, seed, rate, zeroed):
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift_2pi(60.0), alice_axis="z+x", rate=rate,
+            duration=60.0, seed=seed,
+        )
+        if zeroed is not None:
+            for det in chsh.DETECTORS:
+                trace.counts[(det, "mid")][zeroed] = 0.0
+        surface, defined = chsh.expectation_surface(trace)
+        expected, expected_defined = expectation_surface_dense(*trace.middle_series())
+        assert surface.dtype == expected.dtype and surface.shape == expected.shape
+        assert np.array_equal(surface.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(defined, expected_defined)
+        assert np.array_equal(np.isnan(surface), ~defined)
+        if zeroed is not None or rate < 10:
+            assert not defined.all()
+
     def test_antisymmetry(self, noisy):
         trace = chsh.simulate_drift_scan(
             noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
@@ -423,6 +447,35 @@ class TestEstimateChsh:
         header, rows = chsh.trace_to_rows(t1)
         assert header[0] == "time_s" and len(header) == 7
         assert len(rows) == t1.n_buckets
-        sheader, srows = chsh.surface_to_rows(t1)
+        sheader, blocks = chsh.surface_to_rows(t1)
         assert sheader == ["t1_s", "t2_s", "expectation", "defined"]
-        assert len(srows) == t1.n_buckets**2
+        n = t1.n_buckets
+        sizes = [len(block) for block in blocks]
+        assert sum(sizes) == n**2
+        assert all(size % n == 0 for size in sizes)
+
+    @pytest.mark.parametrize(
+        "n, block_cells, n_blocks",
+        [(1, None, 1), (40, None, 1), (240, None, 15), (40, 30, 40), (41, 100, 21)],
+    )
+    def test_surface_rows_match_dense(self, noisy, monkeypatch, n, block_cells, n_blocks):
+        # At the default block size 240 buckets give 15 blocks of 17 rows but
+        # the last, which has 2; a block smaller than a row holds one row.
+        if block_cells is not None:
+            monkeypatch.setattr(chsh, "_EXPORT_BLOCK_CELLS", block_cells)
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift_2pi(60.0), alice_axis="z+x", rate=3.0,
+            duration=n * 0.5, seed=4,
+        )
+        _, blocks = chsh.surface_to_rows(trace)
+        blocks = list(blocks)
+        rows_per_block = max(1, chsh._EXPORT_BLOCK_CELLS // n)
+        assert len(blocks) == n_blocks
+        assert all(len(block) == rows_per_block * n for block in blocks[:-1])
+        surface, defined = expectation_surface_dense(*trace.middle_series())
+        expected = np.column_stack([
+            np.repeat(trace.times, n), np.tile(trace.times, n),
+            surface.ravel(), defined.ravel(),
+        ])
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,21 @@ class TestChshScan:
         ):
             assert (tmp_path / name).exists()
 
+    def test_export_memory_bounded(self, tmp_path):
+        # 480 buckets: each dense surface array would hold 230 400 cells
+        # (1.8 MB), and each surface file is 6.1 MB of text.
+        tracemalloc.start()
+        try:
+            assert run([
+                "chsh-scan", "--duration", "240s", "--drift-period", "240s",
+                "--seed", "9", "--out-dir", str(tmp_path),
+            ]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "chsh_surface_a1.csv").read_text().count("\n") > 480**2
+        assert peak < 8e6
+
 
 class TestStability:
     def test_byte_reproducible(self, tmp_path):
@@ -293,6 +309,30 @@ def test_drift_golden_bytes(tmp_path, argv, golden):
             assert hashlib.sha256(written).hexdigest() == reference
         else:
             assert written == (DATA / reference).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        (["chsh-scan", "--seed", "9"], "chsh_surface_a1.csv",
+         "56ca53a4358154974424715887d6c78f5ba3193b92e38342d739dd06fab616cb"),
+        (["chsh-scan", "--seed", "9"], "chsh_surface_a2.csv",
+         "886a11f1d10eb6ffc026d9499177c3acecbb9e959452f5fba3e3d17a6974c759"),
+        (["relay-check"], "relay_check.csv",
+         "ac52e50e652f30b76c712b7033e634030391cb708744ca9b988419ba2c1cc3c1"),
+        (["phase-sensitivity"], "phase_sensitivity.csv",
+         "c3c22090c9ae776b94f573467039c88706126ffeca3973adf8e04e21486c3304"),
+        (["expectation-aoi"], "expectation_aoi.csv",
+         "f77b05c1c285d5bf4197f4b99ba28cf489a7f484168fa9bf1892ed01eb57a456"),
+    ],
+    ids=["chsh_surface_a1_240", "chsh_surface_a2_240", "relay_check",
+         "phase_sensitivity", "expectation_aoi"],
+)
+def test_default_output_digests(tmp_path, argv, name, digest):
+    # SHA-256 of the file a run with default settings writes; the 240-bucket
+    # surfaces span 15 export blocks, the last one partial.
+    assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestNptBoundary:

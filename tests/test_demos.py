@@ -21,8 +21,18 @@ ROOT = Path(__file__).resolve().parents[1]
         ("demo_long_term_stability.py", (
             "Noiseless half-hour run, 3-minute buckets, pi/2 of total drift:",
         )),
+        ("demo_entangled_visibilities.py", (
+            "Hybrid Bell state (H paired with the early bin):",
+        )),
+        ("demo_entanglement_verification.py", (
+            "Measured visibilities v_z = 0.952, v_xy = 0.804:",
+        )),
+        ("demo_relay_and_phase.py", (
+            "Relay ray-transfer matrices",
+        )),
     ],
-    ids=["angle_tolerance", "chsh_drift_scan", "long_term_stability"],
+    ids=["angle_tolerance", "chsh_drift_scan", "long_term_stability",
+         "entangled_visibilities", "entanglement_verification", "relay_and_phase"],
 )
 def test_demo_runs(tmp_path, script, headers):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

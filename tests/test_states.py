@@ -7,7 +7,7 @@ from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
 from timebin_analyzer.measurement import AnalyzerEfficiencies, bob_povm
 
-from oracles import random_density_matrix
+from oracles import embed_2x3_loops, random_density_matrix
 
 
 @pytest.fixture
@@ -61,6 +61,16 @@ class TestEmbed2x3:
     def test_invalid_probability(self, bell):
         with pytest.raises(ValueError):
             st.embed_2x3(bell, 1.2)
+
+    def test_matches_loops_bitwise(self, bell, noisy):
+        rng = np.random.default_rng(11)
+        cases = [(bell, 0.0), (bell, 1.0), (noisy, 0.24)] + [
+            (q.DensityMatrix(random_density_matrix(rng, 4), 2, 2), rng.uniform())
+            for _ in range(200)
+        ]
+        for rho, p in cases:
+            got = st.embed_2x3(rho, p).matrix
+            assert got.tobytes() == embed_2x3_loops(rho, p).tobytes()
 
 
 class TestPolToTimebinMap:
