@@ -18,12 +18,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
-ALICE_BASIS = ("H", "V")
-BOB_QUBIT_BASIS = ("E", "L")
-BOB_LOSSY_BASIS = ("none", "E", "L")
-
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_3 = np.eye(3, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

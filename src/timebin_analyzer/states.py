@@ -60,18 +60,6 @@ class DepolarizationParams:
         return cls(p_x=p_xy, p_y=p_xy, p_z=p_z)
 
 
-@dataclass(frozen=True)
-class VisibilityPair:
-    """Entanglement visibilities in the computational and superposition bases."""
-
-    v_z: float
-    v_xy: float
-
-    def __post_init__(self):
-        finite_in("v_z", self.v_z, -1, 1)
-        finite_in("v_xy", self.v_xy, -1, 1)
-
-
 class ZVisibilityResult(NamedTuple):
     v_plus: float
     v_minus: float

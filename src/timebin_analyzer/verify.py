@@ -22,11 +22,20 @@ five constraints, held in the real coordinates of
 barrier path-following (Nesterov & Nemirovskii 1994; Vandenberghe &
 Boyd, SIAM Rev. 38, 1996).  From a strictly feasible start, damped
 Newton steps minimize -t/mu - log det(rho - t*I) - log det(rho^Gamma -
-t*I) for a decreasing sequence of barrier weights mu; on the central
-path the optimum lies within 12*mu of t.  The margin min(lambda_min(rho),
-lambda_min(rho^Gamma)) at the returned point decides the verdict:
-infeasible when it is < -tol.  For 2x3 the PPT test is exact, so an
-infeasible program certifies entanglement.
+t*I) for a decreasing sequence of barrier weights mu, each Newton system
+solved by Cholesky.  The path ends at mu_end = 50^-5 = 3.2e-9, the first
+stage with 12*mu <= 1e-7 and the last at which the Newton matrix stays
+positive definite in double precision (at the next stage, mu = 6.4e-11,
+Cholesky fails on it in most solves).
+
+The margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
+point decides the verdict: infeasible when it is < -tol.  Soundness: the
+returned point is strictly inside both cones, so margin > t, and near
+the central path t >= t* - 12*mu_end = t* - 3.84e-8, t* the optimum.  A
+PPT state meeting the constraints has t* >= 0, so for tol >= 3.84e-8 an
+infeasible verdict proves that no such state exists; for a smaller tol
+the band that verdict is proved for is 3.84e-8, not tol.  For 2x3 the
+PPT test is exact, so an infeasible program certifies entanglement.
 """
 
 from __future__ import annotations
@@ -163,9 +172,15 @@ def build_constraints(
 # -t/mu - log det F1 - log det F2 until the squared Newton decrement is
 # at most _DECREMENT_TOL; then mu is divided by _MU_FACTOR.  On the
 # central path the optimum exceeds t by at most 12*mu (the order of the
-# two 6x6 blocks times mu), so the solve ends once 12*mu <= _GAP_TARGET.
+# two 6x6 blocks times mu), so the path ends at the first mu with
+# 12*mu <= _GAP_TARGET: mu = 50^-5 = 3.2e-9.  The end is fixed, not tied
+# to tol, because double precision sets it: down to mu = 3.2e-9 every
+# Newton matrix of 200 random solves (efficiencies in [0.3, 1]), 85
+# boundary scans and the 64 points v_xy = k/1024 at v_z = 1 factored,
+# while at the next stage, mu = 6.4e-11, Cholesky fails in about three
+# solves of four (149 of the 200).
 _MU_FACTOR = 50.0
-_GAP_TARGET = 1e-10
+_GAP_TARGET = 1e-7
 _DECREMENT_TOL = 1e-2
 _NEWTON_BUDGET = 500
 _ARMIJO = 0.25
@@ -175,15 +190,12 @@ _MIN_STEP = 2.0**-40
 def _newton_direction(hess, rhs):
     """Solution x of hess @ x = rhs and the squared decrement rhs @ x.
 
-    The Hessian grows like 1/mu^2 along the active eigenvectors, so late
-    on the path Cholesky can fail on a matrix that is positive definite
-    in exact arithmetic; least squares takes over there.
+    Solved by Cholesky alone.  The Hessian grows like 1/mu^2 along the
+    active eigenvectors, and the path ends (``_GAP_TARGET``) at the last
+    stage where it stays positive definite in double precision, so a
+    failed factorization raises :class:`numpy.linalg.LinAlgError`.
     """
-    try:
-        chol = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        x = np.linalg.lstsq(hess, rhs, rcond=None)[0]
-        return x, float(rhs @ x)
+    chol = np.linalg.cholesky(hess)
     y = np.linalg.solve(chol, rhs)
     return np.linalg.solve(chol.T, y), float(y @ y)
 
@@ -210,8 +222,8 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     path-following in w = (z, t); the verdict is feasible iff the margin
     min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned point is
     >= -tol.  Deterministic for fixed inputs.  Raises
-    :class:`NonConvergenceError` when the Newton-step budget runs out or
-    a line search stalls.
+    :class:`NonConvergenceError` when the Newton-step budget runs out, a
+    line search stalls or a Newton system fails to factor.
     """
     finite_in("tol", tol, 0, open_lo=True)
     # The null basis (11 kB) is not kept on cs: callers hold many constraint sets.
@@ -246,7 +258,13 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         f_inv = inv.conj().transpose(0, 2, 1) @ inv
         grad, hess = _log_det_derivatives(f_inv[:, None] @ a)
         grad[-1] -= 1.0 / mu
-        step, decrement = _newton_direction(hess, -grad)
+        try:
+            step, decrement = _newton_direction(hess, -grad)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError(
+                "barrier Newton system is not positive definite",
+                {"mu": mu, "t": float(w[-1]), "steps": steps},
+            ) from None
         if decrement <= _DECREMENT_TOL:
             if 12 * mu <= _GAP_TARGET:
                 break

@@ -190,29 +190,6 @@ def _check_shift(field: ScalarField, dx_abs):
         )
 
 
-def shift_and_tilt(field: ScalarField, dx, alpha) -> ScalarField:
-    """Translate the field by ``dx`` along x and add a tilt phase.
-
-    The translation is spectral (exact for band-limited fields); the
-    tilt multiplies by exp(i 2 pi sin(alpha) x / wavelength).  Shifts
-    beyond a quarter extent would wrap around and are rejected.
-    """
-    finite_in("dx", dx)
-    finite_in("alpha", alpha)
-    _check_shift(field, abs(dx))
-    out = field.grid
-    if dx != 0.0:
-        fx = np.fft.fftfreq(field.n, d=field.cell)[:, None]
-        spec = _spectrum(field)
-        spec *= np.exp(-2j * math.pi * fx * dx)
-        out = np.fft.fftshift(np.fft.ifft2(spec))
-    if alpha != 0.0:
-        x = field.coords()
-        tilt = np.exp(2j * math.pi * math.sin(alpha) * x / field.wavelength)
-        out = out * tilt[:, None]
-    return ScalarField(out, field.extent, field.wavelength)
-
-
 def _spectrum(field: ScalarField):
     """Unshifted 2-D spectrum of the field grid."""
     return np.fft.fft2(np.fft.ifftshift(field.grid))
@@ -338,43 +315,17 @@ def interfere(
     geom: "_geometry.InterferometerGeometry",
     alpha,
     relay: bool,
-    relay_model: str = "identity",
 ) -> float:
     """Fringe visibility at a single angle; see :func:`aoi_visibility_scan`."""
-    return float(aoi_visibility_scan(field, geom, [alpha], relay, relay_model)[0])
+    return float(aoi_visibility_scan(field, geom, [alpha], relay)[0])
 
 
-def _lens(field: ScalarField, focal_length) -> ScalarField:
-    x = field.coords()
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    phase = np.exp(
-        -1j * math.pi * (xx**2 + yy**2) / (field.wavelength * focal_length)
-    )
-    return ScalarField(field.grid * phase, field.extent, field.wavelength)
-
-
-def _relay_by_lenses(field: ScalarField, f) -> ScalarField:
-    """Lens-by-lens relay pass, twice: {FS(f) L(f) FS(2f) L(f) FS(f)}^2.
-
-    Validation mode only; at realistic parameters the lens phase aliases
-    on practical grids, so the identity model is used for production.
-    """
-    out = field
-    for _ in range(2):
-        out = propagate(out, f)
-        out = _lens(out, f)
-        out = propagate(out, 2.0 * f)
-        out = _lens(out, f)
-        out = propagate(out, f)
-    return out
-
-
-def aoi_visibility_scan(field, geom, alphas, relay, relay_model="identity"):
+def aoi_visibility_scan(field, geom, alphas, relay):
     """Fringe visibility of the analyzer for an input field at each angle.
 
     The short-arm output is the input.  With relay the long arm images the
-    input (``relay_model`` "identity" or "lenses") at every angle, so one
-    overlap serves the sweep.  Without relay the long arm is the input
+    input at every angle (the relay is the identity), so one overlap
+    serves the sweep.  Without relay the long arm is the input
     propagated over delta_l0, spectrum B = A K (A the input spectrum, K the
     angular-spectrum kernel), and offset by the ray-traced delta(alpha).
     By Parseval <a|shift(b, delta)> ~ sum_fx [sum_fy conj(A) B](fx)
@@ -386,13 +337,7 @@ def aoi_visibility_scan(field, geom, alphas, relay, relay_model="identity"):
     if alphas.size == 0:
         return np.empty(alphas.shape)
     if relay:
-        if relay_model == "identity":
-            e_long = field
-        elif relay_model == "lenses":
-            e_long = _relay_by_lenses(field, geom.focal_length)
-        else:
-            raise ValueError(f"unknown relay_model {relay_model!r}")
-        return np.full(alphas.shape, geom.v0 * fringe_visibility(field, e_long))
+        return np.full(alphas.shape, geom.v0 * fringe_visibility(field, field))
     spec, spec_long = _angular_spectra(field, geom.delta_l0)
     delta = _geometry.lateral_offset(geom, alphas)
     _check_shift(field, np.max(np.abs(delta)))

@@ -12,7 +12,8 @@ from its closed form, the classical boundary is the unit circle, the
 boundary search is plain bisection, the angular-spectrum kernel is built
 on the full N x N frequency grid, and the signal bandwidth is taken
 either from an argsort of every radial frequency or from a cell-by-cell
-loop over rings.
+loop over rings, a field is shifted and tilted in its own spectrum, and
+the relay is traced lens by lens.
 """
 
 import math
@@ -415,3 +416,54 @@ def signal_bandwidth_ring_loop(field, spec, number=float):
         return 0.0
     threshold = (number(1) - number(1e-12)) * running
     return next(radius for cum, radius in cumulative if cum >= threshold)
+
+
+def shift_and_tilt(field, dx, alpha):
+    """The reference composition: translate ``field`` by ``dx`` along x with
+    a spectral phase ramp (exact for band-limited fields), then multiply by
+    the tilt exp(i 2 pi sin(alpha) x / wavelength).  Shifts beyond a
+    quarter extent would wrap around and raise ShiftTooLargeError."""
+    from timebin_analyzer import waveoptics as w
+
+    w._check_shift(field, abs(dx))
+    out = field.grid
+    if dx != 0.0:
+        fx = np.fft.fftfreq(field.n, d=field.cell)[:, None]
+        spec = w._spectrum(field)
+        spec *= np.exp(-2j * math.pi * fx * dx)
+        out = np.fft.fftshift(np.fft.ifft2(spec))
+    if alpha != 0.0:
+        x = field.coords()
+        tilt = np.exp(2j * math.pi * math.sin(alpha) * x / field.wavelength)
+        out = out * tilt[:, None]
+    return w.ScalarField(out, field.extent, field.wavelength)
+
+
+def lens(field, focal_length):
+    """Thin-lens phase exp(-i pi r^2 / (lambda f)) applied on the grid."""
+    from timebin_analyzer.waveoptics import ScalarField
+
+    x = field.coords()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    phase = np.exp(
+        -1j * math.pi * (xx**2 + yy**2) / (field.wavelength * focal_length)
+    )
+    return ScalarField(field.grid * phase, field.extent, field.wavelength)
+
+
+def relay_by_lenses(field, f):
+    """The relay traced lens by lens, twice: {FS(f) L(f) FS(2f) L(f) FS(f)}^2.
+
+    At realistic parameters the lens phase aliases on practical grids,
+    which is why the library models the relay as the identity.
+    """
+    from timebin_analyzer.waveoptics import propagate
+
+    out = field
+    for _ in range(2):
+        out = propagate(out, f)
+        out = lens(out, f)
+        out = propagate(out, 2.0 * f)
+        out = lens(out, f)
+        out = propagate(out, f)
+    return out

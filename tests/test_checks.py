@@ -86,8 +86,6 @@ GUARDED = {
     "DepolarizationParams.p_z": (
         lambda v: st.DepolarizationParams(0.0, 0.0, v), "p_z", UNIT
     ),
-    "VisibilityPair.v_z": (lambda v: st.VisibilityPair(v, 0.5), "v_z", SIGNED),
-    "VisibilityPair.v_xy": (lambda v: st.VisibilityPair(0.5, v), "v_xy", SIGNED),
     "embed_2x3": (
         lambda v: st.embed_2x3(st.hybrid_bell_state(), v), "arrival_prob", UNIT
     ),
@@ -127,12 +125,6 @@ GUARDED = {
     ),
     "propagate.distance": (
         lambda v: waveoptics.propagate(FIELD, v), "distance", FINITE
-    ),
-    "shift_and_tilt.dx": (
-        lambda v: waveoptics.shift_and_tilt(FIELD, v, 0.0), "dx", FINITE
-    ),
-    "shift_and_tilt.alpha": (
-        lambda v: waveoptics.shift_and_tilt(FIELD, 0.0, v), "alpha", FINITE
     ),
     "DriftModel.amount": (lambda v: chsh.DriftModel(amount=v), "amount", FINITE),
     "DriftModel.phase0": (lambda v: chsh.DriftModel(phase0=v), "phase0", FINITE),

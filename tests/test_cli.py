@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from timebin_analyzer import cli, verify
+from timebin_analyzer.measurement import AnalyzerEfficiencies
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +121,21 @@ class TestNptVerify:
         err = capsys.readouterr().err
         assert "exhausted 5 Newton steps" in err
         assert "diagnostics: decrement=" in err and " mu=" in err and " t=" in err
+
+    def test_newton_cholesky_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Run past the last barrier stage at which the Newton matrix stays
+        # positive definite in double precision: the failed Cholesky is a
+        # NonConvergenceError with diagnostics, not a LinAlgError (a
+        # ValueError, which would exit 2).
+        monkeypatch.setattr(verify, "_GAP_TARGET", 1e-10)
+        cs = verify.build_constraints(0.952, 0.804, AnalyzerEfficiencies(0.9, 0.9))
+        with pytest.raises(verify.NonConvergenceError, match="not positive") as info:
+            verify.sdp_feasible(cs)
+        assert set(info.value.diagnostics) == {"mu", "t", "steps"}
+        assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "not positive definite" in err
+        assert "diagnostics: mu=" in err and " steps=" in err and " t=" in err
 
 
 class TestVisibilityScan:

@@ -234,10 +234,3 @@ class TestVisibilityXY:
             v_xy = st.visibility_xy(out, self.grid()).v_xy
             assert v_z == pytest.approx(1 - 2 * (2 * p_xy), abs=1e-12)
             assert v_xy == pytest.approx(1 - 2 * (p_xy + p_z), abs=1e-12)
-
-
-class TestVisibilityPair:
-    def test_bounds(self):
-        st.VisibilityPair(0.5, -0.5)
-        with pytest.raises(ValueError):
-            st.VisibilityPair(1.5, 0.0)

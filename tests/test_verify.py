@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,18 @@ class TestBoundaryScan:
             if v_z in criterion_08 and mass == verify.DEFAULT_QUBIT_MASS:
                 grid_solves.append(n_scan)
         assert sum(grid_solves) <= 7 * len(grid_solves)
+
+    def test_reference_thresholds(self):
+        # The classical-boundary table the certify benchmark checks against.
+        root = Path(__file__).resolve().parents[1]
+        reference = json.loads((root / "benchmarks/boundary_reference.json").read_text())
+        v_z_values = [v_z for v_z, _ in reference["thresholds"]]
+        points = verify.boundary_scan(
+            v_z_values,
+            AnalyzerEfficiencies(reference["eta"], reference["eta"]),
+            resolution=reference["resolution"],
+        )
+        assert [[p.v_z, p.threshold] for p in points] == reference["thresholds"]
 
     @pytest.mark.parametrize("resolution", [1.0, 0.3, 2.0**-4])
     def test_grid_step_matches_bisection(self, resolution):
