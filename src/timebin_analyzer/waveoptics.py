@@ -65,13 +65,18 @@ class ScalarField:
         return (np.arange(self.n) - self.n // 2) * self.cell
 
     def power(self) -> float:
-        return float(np.sum(np.abs(self.grid) ** 2) * self.cell**2)
+        a = np.abs(self.grid)
+        return float(np.sum(np.square(a, out=a)) * self.cell**2)
 
-    def normalized(self) -> "ScalarField":
-        p = self.power()
-        if p <= 0:
-            raise ValueError("cannot normalize a zero-power field")
-        return ScalarField(self.grid / math.sqrt(p), self.extent, self.wavelength)
+
+def _unit_power(grid, extent, wavelength) -> ScalarField:
+    """Field of the fresh array ``grid``, scaled in place to unit power."""
+    field = ScalarField(grid, extent, wavelength)
+    p = field.power()
+    if not p > 0:
+        raise ValueError("cannot normalize a zero-power field")
+    field.grid /= math.sqrt(p)
+    return field
 
 
 def _require_power_of_two(n):
@@ -96,10 +101,14 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
             f"sigma = {sigma} spans fewer than 3 grid cells (cell = {cell}); "
             f"increase grid_n to at least {math.ceil(3 * extent / sigma)}"
         )
-    x = (np.arange(grid_n) - grid_n // 2) * cell
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    grid = np.exp(-(xx**2 + yy**2) / (4.0 * sigma**2)).astype(complex)
-    return ScalarField(grid, extent, wavelength).normalized()
+    # Cell i sits at (i - N/2) cell, and (-k cell)^2 == (k cell)^2, so the
+    # quadrant k = |i - N/2| <= N/2 holds every value of the full grid.
+    h = grid_n // 2
+    x2 = (np.arange(h + 1) * cell) ** 2
+    quadrant = np.exp(-(x2[:, None] + x2[None, :]) / (4.0 * sigma**2))
+    k = np.abs(np.arange(grid_n) - h)
+    grid = quadrant.take(k, axis=0).take(k, axis=1).astype(complex)
+    return _unit_power(grid, extent, wavelength)
 
 
 def _hermite_functions(u, order):
@@ -167,8 +176,7 @@ def make_speckle(
     draws = rng.normal(size=(int(present.sum()), 2))
     coeff = np.zeros((top + 1, top + 1), dtype=complex)
     coeff[present] = draws[:, 0] + 1j * draws[:, 1]
-    grid = psi.T @ coeff @ psi
-    return ScalarField(grid, extent, wavelength).normalized()
+    return _unit_power(psi.T @ coeff @ psi, extent, wavelength)
 
 
 def _folded_frequencies(field: ScalarField):
@@ -292,7 +300,8 @@ def overlap(a: ScalarField, b: ScalarField) -> complex:
     """Inner product <a|b> with the physical cell measure."""
     if a.grid.shape != b.grid.shape or a.extent != b.extent:
         raise ValueError("fields must share the same grid")
-    return complex(np.sum(np.conj(a.grid) * b.grid) * a.cell**2)
+    product = np.conj(a.grid)
+    return complex(np.sum(np.multiply(product, b.grid, out=product)) * a.cell**2)
 
 
 def fringe_visibility(a: ScalarField, b: ScalarField) -> float:
@@ -331,13 +340,16 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     By Parseval <a|shift(b, delta)> ~ sum_fx [sum_fy conj(A) B](fx)
     exp(-2 pi i fx delta): one dot product per angle.  The common tilt
     cancels; the result is scaled by v0.  Raises AliasingError, then
-    AngleDomainError, then ShiftTooLargeError.
+    AngleDomainError, then ShiftTooLargeError; with relay, AngleDomainError
+    for the angles the ray model rejects.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         return np.empty(alphas.shape)
     if relay:
-        return np.full(alphas.shape, geom.v0 * fringe_visibility(field, field))
+        _geometry._check_alpha(alphas)
+        p = field.power()
+        return np.full(alphas.shape, geom.v0 * _visibility(overlap(field, field), p, p))
     spec, spec_long = _angular_spectra(field, geom.delta_l0)
     delta = _geometry.lateral_offset(geom, alphas)
     _check_shift(field, np.max(np.abs(delta)))

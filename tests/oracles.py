@@ -12,8 +12,9 @@ from its closed form, the classical boundary is the unit circle, the
 boundary search is plain bisection, the angular-spectrum kernel is built
 on the full N x N frequency grid, and the signal bandwidth is taken
 either from an argsort of every radial frequency or from a cell-by-cell
-loop over rings, a field is shifted and tilted in its own spectrum, and
-the relay is traced lens by lens.
+loop over rings, a field is shifted and tilted in its own spectrum, the
+relay is traced lens by lens, a field is normalized by a copying
+division, and the Gaussian is evaluated on the full N x N meshgrid.
 """
 
 import math
@@ -416,6 +417,29 @@ def signal_bandwidth_ring_loop(field, spec, number=float):
         return 0.0
     threshold = (number(1) - number(1e-12)) * running
     return next(radius for cum, radius in cumulative if cum >= threshold)
+
+
+def normalized(field):
+    """Unit-power copy of ``field``: a new grid divided by sqrt(power)."""
+    from timebin_analyzer.waveoptics import ScalarField
+
+    p = field.power()
+    if p <= 0:
+        raise ValueError("cannot normalize a zero-power field")
+    return ScalarField(field.grid / math.sqrt(p), field.extent, field.wavelength)
+
+
+def gaussian_dense(sigma, grid_n, extent=None, wavelength=776e-9):
+    """Unit-power Gaussian exp(-(x^2 + y^2) / (4 sigma^2)) evaluated on every
+    cell of the N x N meshgrid, then normalized by :func:`normalized`."""
+    from timebin_analyzer.waveoptics import ScalarField
+
+    if extent is None:
+        extent = 16.0 * sigma
+    x = (np.arange(grid_n) - grid_n // 2) * (extent / grid_n)
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    grid = np.exp(-(xx**2 + yy**2) / (4.0 * sigma**2)).astype(complex)
+    return normalized(ScalarField(grid, extent, wavelength))
 
 
 def shift_and_tilt(field, dx, alpha):

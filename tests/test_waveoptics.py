@@ -13,7 +13,9 @@ from timebin_analyzer.analysis import FieldSpec
 
 from oracles import (
     angular_spectrum_kernel_dense,
+    gaussian_dense,
     gaussian_overlap_quadrature,
+    normalized,
     relay_by_lenses,
     shift_and_tilt,
     signal_bandwidth_argsort,
@@ -77,6 +79,27 @@ class TestMakeGaussian:
         with pytest.raises(ValueError, match=f"{name} .*must be finite"):
             w.make_gaussian(1e-3, **{name: math.inf})
 
+    @pytest.mark.parametrize("grid_n", [64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("extent", [None, 13.0 * SIGMA, 0.012])
+    def test_fold_bit_identical_to_meshgrid(self, grid_n, extent):
+        folded = w.make_gaussian(SIGMA, grid_n=grid_n, extent=extent)
+        dense = gaussian_dense(SIGMA, grid_n, extent=extent)
+        assert folded.extent == dense.extent
+        assert np.array_equal(folded.grid.view(np.uint64), dense.grid.view(np.uint64))
+
+    # SHA-256 of make_gaussian(SIGMA, grid_n).grid.tobytes(), computed with
+    # the meshgrid construction that the quadrant fold replaced.
+    @pytest.mark.parametrize(
+        "grid_n, digest",
+        [
+            (256, "b1721642a4fcc908189304b09296f6f27b7dc11345df5cc241d4946ad85a0d35"),
+            (512, "95908157fe8fdb6d7de561a66a8abec5c302aca2d465103513203ff9515239e1"),
+        ],
+    )
+    def test_pinned_bytes(self, grid_n, digest):
+        grid = w.make_gaussian(SIGMA, grid_n=grid_n).grid
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == digest
+
 
 class TestMakeSpeckle:
     def test_single_mode_limit(self):
@@ -125,8 +148,52 @@ class TestMakeSpeckle:
             for n_ in range(top + 1 - m):
                 re, im = rng.normal(size=2)
                 coeff[m, n_] = re + 1j * im
-        expected = w.ScalarField(psi.T @ coeff @ psi, extent, 776e-9).normalized()
+        expected = normalized(w.ScalarField(psi.T @ coeff @ psi, extent, 776e-9))
         assert np.array_equal(w.make_speckle(mode_count, seed).grid, expected.grid)
+
+    def test_pinned_bytes(self):
+        # Computed with the copying normalization that the in-place one replaced.
+        grid = w.make_speckle(30, seed=7, grid_n=512).grid
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+            "7bed2abbaad7278c7e46306ced179c84017469a2358ceaf0cc17b6fa3f277ac6"
+        )
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_unit_power_rejects_powerless_grid(self, value):
+        grid = np.full((64, 64), value, dtype=complex)
+        with pytest.raises(ValueError, match="cannot normalize a zero-power field"):
+            w._unit_power(grid, 0.01, 776e-9)
+
+
+class TestInputsUnchanged:
+    """Scoring builds its temporaries in place; the fields it reads stay intact."""
+
+    @pytest.fixture
+    def fields(self):
+        return (
+            w.make_gaussian(SIGMA, grid_n=128, extent=0.02),
+            w.make_speckle(10, seed=2, grid_n=128),
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, b, geom: a.power(),
+            lambda a, b, geom: w.overlap(a, b),
+            lambda a, b, geom: w.overlap(a, a),
+            lambda a, b, geom: w.fringe_visibility(a, b),
+            lambda a, b, geom: w.fringe_visibility(a, a),
+            lambda a, b, geom: w.aoi_visibility_scan(a, geom, [0.0, 1e-3], True),
+            lambda a, b, geom: w.aoi_visibility_scan(a, geom, [0.0, 1e-3], False),
+        ],
+        ids=["power", "overlap", "overlap_self", "visibility", "visibility_self",
+             "scan_relay_on", "scan_relay_off"],
+    )
+    def test_grids_byte_identical_after_call(self, fields, geom, call):
+        before = [f.grid.copy() for f in fields]
+        call(*fields, geom)
+        for field, copy in zip(fields, before):
+            assert field.grid.tobytes() == copy.tobytes()
 
 
 class TestShiftAndTilt:
@@ -417,3 +484,14 @@ class TestAoiVisibilityScan:
     def test_angle_domain_error(self, gaussian, geom):
         with pytest.raises(g.AngleDomainError):
             w.aoi_visibility_scan(gaussian, geom, [0.0, 1.0], False)
+
+    @pytest.mark.parametrize(
+        "alpha", [math.nan, math.inf, -math.inf, math.pi / 4, -math.pi / 4]
+    )
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_angle_outside_ray_model(self, geom, alpha, relay):
+        field = w.make_gaussian(SIGMA, grid_n=128)
+        with pytest.raises(g.AngleDomainError):
+            w.interfere(field, geom, alpha, relay)
+        with pytest.raises(g.AngleDomainError):
+            w.aoi_visibility_scan(field, geom, [0.0, alpha], relay)
