@@ -28,7 +28,6 @@ class FieldSpec:
 
     mode: str = "gaussian"  # 'gaussian' or 'speckle'
     grid_n: int = 512
-    extent: float | None = None
     mode_count: int = 50
     seed: int = 0
 
@@ -38,16 +37,13 @@ class FieldSpec:
             return _waveoptics.make_gaussian(
                 _geometry.intensity_std_from_sigma(geom.sigma),
                 grid_n=self.grid_n,
-                extent=self.extent,
                 wavelength=geom.wavelength,
             )
         if self.mode == "speckle":
-            extent = self.extent if self.extent is not None else 0.02
             return _waveoptics.make_speckle(
                 self.mode_count,
                 self.seed,
                 grid_n=self.grid_n,
-                extent=extent,
                 wavelength=geom.wavelength,
             )
         raise ValueError(f"unknown field mode {self.mode!r}")
@@ -97,16 +93,17 @@ def aoi_sweep(
     )
 
 
-def throughput_vs_aoi(alpha, cutoff=COLLECTION_CUTOFF_RAD):
-    """Raised-cosine photon-collection rolloff, zero beyond the cutoff.
+def throughput_vs_aoi(alpha):
+    """Raised-cosine photon-collection rolloff, zero beyond
+    ``COLLECTION_CUTOFF_RAD``.
 
     A surrogate shape for the coupling-efficiency falloff; multiplies
     rates only.
     """
     alpha = np.asarray(alpha, dtype=float)
-    inside = np.abs(alpha) < cutoff
+    inside = np.abs(alpha) < COLLECTION_CUTOFF_RAD
     out = np.zeros_like(alpha)
-    out[inside] = 0.5 * (1.0 + np.cos(math.pi * alpha[inside] / cutoff))
+    out[inside] = 0.5 * (1.0 + np.cos(math.pi * alpha[inside] / COLLECTION_CUTOFF_RAD))
     return out
 
 

@@ -207,7 +207,6 @@ def simulate_drift_scan(
 
 
 class SurfaceResult(NamedTuple):
-    times: np.ndarray
     max_abs: float
     argmax: tuple
     value_at_argmax: float
@@ -307,10 +306,7 @@ def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
             best = (masked[k], int(flat[k]), float(values[k]))
     _, flat, value = best
     return SurfaceResult(
-        times=trace.times,
-        max_abs=abs(value),
-        argmax=divmod(flat, n),
-        value_at_argmax=value,
+        max_abs=abs(value), argmax=divmod(flat, n), value_at_argmax=value
     )
 
 
@@ -332,7 +328,6 @@ class ChshEstimate(NamedTuple):
     e12: float
     e21: float
     e22: float
-    detail: dict
 
 
 def _surface_term(trace: DriftTrace, split: bool):
@@ -343,8 +338,7 @@ def _surface_term(trace: DriftTrace, split: bool):
     the selection bias of taking a maximum over noisy cells.
     """
     if not split:
-        res = max_expectation_surface(trace)
-        return res.value_at_argmax, {"argmax": res.argmax}
+        return max_expectation_surface(trace).value_at_argmax
     even = _subtrace(trace, slice(0, None, 2))
     res = max_expectation_surface(even)
     i_sel, j_sel = res.argmax
@@ -354,7 +348,7 @@ def _surface_term(trace: DriftTrace, split: bool):
     j = min(2 * j_sel + 1, n - 1)
     n_plus, n_minus = trace.middle_series()
     value = expectation_from_counts(n_plus[i], n_minus[j], n_minus[i], n_plus[j])
-    return sign * value, {"argmax": (i, j), "selection_argmax": (i_sel, j_sel)}
+    return sign * value
 
 
 def _subtrace(trace: DriftTrace, sel) -> DriftTrace:
@@ -373,12 +367,9 @@ def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> Chs
     """
     e11 = z_expectation(trace_a1)
     e21 = z_expectation(trace_a2)
-    s1, d1 = _surface_term(trace_a1, split)
-    s2, d2 = _surface_term(trace_a2, split)
-    e12 = -abs(s1)
-    e22 = abs(s2)
-    s = chsh_s(e11, e12, e21, e22)
-    return ChshEstimate(s, e11, e12, e21, e22, {"surface1": d1, "surface2": d2})
+    e12 = -abs(_surface_term(trace_a1, split))
+    e22 = abs(_surface_term(trace_a2, split))
+    return ChshEstimate(chsh_s(e11, e12, e21, e22), e11, e12, e21, e22)
 
 
 def trace_to_rows(trace: DriftTrace):

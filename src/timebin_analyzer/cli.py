@@ -9,9 +9,10 @@ identical invocations are byte-reproducible.
 
 Unit-bearing flags accept suffixes (deg, mrad, urad, nrad, rad; m, mm,
 um, nm; s, ms, ns); bare numbers are SI base units.  Configuration
-precedence: built-in defaults < JSON config file (--config) < explicit
-flags.  Exit codes: 0 success, 2 validation error, 3 solver
-non-convergence.
+precedence: built-in defaults < JSON config file (--config; its
+"defaults" scope, whose keys apply to every subcommand that has them,
+then the subcommand's own scope) < explicit flags.  Exit codes:
+0 success, 2 validation error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -93,25 +94,30 @@ def _merge_settings(defaults, config, args_dict, command):
     if config:
         if config.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise CliError(f"unsupported config schema {config.get('schema')}")
+        # One file serves every subcommand: a "defaults" key that only
+        # other subcommands have is skipped, not refused.
+        known = set().union(*(keys for _, keys in _COMMANDS.values()))
         for scope in ("defaults", command):
             for key, value in config.get(scope, {}).items():
                 key = key.replace("-", "_")
-                if key not in merged:
+                if key in merged:
+                    merged[key] = value
+                elif scope == command or key not in known:
                     raise CliError(f"unknown config key {key!r} for {command}")
-                merged[key] = value
     for key, value in args_dict.items():
         if key in merged and value is not None:
             merged[key] = value
     return merged
 
 
-def _write_csv(path, columns, rows, params, fmt="%.12g"):
+def _write_csv(path, columns, rows, params):
     """Write the header lines, the column names and then ``rows`` to ``path``.
 
     ``rows`` is a float array (one CSV row per array row), an iterable of
     such arrays written block by block as they arrive (as
     ``chsh.surface_to_rows`` yields them), or a list of rows whose cells
-    are str, int or float.  Floats are formatted with ``fmt``.
+    are str or numbers.  Numbers are formatted with ``%.12g``, which
+    writes an integer below 1e12 as ``str`` does.
     """
     if isinstance(rows, np.ndarray):
         rows = [rows]
@@ -121,17 +127,10 @@ def _write_csv(path, columns, rows, params, fmt="%.12g"):
         out.write(",".join(columns) + "\n")
         for part in rows:
             if isinstance(part, np.ndarray):
-                row_fmt = ",".join([fmt] * part.shape[1]) + "\n"
+                row_fmt = ",".join(["%.12g"] * part.shape[1]) + "\n"
                 out.write("".join([row_fmt % tuple(row) for row in part.tolist()]))
             else:
-                cells = []
-                for value in part:
-                    if isinstance(value, str):
-                        cells.append(value)
-                    elif isinstance(value, (int, np.integer)):
-                        cells.append(str(int(value)))
-                    else:
-                        cells.append(fmt % value)
+                cells = [v if isinstance(v, str) else "%.12g" % v for v in part]
                 out.write(",".join(cells) + "\n")
 
 

@@ -105,13 +105,13 @@ class DensityMatrix:
                 f"({self.dim_a}, {self.dim_b})"
             )
 
-    def validate(self, psd_tol=PSD_TOL):
+    def validate(self):
         if not is_hermitian(self.matrix, HERMITICITY_TOL):
             raise NotHermitianError("density matrix is not Hermitian")
         tr = np.trace(self.matrix).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1")
-        if min_eigenvalue(self.matrix) < -psd_tol:
+        if min_eigenvalue(self.matrix) < -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         return self
 

@@ -2,10 +2,7 @@
 
 The reference entangled state pairs horizontal polarization with the
 early time bin, (|H,E> + |V,L>)/sqrt(2), and every construction in this
-package follows that pairing.  The polarization-to-time-bin converter
-implements the opposite relabeling (H -> L, V -> E); the two conventions
-differ by a fixed relabeling and are intentionally not reconciled here,
-so :func:`pol_to_timebin_map` is exposed as a standalone map.
+package follows that pairing.
 """
 
 from __future__ import annotations
@@ -26,11 +23,6 @@ from .quantum import (
     PAULI_Z,
     tensor,
 )
-
-# Deterministic loss of the polarizer that erases which-path information
-# in the converter, and the measured end-to-end converter transmission.
-POLARIZER_TRANSMISSION = 0.5
-CONVERTER_THROUGHPUT = 0.24
 
 
 class ZeroCoincidenceError(ValueError):
@@ -99,27 +91,10 @@ def embed_2x3(rho22: DensityMatrix, arrival_prob: float) -> DensityMatrix:
     return DensityMatrix(out, dim_a=2, dim_b=3)
 
 
-def pol_to_timebin_map(pol_state):
-    """Relabel a single polarization qubit to a time-bin qubit.
-
-    Applies H -> L, V -> E to a 2x2 density matrix and returns the
-    relabeled state together with the deterministic polarizer
-    transmission of 0.5 that the erasure step costs.
-    """
-    rho = np.asarray(pol_state, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("pol_to_timebin_map expects a single-qubit state")
-    u = np.array([[0, 1], [1, 0]], dtype=complex)  # |H><L| relabeling is a swap
-    return u @ rho @ u.conj().T, POLARIZER_TRANSMISSION
-
-
-def depolarize(
-    rho: DensityMatrix, params: DepolarizationParams, on_alice=False
-) -> DensityMatrix:
+def depolarize(rho: DensityMatrix, params: DepolarizationParams) -> DensityMatrix:
     """Asymmetric Pauli depolarization of the time-bin (second) qubit.
 
     rho_out = (1 - sum p_j) rho + sum_j p_j (1 x sigma_j) rho (1 x sigma_j).
-    ``on_alice`` moves the channel to the polarization qubit instead.
     """
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError("depolarize expects a 2x2-qubit state")
@@ -127,10 +102,7 @@ def depolarize(
     probs = (params.p_x, params.p_y, params.p_z)
     out = (1.0 - sum(probs)) * rho.matrix
     for p, sigma in zip(probs, paulis):
-        if on_alice:
-            k = tensor(sigma, IDENTITY_2)
-        else:
-            k = tensor(IDENTITY_2, sigma)
+        k = tensor(IDENTITY_2, sigma)
         out = out + p * (k @ rho.matrix @ k)
     return DensityMatrix(out, dim_a=2, dim_b=2)
 

@@ -73,8 +73,10 @@ def _unit_power(grid, extent, wavelength) -> ScalarField:
     """Field of the fresh array ``grid``, scaled in place to unit power."""
     field = ScalarField(grid, extent, wavelength)
     p = field.power()
-    if not p > 0:
-        raise ValueError("cannot normalize a zero-power field")
+    if not 0 < p < math.inf:
+        raise ValueError(
+            f"cannot normalize a zero-power field or one of non-finite power, got {p}"
+        )
     field.grid /= math.sqrt(p)
     return field
 
@@ -126,12 +128,7 @@ def _hermite_functions(u, order):
 
 
 def make_speckle(
-    mode_count,
-    seed,
-    grid_n=512,
-    extent=0.02,
-    wavelength=776e-9,
-    mode_width=None,
+    mode_count, seed, grid_n=512, extent=0.02, wavelength=776e-9
 ) -> ScalarField:
     """Random multimode field: a seeded Hermite-Gauss superposition.
 
@@ -139,35 +136,26 @@ def make_speckle(
     superposed with independent complex-normal coefficients drawn from a
     deterministic generator, then normalized to unit power.  This is a
     reproducible surrogate for multimode-fiber output, not a fiber
-    model.  ``mode_width`` is the intensity std of the fundamental mode
-    and defaults to a value that fits the highest mode inside the grid.
+    model.  The intensity std of the fundamental mode is set so that the
+    highest mode's reach (turning point plus tail margin) is a third of
+    the extent.
     """
     _require_power_of_two(grid_n)
     finite_in("mode_count", mode_count, 1)
     finite_in("extent", extent, 0, open_lo=True)
     top = mode_count - 1  # highest 1D order present
-    if mode_width is None:
-        # Keep the highest mode's reach (turning point plus tail margin)
-        # within a third of the extent.
-        mode_width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
-    finite_in("mode_width", mode_width, 0, open_lo=True)
+    width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
     cell = extent / grid_n
-    lobe = math.pi * math.sqrt(2.0) * mode_width / math.sqrt(2 * top + 1)
+    lobe = math.pi * math.sqrt(2.0) * width / math.sqrt(2 * top + 1)
     if lobe < 3.0 * cell:
         raise GridResolutionError(
             f"highest mode lobe {lobe:.3e} m spans fewer than 3 cells "
-            f"(cell = {cell:.3e}); increase grid_n or mode_width"
-        )
-    reach = math.sqrt(2.0) * mode_width * (math.sqrt(2 * top + 1) + 3.0)
-    if 2.0 * reach > extent:
-        raise GridResolutionError(
-            f"highest mode reach {reach:.3e} m exceeds the half-extent "
-            f"{extent / 2:.3e}; increase extent or reduce mode_width"
+            f"(cell = {cell:.3e}); increase grid_n or reduce mode_count"
         )
 
     x = (np.arange(grid_n) - grid_n // 2) * cell
-    u = x / (math.sqrt(2.0) * mode_width)
-    psi = _hermite_functions(u, top) / math.sqrt(math.sqrt(2.0) * mode_width)
+    u = x / (math.sqrt(2.0) * width)
+    psi = _hermite_functions(u, top) / math.sqrt(math.sqrt(2.0) * width)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     order = np.arange(top + 1)
@@ -230,13 +218,9 @@ def _signal_bandwidth(field: ScalarField, spec):
     return float(np.max(np.hypot(f[i], f[j])))
 
 
-def alias_free_range(field: ScalarField):
-    """Maximum |distance| for alias-free angular-spectrum propagation."""
-    return _alias_free_range(field, _spectrum(field))
-
-
 def _alias_free_range(field: ScalarField, spec):
-    """:func:`alias_free_range` from the spectrum ``spec`` of ``field``."""
+    """Maximum |distance| for alias-free angular-spectrum propagation of
+    ``field``, whose spectrum is ``spec``."""
     f_sig = 1.1 * _signal_bandwidth(field, spec)
     inv_lam = 1.0 / field.wavelength
     if f_sig <= 0 or f_sig >= inv_lam:
@@ -314,8 +298,8 @@ def fringe_visibility(a: ScalarField, b: ScalarField) -> float:
 
 
 def _visibility(cross, pa, pb):
-    if pa <= 0 or pb <= 0:
-        raise ValueError("both fields must carry power")
+    if not (0 < pa < math.inf and 0 < pb < math.inf):
+        raise ValueError(f"both fields must carry finite power, got {pa} and {pb}")
     return np.abs(cross) / (0.5 * (pa + pb))
 
 

@@ -118,11 +118,6 @@ GUARDED = {
     "make_speckle.extent": (
         lambda v: waveoptics.make_speckle(3, 0, grid_n=64, extent=v), "extent", POSITIVE
     ),
-    "make_speckle.mode_width": (
-        lambda v: waveoptics.make_speckle(3, 0, grid_n=64, mode_width=v),
-        "mode_width",
-        POSITIVE,
-    ),
     "propagate.distance": (
         lambda v: waveoptics.propagate(FIELD, v), "distance", FINITE
     ),

@@ -376,20 +376,9 @@ class TestNptBoundary:
 
 
 class TestImport:
-    def test_cli_import_does_not_load_scipy(self):
-        # scipy serves only the solver; subcommands that never solve
-        # must not pay for loading it.
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        code = "import sys, timebin_analyzer.cli; print('scipy' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
-
     def test_npt_verify_does_not_load_scipy(self, tmp_path):
-        # The feasibility solver needs numpy alone.
+        # numpy is the only dependency: importing the CLI and running a
+        # feasibility solve must not bring scipy back.
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         code = (
             "import sys; from timebin_analyzer import cli; "
@@ -428,6 +417,43 @@ class TestConfigPrecedence:
         config.write_text(json.dumps({"stability": {"verbosity": 3}}))
         assert run(["stability", "--config", str(config),
                     "--out-dir", str(tmp_path)]) == 2
+
+    def test_defaults_scope_shared_across_subcommands(self, tmp_path):
+        # built-in < "defaults" < subcommand scope < flag, read from the headers.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "schema": 1,
+            "defaults": {"eta_l": 0.8, "vxy": 0.6, "focal_length": "0.2m"},
+            "stability": {"vxy": 0.5},
+        }))
+
+        def header(argv, name):
+            out = tmp_path / "-".join(argv)
+            assert run([*argv, "--config", str(config), "--out-dir", str(out)]) == 0
+            return (out / name).read_text()
+
+        assert "# focal_length_m=0.2\n" in header(["relay-check"], "relay_check.csv")
+        text = header(["npt-verify"], "npt_verify.csv")
+        assert "# eta_l=0.8\n" in text and "# eta_s=0.9\n" in text
+        assert "# v_xy=0.6\n" in text
+        assert "# v_xy=0.5\n" in header(["stability"], "stability.csv")
+        assert "# v_xy=0.7\n" in header(["stability", "--vxy", "0.7"], "stability.csv")
+
+    @pytest.mark.parametrize(
+        "scopes",
+        [
+            {"defaults": {"verbosity": 3}},
+            {"relay-check": {"eta_l": 0.8}},
+        ],
+        ids=["defaults-key-of-no-subcommand", "scope-key-of-another-subcommand"],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, scopes):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema": 1, **scopes}))
+        out = tmp_path / "out"
+        assert run(["relay-check", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fractional_integer_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -73,36 +73,6 @@ class TestEmbed2x3:
             assert got.tobytes() == embed_2x3_loops(rho, p).tobytes()
 
 
-class TestPolToTimebinMap:
-    def test_h_maps_to_late(self):
-        rho_h = np.diag([1.0, 0.0]).astype(complex)
-        out, throughput = st.pol_to_timebin_map(rho_h)
-        assert np.allclose(out, np.diag([0.0, 1.0]))  # |L><L| in {E, L}
-        assert throughput == 0.5
-
-    def test_v_maps_to_early(self):
-        rho_v = np.diag([0.0, 1.0]).astype(complex)
-        out, _ = st.pol_to_timebin_map(rho_v)
-        assert np.allclose(out, np.diag([1.0, 0.0]))
-
-    def test_superposition_linear(self):
-        plus = 0.5 * np.ones((2, 2), dtype=complex)
-        out, _ = st.pol_to_timebin_map(plus)
-        assert np.allclose(out, plus, atol=1e-15)
-
-    def test_spectrum_preserved(self):
-        rng = np.random.default_rng(21)
-        rho = random_density_matrix(rng, 2)
-        out, _ = st.pol_to_timebin_map(rho)
-        assert np.allclose(
-            np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-14
-        )
-
-    def test_converter_throughput_constant(self):
-        assert st.CONVERTER_THROUGHPUT == 0.24
-        assert st.POLARIZER_TRANSMISSION == 0.5
-
-
 class TestDepolarize:
     def test_identity_channel(self, bell):
         out = st.depolarize(bell, st.DepolarizationParams(0.0, 0.0, 0.0))
@@ -135,14 +105,6 @@ class TestDepolarize:
             p = p / p.sum() * rng.uniform(0, 1)
             out = st.depolarize(rho, st.DepolarizationParams(*p))
             out.validate()
-
-    def test_channel_on_alice(self, bell):
-        out = st.depolarize(
-            bell, st.DepolarizationParams(0.1, 0.0, 0.0), on_alice=True
-        )
-        # X on Alice maps |H,E><V,L| to |V,E><H,L|: zz correlation scales.
-        zz = q.tensor(q.PAULI_Z, q.PAULI_Z)
-        assert out.expectation(zz) == pytest.approx(0.8, abs=1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

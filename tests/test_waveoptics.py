@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from timebin_analyzer import geometry as g
 from timebin_analyzer import waveoptics as w
@@ -104,8 +106,8 @@ class TestMakeGaussian:
 class TestMakeSpeckle:
     def test_single_mode_limit(self):
         speckle = w.make_speckle(1, seed=3)
-        mode_width = speckle.extent / (3.0 * math.sqrt(2.0) * 4.0)
-        reference = w.make_gaussian(mode_width, grid_n=512, extent=speckle.extent)
+        width = speckle.extent / (3.0 * math.sqrt(2.0) * 4.0)
+        reference = w.make_gaussian(width, grid_n=512, extent=speckle.extent)
         assert abs(w.overlap(speckle, reference)) == pytest.approx(1.0, abs=1e-10)
 
     def test_seed_determinism(self):
@@ -138,10 +140,10 @@ class TestMakeSpeckle:
         # The coefficient draws, one pair at a time in row-major order.
         extent, grid_n = 0.02, 512
         top = mode_count - 1
-        mode_width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
+        width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
         x = (np.arange(grid_n) - grid_n // 2) * (extent / grid_n)
-        psi = w._hermite_functions(x / (math.sqrt(2.0) * mode_width), top)
-        psi /= math.sqrt(math.sqrt(2.0) * mode_width)
+        psi = w._hermite_functions(x / (math.sqrt(2.0) * width), top)
+        psi /= math.sqrt(math.sqrt(2.0) * width)
         rng = np.random.Generator(np.random.PCG64(seed))
         coeff = np.zeros((top + 1, top + 1), dtype=complex)
         for m in range(top + 1):
@@ -158,11 +160,50 @@ class TestMakeSpeckle:
             "7bed2abbaad7278c7e46306ced179c84017469a2358ceaf0cc17b6fa3f277ac6"
         )
 
-    @pytest.mark.parametrize("value", [0.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
     def test_unit_power_rejects_powerless_grid(self, value):
         grid = np.full((64, 64), value, dtype=complex)
         with pytest.raises(ValueError, match="cannot normalize a zero-power field"):
             w._unit_power(grid, 0.01, 776e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode_count=hst.integers(1, 60),
+        grid_n=hst.sampled_from([64, 128, 256]),
+        extent=hst.floats(1e-4, 0.1),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_finite_unit_power_or_resolution_error(
+        self, mode_count, grid_n, extent, seed
+    ):
+        # The fundamental width is derived from the extent, so the highest
+        # mode always fits; the grid either resolves its lobes or refuses.
+        try:
+            field = w.make_speckle(mode_count, seed, grid_n=grid_n, extent=extent)
+        except w.GridResolutionError:
+            return
+        assert np.all(np.isfinite(field.grid))
+        assert field.power() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestNonFiniteField:
+    """A field of NaN or infinite power is refused, not scored as NaN."""
+
+    @pytest.fixture(params=[math.nan, math.inf], ids=["nan", "inf"])
+    def field(self, request):
+        grid = np.full((64, 64), request.param, dtype=complex)
+        return w.ScalarField(grid, 0.01, 776e-9)
+
+    def test_fringe_visibility(self, field):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="finite power"):
+                w.fringe_visibility(field, field)
+
+    @pytest.mark.parametrize("relay", [True, False], ids=["relay-on", "relay-off"])
+    def test_aoi_visibility_scan(self, field, geom, relay):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="finite power"):
+                w.aoi_visibility_scan(field, geom, [0.0], relay)
 
 
 class TestInputsUnchanged:
