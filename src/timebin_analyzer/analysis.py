@@ -173,7 +173,7 @@ def stability_series(
     if rate is None:
         e1, e2 = e1_ideal, e2_ideal
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(finite_in("seed", seed, 0)))
         ideal = np.column_stack([e1_ideal, e2_ideal])
         # Means ordered (bucket, quadrature, +/-): the draws come in that order.
         mean = rate * bucket / 4.0 * np.stack([1.0 + ideal, 1.0 - ideal], axis=-1)

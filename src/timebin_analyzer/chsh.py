@@ -200,7 +200,7 @@ def simulate_drift_scan(
     if seed is None:
         counts = lam
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(finite_in("seed", seed, 0)))
         counts = {key: rng.poisson(lam[key]).astype(float) for key in sorted(lam)}
 
     return DriftTrace(times, counts)
@@ -370,13 +370,6 @@ def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> Chs
     e12 = -abs(_surface_term(trace_a1, split))
     e22 = abs(_surface_term(trace_a2, split))
     return ChshEstimate(chsh_s(e11, e12, e21, e22), e11, e12, e21, e22)
-
-
-def trace_to_rows(trace: DriftTrace):
-    """Rows (t, six counts) for CSV export, one array row per bucket."""
-    header = ["time_s"] + [f"{det}{b}" for det in DETECTORS for b in BINS]
-    series = [trace.counts[(det, b)] for det in DETECTORS for b in BINS]
-    return header, np.column_stack([trace.times] + series)
 
 
 def surface_to_rows(trace: DriftTrace):

@@ -5,7 +5,11 @@ check, phase sensitivity, CHSH drift simulation, entanglement
 verification and its classical boundary, long-term stability, and the
 expectation-versus-angle sweep.  Every run writes CSV with a header
 that records the tool version, the full parameter set, and the seed, so
-identical invocations are byte-reproducible.
+identical invocations are byte-reproducible.  A subcommand only computes:
+it returns its files and a note, and ``main`` writes them and prints one
+line, the note and then every path written.  So a run opens no file until
+its computation is done; the ``chsh-scan`` surface cells are the exception,
+computed block by block as they are written.
 
 Unit-bearing flags accept suffixes (deg, mrad, urad, nrad, rad; m, mm,
 um, nm; s, ms, ns); bare numbers are SI base units.  Configuration
@@ -23,6 +27,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,14 +96,20 @@ def _setting(settings, key, kind="none"):
 
 def _merge_settings(defaults, config, args_dict, command):
     merged = dict(defaults)
-    if config:
+    if config is not None:
+        if not isinstance(config, dict):
+            raise CliError(f"config must be a JSON object, got {type(config).__name__}")
         if config.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise CliError(f"unsupported config schema {config.get('schema')}")
         # One file serves every subcommand: a "defaults" key that only
         # other subcommands have is skipped, not refused.
         known = set().union(*(keys for _, keys in _COMMANDS.values()))
         for scope in ("defaults", command):
-            for key, value in config.get(scope, {}).items():
+            entries = config.get(scope, {})
+            if not isinstance(entries, dict):
+                raise CliError(f"config scope {scope!r} must be a JSON object, "
+                               f"got {type(entries).__name__}")
+            for key, value in entries.items():
                 key = key.replace("-", "_")
                 if key in merged:
                     merged[key] = value
@@ -134,11 +145,35 @@ def _write_csv(path, columns, rows, params):
                 out.write(",".join(cells) + "\n")
 
 
-def _out_path(settings, filename):
-    out_dir = settings.get("out_dir") or os.environ.get(ENV_OUT_DIR) or "."
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / filename
+class _File(NamedTuple):
+    """One output file: ``rows`` under ``columns`` and the header ``params``,
+    with the plot ``(series, title, xlabel, ylabel)`` drawn beside it under
+    --svg.  A ``.json`` name holds ``rows`` as its JSON document."""
+
+    name: str
+    columns: list | None
+    rows: object
+    params: dict | None
+    plot: tuple | None = None
+
+
+def _write(settings, files, note):
+    """Write ``files`` into the output directory, then print ``note`` and
+    every path written on one line."""
+    out_dir = Path(settings["out_dir"] or os.environ.get(ENV_OUT_DIR) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for file in files:
+        path = out_dir / file.name
+        if path.suffix == ".json":
+            path.write_text(json.dumps(file.rows, indent=1))
+        else:
+            _write_csv(path, file.columns, file.rows, file.params)
+        written.append(path)
+        if file.plot and settings["svg"]:
+            written.append(path.with_suffix(".svg"))
+            svg.line_plot(written[-1], *file.plot)
+    print(f"{note}; wrote {', '.join(map(str, written))}")
 
 
 def _geometry_from(settings):
@@ -172,14 +207,9 @@ def _sweep_range(settings):
     return finite_in("alpha_max", alpha_max), finite_in("alpha_steps", steps, 1)
 
 
-def _maybe_svg(settings, csv_path, series, title, xlabel, ylabel):
-    if settings.get("svg"):
-        svg.line_plot(
-            Path(csv_path).with_suffix(".svg"), series, title, xlabel, ylabel
-        )
-
-
 # --- subcommand implementations -------------------------------------------
+# Each returns its files, a one-line note and, where a check can fail after
+# the files are made, an exit code.
 
 _GEOMETRY_DEFAULTS = {
     "delta_l0": "0.6m",
@@ -204,21 +234,14 @@ def cmd_visibility_scan(settings):
     jobs = _setting(settings, "jobs", "int")
     curve = analysis.aoi_sweep(geom, spec, alphas, relay)
     params = {**curve.params, "seed": settings["seed"], "jobs": jobs}
-    path = _out_path(settings, "visibility_scan.csv")
-    _write_csv(path, curve.columns, curve.rows, params)
-    _maybe_svg(
-        settings,
-        path,
-        [
-            ("wave optics", curve.rows[:, 0] * 1e3, curve.rows[:, 1]),
-            ("ray model", curve.rows[:, 0] * 1e3, curve.rows[:, 2]),
-        ],
+    alpha, wave, ray = curve.rows.T
+    plot = (
+        [("wave optics", alpha * 1e3, wave), ("ray model", alpha * 1e3, ray)],
         f"visibility vs AOI (relay {'on' if relay else 'off'})",
-        "alpha [mrad]",
-        "visibility",
+        "alpha [mrad]", "visibility",
     )
-    print(f"wrote {path}")
-    return 0
+    file = _File("visibility_scan.csv", curve.columns, curve.rows, params, plot)
+    return [file], f"visibility {wave[-1]:.4f} at {alpha_max * 1e3:.4g} mrad"
 
 
 def cmd_relay_check(settings):
@@ -238,15 +261,14 @@ def cmd_relay_check(settings):
             float(np.max(np.abs(single + np.eye(2)))),
         ],
     ]
-    path = _out_path(settings, "relay_check.csv")
-    _write_csv(
-        path,
+    file = _File(
+        "relay_check.csv",
         ["stage", "a", "b", "c", "d", "identity_residual"],
         rows,
         {"operation": "relay_check", "focal_length_m": f, "determinant": det},
     )
-    print(f"relay round trip residual {residual:.3e} (det {det:.12f}); wrote {path}")
-    return 0 if residual < 1e-9 else 2
+    note = f"relay round trip residual {residual:.3e} (det {det:.12f})"
+    return [file], note, 0 if residual < 1e-9 else 2
 
 
 def cmd_phase_sensitivity(settings):
@@ -272,9 +294,8 @@ def cmd_phase_sensitivity(settings):
         ["ratio_1p75urad_over_349nrad", ratio],
         ["phase_check_at_aoi_per_pi_rad", dphi_pi],
     ]
-    path = _out_path(settings, "phase_sensitivity.csv")
-    _write_csv(
-        path,
+    file = _File(
+        "phase_sensitivity.csv",
         ["quantity", "value"],
         rows,
         {
@@ -283,12 +304,12 @@ def cmd_phase_sensitivity(settings):
             "wavelength_m": geom.wavelength,
         },
     )
-    print(
+    note = (
         f"path-difference slope {d1:.6g} m/rad; pi shift per {aoi_per_pi * 1e9:.1f} nrad "
         f"({100 * residual:.1f}% from the nominal 349 nrad); "
-        f"5 pi check: {dphi_5pi / math.pi:.3f} pi at 1.75 urad; wrote {path}"
+        f"5 pi check: {dphi_5pi / math.pi:.3f} pi at 1.75 urad"
     )
-    return 0
+    return [file], note
 
 
 def cmd_chsh_scan(settings):
@@ -325,13 +346,25 @@ def cmd_chsh_scan(settings):
         "drift_period_s": drift.period,
         "seed": seed,
     }
+    keys = [(det, b) for det in chsh.DETECTORS for b in chsh.BINS]
+    files = []
     for axis, tag in (("z+x", "a1"), ("z-x", "a2")):
-        header, rows = chsh.trace_to_rows(traces[axis])
-        path = _out_path(settings, f"chsh_trace_{tag}.csv")
-        _write_csv(path, header, rows, {**base_params, "alice_axis": axis})
-        sheader, srows = chsh.surface_to_rows(traces[axis])
-        spath = _out_path(settings, f"chsh_surface_{tag}.csv")
-        _write_csv(spath, sheader, srows, {**base_params, "alice_axis": axis})
+        tr = traces[axis]
+        axis_params = {**base_params, "alice_axis": axis}
+        plot = None if tag == "a2" else (
+            [(f"{det} {b}", tr.times, tr.counts[(det, b)]) for det, b in keys],
+            "drift-scan coincidences (setting z+x)", "time [s]", "counts per bucket",
+        )
+        files += [
+            _File(
+                f"chsh_trace_{tag}.csv",
+                ["time_s"] + [f"{det}{b}" for det, b in keys],
+                np.column_stack([tr.times] + [tr.counts[key] for key in keys]),
+                axis_params,
+                plot,
+            ),
+            _File(f"chsh_surface_{tag}.csv", *chsh.surface_to_rows(tr), axis_params),
+        ]
     summary_rows = [
         ["S", est.s],
         ["E_A1_B1", est.e11],
@@ -339,23 +372,10 @@ def cmd_chsh_scan(settings):
         ["E_A2_B1", est.e21],
         ["E_A2_B2", est.e22],
     ]
-    path = _out_path(settings, "chsh_summary.csv")
-    _write_csv(path, ["quantity", "value"], summary_rows, base_params)
-    tr = traces["z+x"]
-    _maybe_svg(
-        settings,
-        _out_path(settings, "chsh_trace_a1.csv"),
-        [
-            (f"{det} {b}", tr.times, tr.counts[(det, b)])
-            for det in chsh.DETECTORS
-            for b in chsh.BINS
-        ],
-        "drift-scan coincidences (setting z+x)",
-        "time [s]",
-        "counts per bucket",
+    files.append(
+        _File("chsh_summary.csv", ["quantity", "value"], summary_rows, base_params)
     )
-    print(f"S = {est.s:.4f}; wrote {path}")
-    return 0
+    return files, f"S = {est.s:.4f}"
 
 
 def cmd_npt_verify(settings):
@@ -370,37 +390,22 @@ def cmd_npt_verify(settings):
         ["margin", report.margin],
         ["iterations", report.iterations],
     ]
-    path = _out_path(settings, "npt_verify.csv")
-    _write_csv(
-        path,
-        ["quantity", "value"],
-        rows,
-        {
-            "operation": "npt_verify",
-            "v_z": settings["vz"],
-            "v_xy": settings["vxy"],
-            "eta_l": eff.eta_l,
-            "eta_s": eff.eta_s,
-            "tol": settings["tol"],
-            "qubit_mass": settings["qubit_mass"],
-        },
-    )
-    if report.feasible:
-        witness_path = _out_path(settings, "npt_witness.json")
-        witness_path.write_text(
-            json.dumps(operator_to_dict(report.witness, 2, 3), indent=1)
-        )
-        print(
-            f"FEASIBLE: a PPT state matches the visibilities "
-            f"(margin {report.margin:.3e}); entanglement is not certified; "
-            f"wrote {path} and {witness_path}"
-        )
-    else:
-        print(
-            f"INFEASIBLE/ENTANGLED: no PPT state matches the visibilities "
-            f"(margin {report.margin:.3e}); wrote {path}"
-        )
-    return 0
+    params = {
+        "operation": "npt_verify",
+        "v_z": settings["vz"],
+        "v_xy": settings["vxy"],
+        "eta_l": eff.eta_l,
+        "eta_s": eff.eta_s,
+        "tol": settings["tol"],
+        "qubit_mass": settings["qubit_mass"],
+    }
+    files = [_File("npt_verify.csv", ["quantity", "value"], rows, params)]
+    match = f"PPT state matches the visibilities (margin {report.margin:.3e})"
+    if not report.feasible:
+        return files, f"INFEASIBLE/ENTANGLED: no {match}"
+    witness = operator_to_dict(report.witness, 2, 3)
+    files.append(_File("npt_witness.json", None, witness, None))
+    return files, f"FEASIBLE: a {match}; entanglement is not certified"
 
 
 def cmd_npt_boundary(settings):
@@ -411,12 +416,11 @@ def cmd_npt_boundary(settings):
     resolution = _setting(settings, "resolution")
     mass = _setting(settings, "qubit_mass")
     results = verify.boundary_scan(grid, eff, tol, resolution, mass)
-    header, rows = verify.boundary_to_rows(results)
-    path = _out_path(settings, "npt_boundary.csv")
-    _write_csv(
-        path,
-        header,
-        rows,
+    finite = [(p.v_z, p.threshold) for p in results if math.isfinite(p.threshold)]
+    file = _File(
+        "npt_boundary.csv",
+        ["v_z", "v_xy_threshold", "margin", "iterations"],
+        [[p.v_z, p.threshold, p.margin, p.iterations] for p in results],
         {
             "operation": "npt_boundary",
             "eta_l": eff.eta_l,
@@ -426,20 +430,12 @@ def cmd_npt_boundary(settings):
             "qubit_mass": mass,
             "jobs": jobs,
         },
+        (
+            [("classical bound", [v for v, _ in finite], [t for _, t in finite])],
+            "entanglement verification boundary", "v_z", "v_xy threshold",
+        ),
     )
-    finite = [
-        (p.v_z, p.threshold) for p in results if math.isfinite(p.threshold)
-    ]
-    _maybe_svg(
-        settings,
-        path,
-        [("classical bound", [v for v, _ in finite], [t for _, t in finite])],
-        "entanglement verification boundary",
-        "v_z",
-        "v_xy threshold",
-    )
-    print(f"wrote {path}")
-    return 0
+    return [file], f"{len(finite)} of {len(results)} v_z points have a threshold"
 
 
 def cmd_stability(settings):
@@ -453,22 +449,13 @@ def cmd_stability(settings):
         rate=rate,
         seed=_setting(settings, "seed", "int"),
     )
-    path = _out_path(settings, "stability.csv")
-    _write_csv(path, curve.columns, curve.rows, curve.params)
-    _maybe_svg(
-        settings,
-        path,
-        [
-            ("E_phi", curve.rows[:, 0], curve.rows[:, 1]),
-            ("E_phi+pi/2", curve.rows[:, 0], curve.rows[:, 2]),
-            ("combined", curve.rows[:, 0], curve.rows[:, 3]),
-        ],
-        "long-term stability",
-        "time [s]",
-        "expectation value",
+    t, e1, e2, combined = curve.rows.T
+    plot = (
+        [("E_phi", t, e1), ("E_phi+pi/2", t, e2), ("combined", t, combined)],
+        "long-term stability", "time [s]", "expectation value",
     )
-    print(f"wrote {path}")
-    return 0
+    file = _File("stability.csv", curve.columns, curve.rows, curve.params, plot)
+    return [file], f"combined expectation {combined.mean():.4f} on average"
 
 
 def cmd_expectation_aoi(settings):
@@ -480,18 +467,13 @@ def cmd_expectation_aoi(settings):
         geom, _setting(settings, "vxy"), alphas, relay,
         fixed_phase=_setting(settings, "fixed_phase", "angle"),
     )
-    path = _out_path(settings, "expectation_aoi.csv")
-    _write_csv(path, curve.columns, curve.rows, curve.params)
-    _maybe_svg(
-        settings,
-        path,
-        [("expectation", curve.rows[:, 0] * 1e3, curve.rows[:, 1])],
-        f"expectation vs AOI (relay {'on' if relay else 'off'})",
-        "alpha [mrad]",
-        "E",
+    alpha, e, _ = curve.rows.T
+    plot = (
+        [("expectation", alpha * 1e3, e)],
+        f"expectation vs AOI (relay {'on' if relay else 'off'})", "alpha [mrad]", "E",
     )
-    print(f"wrote {path}")
-    return 0
+    file = _File("expectation_aoi.csv", curve.columns, curve.rows, curve.params, plot)
+    return [file], f"E from {e.min():.4f} to {e.max():.4f}"
 
 
 _COMMANDS = {
@@ -619,7 +601,9 @@ def main(argv=None) -> int:
             vars(args),
             args.command,
         )
-        return func(settings)
+        files, note, *code = func(settings)
+        _write(settings, files, note)
+        return code[0] if code else 0
     except verify.NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         if exc.diagnostics:

@@ -400,10 +400,3 @@ def ppt_oracle(rho: DensityMatrix) -> bool:
     """
     rho.validate()
     return min_eigenvalue(rho.partial_transpose()) < -1e-10
-
-
-def boundary_to_rows(points):
-    """Rows (v_z, v_xy_threshold, margin, iterations) for CSV export."""
-    header = ["v_z", "v_xy_threshold", "margin", "iterations"]
-    rows = [[p.v_z, p.threshold, p.margin, p.iterations] for p in points]
-    return header, rows

@@ -157,7 +157,7 @@ def make_speckle(
     u = x / (math.sqrt(2.0) * width)
     psi = _hermite_functions(u, top) / math.sqrt(math.sqrt(2.0) * width)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(finite_in("seed", seed, 0)))
     order = np.arange(top + 1)
     present = np.add.outer(order, order) <= top
     # Boolean assignment fills in row-major order, the order of the draws.
@@ -210,6 +210,8 @@ def _signal_bandwidth(field: ScalarField, spec):
     )
     cum = np.cumsum(ring_power)
     total = cum[-1]
+    if not total < math.inf:
+        raise ValueError(f"field must carry finite power, got {total}")
     if total <= 0:
         return 0.0
     ring = min(int(np.searchsorted(cum, (1.0 - 1e-12) * total)), cum.size - 1)

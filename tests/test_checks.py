@@ -115,6 +115,9 @@ GUARDED = {
     "make_speckle.mode_count": (
         lambda v: waveoptics.make_speckle(v, 0, grid_n=64), "mode_count", below(1.0)
     ),
+    "make_speckle.seed": (
+        lambda v: waveoptics.make_speckle(3, v, grid_n=64), "seed", below(0.0)
+    ),
     "make_speckle.extent": (
         lambda v: waveoptics.make_speckle(3, 0, grid_n=64, extent=v), "extent", POSITIVE
     ),
@@ -130,6 +133,13 @@ GUARDED = {
     "bucket_times.bucket": (lambda v: chsh.bucket_times(10.0, v), "bucket", POSITIVE),
     "bucket_times.rate": (
         lambda v: chsh.bucket_times(10.0, 1.0, v), "rate", POSITIVE
+    ),
+    "simulate_drift_scan.seed": (
+        lambda v: chsh.simulate_drift_scan(
+            st.hybrid_bell_state(), EFF, DRIFT, rate=100.0, duration=2.0, seed=v
+        ),
+        "seed",
+        below(0.0),
     ),
     "alice_setting": (
         lambda v: chsh.alice_setting([v, 0.0, 0.0]), "axis norm", hst.just(0.0)
@@ -169,6 +179,7 @@ GUARDED = {
     ),
     "stability_series.bucket": (lambda v: stability(bucket=v), "bucket", POSITIVE),
     "stability_series.rate": (lambda v: stability(rate=v), "rate", POSITIVE),
+    "stability_series.seed": (lambda v: stability(seed=v), "seed", below(0.0)),
 }
 
 

@@ -442,11 +442,8 @@ class TestEstimateChsh:
         mean = float(np.mean(values))
         assert mean == pytest.approx(chsh.s_theo(0.952, 0.804), abs=0.08)
 
-    def test_trace_rows_export(self, noisy):
+    def test_surface_rows_export(self, noisy):
         t1, _ = self.scans(noisy, None, duration=5.0)
-        header, rows = chsh.trace_to_rows(t1)
-        assert header[0] == "time_s" and len(header) == 7
-        assert len(rows) == t1.n_buckets
         sheader, blocks = chsh.surface_to_rows(t1)
         assert sheader == ["t1_s", "t2_s", "expectation", "defined"]
         n = t1.n_buckets

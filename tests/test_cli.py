@@ -78,6 +78,14 @@ class TestRelayCheck:
         residual = float(text.splitlines()[-2].split(",")[-1])
         assert residual < 1e-12
 
+    def test_large_residual_writes_csv_and_exits_2(self, tmp_path, capsys):
+        # At f = 1e9 m the round trip rounds to a residual of 2.4e-7.
+        assert run(["relay-check", "--focal-length", "1e9m",
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "residual 2.384e-07" in capsys.readouterr().out
+        text = (tmp_path / "relay_check.csv").read_text()
+        assert float(text.splitlines()[-2].split(",")[-1]) >= 1e-9
+
 
 class TestNptVerify:
     def test_entangled_verdict(self, tmp_path, capsys):
@@ -114,10 +122,12 @@ class TestNptVerify:
 
         monkeypatch.setattr(cli.verify, "sdp_feasible", explode)
         assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
+        assert not any(tmp_path.iterdir())
 
     def test_exit_3_prints_solver_diagnostics(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(verify, "_NEWTON_BUDGET", 5)
         assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
+        assert not any(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert "exhausted 5 Newton steps" in err
         assert "diagnostics: decrement=" in err and " mu=" in err and " t=" in err
@@ -232,6 +242,9 @@ class TestVisibilityScan:
                 (["npt-verify", "--eta-l", "abc"], "eta_l"),
                 (["visibility-scan", "--alpha-steps", "x"], "alpha_steps"),
                 (["npt-boundary", "--vz-grid", "0.5,"], "vz_grid"),
+                (["chsh-scan", "--seed", "-5"], "seed"),
+                (["stability", "--seed", "-1"], "seed"),
+                (["visibility-scan", "--mode", "speckle", "--seed", "-1"], "seed"),
             ]
         ],
     )
@@ -455,6 +468,24 @@ class TestConfigPrecedence:
         assert "unknown config key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, where",
+        [
+            ([1], "config must be"),
+            ("x", "config must be"),
+            ({"stability": [1, 2]}, "config scope 'stability' must be"),
+            ({"schema": 1, "defaults": 3}, "config scope 'defaults' must be"),
+        ],
+        ids=["list", "string", "scope-list", "defaults-number"],
+    )
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, config, where):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["stability", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert f"error: {where} a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_integer_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"expectation-aoi": {"alpha_steps": 2.7}}))
@@ -467,6 +498,28 @@ class TestConfigPrecedence:
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "env"))
         assert run(["relay-check"]) == 0
         assert (tmp_path / "env" / "relay_check.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["visibility-scan", "--grid-n", "64", "--alpha-steps", "3", "--svg"],
+        ["relay-check"],
+        ["phase-sensitivity"],
+        ["chsh-scan", "--duration", "4s", "--drift-period", "4s", "--svg"],
+        ["npt-verify", "--vz", "0.9", "--vxy", "0.3"],
+        ["npt-boundary", "--vz-grid", "0.952", "--svg"],
+        ["stability", "--duration", "60s", "--bucket", "10s", "--svg"],
+        ["expectation-aoi", "--alpha-steps", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_printed_line_names_every_file_written(tmp_path, capsys, argv):
+    assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    note, paths = line.split("; wrote ")
+    assert note
+    assert sorted(paths.split(", ")) == sorted(str(p) for p in tmp_path.iterdir())
 
 
 class TestExpectationAoi:

@@ -218,12 +218,6 @@ class TestBoundaryScan:
         )
         assert all(p.bracketed for p in points)
 
-    def test_rows_export(self):
-        points = verify.boundary_scan([0.9], EFF)
-        header, rows = verify.boundary_to_rows(points)
-        assert header == ["v_z", "v_xy_threshold", "margin", "iterations"]
-        assert len(rows) == 1 and rows[0][0] == 0.9
-
     @pytest.mark.parametrize("eta_l, eta_s", [(0.9, 0.9), (0.8, 0.5)])
     def test_threshold_is_first_grid_point_above_circle(self, eta_l, eta_s):
         # v_z = 1 is left out: there the margin just above the circle is

@@ -206,6 +206,21 @@ class TestNonFiniteField:
                 w.aoi_visibility_scan(field, geom, [0.0], relay)
 
 
+@pytest.mark.parametrize("bad_cell", [None, math.nan, math.inf],
+                         ids=["all-nan", "one-nan-cell", "one-inf-cell"])
+def test_propagate_refuses_non_finite_field(bad_cell):
+    # The alias guard's ring power is the field's total power: a NaN or
+    # inf there is refused instead of propagating to an all-NaN field.
+    if bad_cell is None:
+        field = w.ScalarField(np.full((64, 64), math.nan, dtype=complex), 0.01, 776e-9)
+    else:
+        field = w.make_gaussian(1e-3, grid_n=64)
+        field.grid[32, 32] = bad_cell
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="finite power"):
+            w.propagate(field, 0.01)
+
+
 class TestInputsUnchanged:
     """Scoring builds its temporaries in place; the fields it reads stay intact."""
 
