@@ -77,7 +77,12 @@ def _unit_power(grid, extent, wavelength) -> ScalarField:
         raise ValueError(
             f"cannot normalize a zero-power field or one of non-finite power, got {p}"
         )
-    field.grid /= math.sqrt(p)
+    # numpy divides a complex by a real s as (re + im*0) * (1/s) and
+    # (im - re*0) * (1/s), so one real multiply of the float view by 1/s gives
+    # the same bits, except that a part of -0 stays -0 where the division can
+    # give +0 (the two still compare equal).
+    parts = field.grid.view(np.float64)
+    parts *= 1.0 / math.sqrt(p)
     return field
 
 
@@ -191,11 +196,32 @@ def _spectrum(field: ScalarField):
     return np.fft.fft2(np.fft.ifftshift(field.grid))
 
 
-def _signal_bandwidth(field: ScalarField, spec):
+def _fold(power):
+    """Add column j of ``power`` into column min(j, N - j), the folded index:
+    the last axis shrinks from N to N//2 + 1."""
+    n = power.shape[-1]
+    h = n // 2
+    folded = power[..., : h + 1].copy()
+    folded[..., 1 : n - h] += power[..., : h : -1]
+    return folded
+
+
+def _folded_power(spec):
+    """|spec|^2 folded over columns (N x (N//2+1)) and over both axes
+    ((N//2+1)^2, indexed by the folded (kx, ky))."""
+    power = np.abs(spec)
+    power *= power
+    rows = _fold(power)
+    return rows, _fold(rows.T).T
+
+
+def _signal_bandwidth(field: ScalarField, quadrant):
     """Radial frequency containing all but 1e-12 of the spectral power.
 
-    Cells are grouped into rings by the exact integer key kx^2 + ky^2 of
-    their folded indices.  Radii of distinct keys differ by far more than
+    ``quadrant`` is the spectral power folded onto the (N//2+1)^2 quadrant
+    of folded indices (see :func:`_folded_power`); every cell of a ring
+    kx^2 + ky^2 has its fold partners in the same ring.  Rings are keyed
+    by that exact integer.  Radii of distinct keys differ by far more than
     an ulp, so ascending keys are ascending radii: the ring at which the
     ascending cumulative ring power first reaches (1 - 1e-12) of the total
     gives the bandwidth, as the largest radius among its cells.  Sorting
@@ -203,39 +229,31 @@ def _signal_bandwidth(field: ScalarField, spec):
     arbitrarily and rounds the cumulative sum cell by cell, which can move
     the answer by an ulp or, rarely, to the adjacent ring.
     """
-    f, k = _folded_frequencies(field)
-    k2 = k * k
-    ring_power = np.bincount(
-        (k2[:, None] + k2[None, :]).ravel(), weights=(np.abs(spec) ** 2).ravel()
-    )
-    cum = np.cumsum(ring_power)
+    f, _ = _folded_frequencies(field)
+    m2 = np.arange(f.size) ** 2
+    keys = m2[:, None] + m2[None, :]
+    cum = np.cumsum(np.bincount(keys.ravel(), weights=quadrant.ravel()))
     total = cum[-1]
     if not total < math.inf:
         raise ValueError(f"field must carry finite power, got {total}")
     if total <= 0:
         return 0.0
     ring = min(int(np.searchsorted(cum, (1.0 - 1e-12) * total)), cum.size - 1)
-    m2 = np.arange(f.size) ** 2
-    i, j = np.nonzero(m2[:, None] + m2[None, :] == ring)
+    i, j = np.nonzero(keys == ring)
     return float(np.max(np.hypot(f[i], f[j])))
 
 
-def _alias_free_range(field: ScalarField, spec):
-    """Maximum |distance| for alias-free angular-spectrum propagation of
-    ``field``, whose spectrum is ``spec``."""
-    f_sig = 1.1 * _signal_bandwidth(field, spec)
+def _check_alias(field: ScalarField, quadrant, distance):
+    """Raise AliasingError if angular-spectrum propagation of ``field``, of
+    folded spectral power ``quadrant``, over ``distance`` would alias."""
+    f_sig = 1.1 * _signal_bandwidth(field, quadrant)
     inv_lam = 1.0 / field.wavelength
     if f_sig <= 0 or f_sig >= inv_lam:
-        return 0.0 if f_sig >= inv_lam else math.inf
-    # Kernel phase must change by less than pi between frequency samples
-    # at the field's own bandwidth: |dphi/df| * (1/L) <= pi.
-    return field.extent * math.sqrt(inv_lam**2 - f_sig**2) / (2.0 * f_sig)
-
-
-def _angular_spectra(field: ScalarField, distance):
-    """Spectrum A of ``field`` and A K, K the alias-checked kernel over distance."""
-    spec = _spectrum(field)
-    z_max = _alias_free_range(field, spec)
+        z_max = 0.0 if f_sig >= inv_lam else math.inf
+    else:
+        # Kernel phase must change by less than pi between frequency samples
+        # at the field's own bandwidth: |dphi/df| * (1/L) <= pi.
+        z_max = field.extent * math.sqrt(inv_lam**2 - f_sig**2) / (2.0 * f_sig)
     if abs(distance) > z_max:
         factor = abs(distance) / max(z_max, 1e-300)
         raise AliasingError(
@@ -243,18 +261,13 @@ def _angular_spectra(field: ScalarField, distance):
             f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
             f"at fixed cell size, i.e. use >= {math.ceil(field.n * factor)} samples"
         )
-    kernel = _kernel(field, distance)
-    return spec, np.multiply(spec, kernel, out=kernel)
 
 
-def _kernel(field: ScalarField, distance):
+def _kernel_quadrant(field: ScalarField, distance):
     """Angular-spectrum kernel exp(2 pi i d sqrt(1/lambda^2 - fx^2 - fy^2)) on
-    the FFT grid; evanescent components decay instead.
-
-    It depends on (|kx|, |ky|) alone, so it is evaluated on the folded
-    quadrant and expanded to N x N by gathering rows, then columns.
-    """
-    f, k = _folded_frequencies(field)
+    the (N//2+1)^2 quadrant of folded FFT indices; evanescent components
+    decay instead."""
+    f, _ = _folded_frequencies(field)
     arg = 1.0 / field.wavelength**2 - f[:, None] ** 2 - f[None, :] ** 2
     quadrant = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
     np.exp(quadrant, out=quadrant)
@@ -264,7 +277,14 @@ def _kernel(field: ScalarField, distance):
             np.clip(-2.0 * math.pi * abs(distance) * np.sqrt(-arg[evanescent]), -700, 0)
         )
         quadrant[evanescent] = decay
-    return quadrant.take(k, axis=0).take(k, axis=1)
+    return quadrant
+
+
+def _kernel(field: ScalarField, distance):
+    """The kernel on the N x N FFT grid.  It depends on (|kx|, |ky|) alone,
+    so the quadrant is expanded by gathering rows, then columns."""
+    _, k = _folded_frequencies(field)
+    return _kernel_quadrant(field, distance).take(k, axis=0).take(k, axis=1)
 
 
 def propagate(field: ScalarField, distance) -> ScalarField:
@@ -277,8 +297,10 @@ def propagate(field: ScalarField, distance) -> ScalarField:
     finite_in("distance", distance)
     if distance == 0.0:
         return ScalarField(field.grid.copy(), field.extent, field.wavelength)
-    _, spec_long = _angular_spectra(field, distance)
-    out = np.fft.fftshift(np.fft.ifft2(spec_long))
+    spec = _spectrum(field)
+    _check_alias(field, _folded_power(spec)[1], distance)
+    kernel = _kernel(field, distance)
+    out = np.fft.fftshift(np.fft.ifft2(np.multiply(spec, kernel, out=kernel)))
     return ScalarField(out, field.extent, field.wavelength)
 
 
@@ -323,11 +345,17 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     serves the sweep.  Without relay the long arm is the input
     propagated over delta_l0, spectrum B = A K (A the input spectrum, K the
     angular-spectrum kernel), and offset by the ray-traced delta(alpha).
-    By Parseval <a|shift(b, delta)> ~ sum_fx [sum_fy conj(A) B](fx)
-    exp(-2 pi i fx delta): one dot product per angle.  The common tilt
-    cancels; the result is scaled by v0.  Raises AliasingError, then
-    AngleDomainError, then ShiftTooLargeError; with relay, AngleDomainError
-    for the angles the ray model rejects.
+    By Parseval <a|shift(b, delta)> ~ sum_i cross[i] exp(-2 pi i fx_i delta),
+    one dot product per angle, with cross[i] = sum_j conj(A) B = sum_j P K
+    over the row, P = |A|^2.  K depends on the folded column index
+    min(j, N - j) alone, so cross[i] = sum_m P_row[i, m] Q[min(i, N - i), m],
+    with P_row the power folded over columns and Q the (N//2+1)^2 kernel
+    quadrant; the powers are sum P and sum P |K|^2 over the power folded
+    on both axes.  P is |fft2(grid)|^2 without the centering shift, which
+    only multiplies A by a phase.  The common tilt cancels; the result is
+    scaled by v0.  Raises AliasingError, then AngleDomainError, then
+    ShiftTooLargeError; with relay, AngleDomainError for the angles the ray
+    model rejects.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
@@ -336,12 +364,15 @@ def aoi_visibility_scan(field, geom, alphas, relay):
         _geometry._check_alpha(alphas)
         p = field.power()
         return np.full(alphas.shape, geom.v0 * _visibility(overlap(field, field), p, p))
-    spec, spec_long = _angular_spectra(field, geom.delta_l0)
+    rows, quadrant = _folded_power(np.fft.fft2(field.grid))
+    _check_alias(field, quadrant, geom.delta_l0)
     delta = _geometry.lateral_offset(geom, alphas)
     _check_shift(field, np.max(np.abs(delta)))
-    cross = np.einsum("ij,ij->i", np.conj(spec), spec_long)
+    kernel = _kernel_quadrant(field, geom.delta_l0)
+    _, k = _folded_frequencies(field)
+    cross = np.einsum("ij,ij->i", rows, kernel.take(k, axis=0))
     fx = np.fft.fftfreq(field.n, d=field.cell)
     overlaps = np.exp(-2j * math.pi * np.multiply.outer(delta, fx)) @ cross
-    pa = np.sum(np.abs(spec) ** 2)
-    pb = np.sum(np.abs(spec_long) ** 2)
-    return geom.v0 * _visibility(overlaps, pa, pb)
+    gain = np.abs(kernel)
+    gain *= gain
+    return geom.v0 * _visibility(overlaps, np.sum(quadrant), np.sum(quadrant * gain))

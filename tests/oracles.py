@@ -373,6 +373,25 @@ def angular_spectrum_kernel_dense(field, distance):
     return kernel
 
 
+def aoi_visibility_scan_dense(field, geom, alphas):
+    """Relay-off visibilities on the full N x N grid: the spectrum A of the
+    centered field, B = A K with the dense kernel, cross[i] = sum_j conj(A) B
+    over each row, one phase ramp per angle, and the powers sum |A|^2 and
+    sum |B|^2."""
+    from timebin_analyzer import geometry as g
+    from timebin_analyzer import waveoptics as w
+
+    spec = w._spectrum(field)
+    spec_long = spec * angular_spectrum_kernel_dense(field, geom.delta_l0)
+    cross = np.einsum("ij,ij->i", np.conj(spec), spec_long)
+    delta = g.lateral_offset(geom, np.asarray(alphas, dtype=float))
+    fx = np.fft.fftfreq(field.n, d=field.cell)
+    overlaps = np.exp(-2j * math.pi * np.multiply.outer(delta, fx)) @ cross
+    pa = np.sum(np.abs(spec) ** 2)
+    pb = np.sum(np.abs(spec_long) ** 2)
+    return geom.v0 * np.abs(overlaps) / (0.5 * (pa + pb))
+
+
 def signal_bandwidth_argsort(field, spec):
     """Radial frequency holding all but 1e-12 of the power of the unshifted
     spectrum ``spec``: every cell sorted by hypot(fx, fy), then one

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from timebin_analyzer import geometry as g
@@ -15,6 +15,7 @@ from timebin_analyzer.analysis import FieldSpec
 
 from oracles import (
     angular_spectrum_kernel_dense,
+    aoi_visibility_scan_dense,
     gaussian_dense,
     gaussian_overlap_quadrature,
     normalized,
@@ -25,6 +26,19 @@ from oracles import (
 )
 
 SIGMA = 1.49e-3 / 2.0  # intensity std matching the reference geometry
+
+# The golden visibility_scan_*.csv inputs, then each field kind of the
+# aoi_sweep benchmark.
+SWEEP_FIELDS = (
+    [("gaussian", 256, 1, 0), ("speckle", 256, 15, 5), ("gaussian", 512, 1, 0)]
+    + [("speckle", 256, m, 1) for m in (5, 10, 20, 30)]
+    + [("speckle", 512, m, 1) for m in (10, 30, 50)]
+)
+
+
+def bandwidth(field, spec):
+    """The ring bandwidth of the power of ``spec``, folded as the library folds it."""
+    return w._signal_bandwidth(field, w._folded_power(spec)[1])
 
 
 @pytest.fixture
@@ -165,6 +179,29 @@ class TestMakeSpeckle:
         grid = np.full((64, 64), value, dtype=complex)
         with pytest.raises(ValueError, match="cannot normalize a zero-power field"):
             w._unit_power(grid, 0.01, 776e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        parts=hst.lists(
+            hst.floats(-1e150, 1e150) | hst.sampled_from([0.0, -0.0]),
+            min_size=2,
+            max_size=128,
+        ),
+        extent=hst.floats(1e-4, 0.1),
+    )
+    def test_unit_power_scaling_equals_division(self, parts, extent):
+        # Scaling the float view by 1/sqrt(p) gives grid / sqrt(p): equal
+        # cells, and equal bits wherever neither part of the input is zero.
+        grid = np.resize(np.asarray(parts), 2 * 64 * 64).view(complex).reshape(64, 64)
+        p = w.ScalarField(grid, extent, 776e-9).power()
+        assume(0 < p < math.inf)
+        expected = grid / math.sqrt(p)
+        scaled = w._unit_power(grid.copy(), extent, 776e-9).grid
+        assert np.array_equal(scaled, expected)
+        signed = (grid.real != 0) & (grid.imag != 0)
+        assert np.array_equal(
+            scaled[signed].view(np.uint64), expected[signed].view(np.uint64)
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -367,9 +404,7 @@ class TestKernelAndBandwidth:
             ]
         for field in fields:
             spec = w._spectrum(field)
-            assert w._signal_bandwidth(field, spec) == signal_bandwidth_ring_loop(
-                field, spec
-            )
+            assert bandwidth(field, spec) == signal_bandwidth_ring_loop(field, spec)
 
     def test_bandwidth_is_largest_radius_of_crossing_ring(self):
         # All power on ring 5365, whose cells differ in hypot(fx, fy) by an
@@ -380,22 +415,23 @@ class TestKernelAndBandwidth:
         ring = k[:, None] ** 2 + k[None, :] ** 2 == 5365
         radius = np.hypot(f[:, None], f[None, :])[ring]
         assert radius.min() < radius.max()
-        assert w._signal_bandwidth(field, ring.astype(complex)) == radius.max()
+        assert bandwidth(field, ring.astype(complex)) == radius.max()
 
-    # The golden visibility_scan_*.csv inputs, then each field kind of the
-    # aoi_sweep benchmark.
-    @pytest.mark.parametrize(
-        "mode, grid_n, mode_count, seed",
-        [("gaussian", 256, 1, 0), ("speckle", 256, 15, 5), ("gaussian", 512, 1, 0)]
-        + [("speckle", 256, m, 1) for m in (5, 10, 20, 30)]
-        + [("speckle", 512, m, 1) for m in (10, 30, 50)],
-    )
+    @pytest.mark.parametrize("mode, grid_n, mode_count, seed", SWEEP_FIELDS)
     def test_bandwidth_equals_argsort_on_sweep_fields(
         self, geom, mode, grid_n, mode_count, seed
     ):
         field = FieldSpec(mode, grid_n, mode_count=mode_count, seed=seed).build(geom)
         spec = w._spectrum(field)
-        assert w._signal_bandwidth(field, spec) == signal_bandwidth_argsort(field, spec)
+        assert bandwidth(field, spec) == signal_bandwidth_argsort(field, spec)
+
+    @pytest.mark.parametrize("mode, grid_n, mode_count, seed", SWEEP_FIELDS)
+    def test_sweep_bandwidth_equals_argsort(self, geom, mode, grid_n, mode_count, seed):
+        # The sweep reads the power of the uncentered spectrum fft2(grid).
+        field = FieldSpec(mode, grid_n, mode_count=mode_count, seed=seed).build(geom)
+        spec = np.fft.fft2(field.grid)
+        assert bandwidth(field, spec) == signal_bandwidth_argsort(field, spec)
+        assert bandwidth(field, spec) == bandwidth(field, w._spectrum(field))
 
     def test_bandwidth_ring_is_the_exact_crossing(self):
         # A field where the cell-by-cell argsort sum rounds across the
@@ -403,9 +439,11 @@ class TestKernelAndBandwidth:
         # the ring version.
         field = w.make_speckle(30, seed=4, grid_n=256)
         spec = w._spectrum(field)
-        rings = w._signal_bandwidth(field, spec)
+        rings = bandwidth(field, spec)
         assert rings == signal_bandwidth_ring_loop(field, spec, Fraction)
         assert rings > signal_bandwidth_argsort(field, spec)
+        # The sweep's uncentered spectrum lands on the same exact ring.
+        assert bandwidth(field, np.fft.fft2(field.grid)) == rings
 
 
 class TestInterfere:
@@ -495,7 +533,7 @@ class TestAoiVisibilityScan:
 
     @pytest.mark.parametrize("angles", [1, 9, 41])
     def test_one_kernel_per_sweep(self, gaussian, geom, monkeypatch, angles):
-        calls = {"kernel": 0, "range": 0, "fft2": 0, "overlap": 0}
+        calls = dict.fromkeys(["fft2", "quadrant", "range", "kernel", "overlap"], 0)
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -503,23 +541,48 @@ class TestAoiVisibilityScan:
                 return func(*args, **kwargs)
             return wrapper
 
-        spectra = counted("kernel", w._angular_spectra)
-        monkeypatch.setattr(w, "_angular_spectra", spectra)
+        monkeypatch.setattr(np.fft, "fft2", counted("fft2", np.fft.fft2))
+        monkeypatch.setattr(w, "_kernel_quadrant", counted("quadrant", w._kernel_quadrant))
         # The alias-free range is taken from the sweep's own spectrum.
         monkeypatch.setattr(w, "_signal_bandwidth", counted("range", w._signal_bandwidth))
-        monkeypatch.setattr(np.fft, "fft2", counted("fft2", np.fft.fft2))
+        # No full-grid kernel: the sweep reads the kernel quadrant.
+        monkeypatch.setattr(w, "_kernel", counted("kernel", w._kernel))
         monkeypatch.setattr(w, "overlap", counted("overlap", w.overlap))
         alphas = np.linspace(0.0, 2e-3, angles)
         assert w.aoi_visibility_scan(gaussian, geom, alphas, False).shape == (angles,)
-        assert calls == {"kernel": 1, "range": 1, "fft2": 1, "overlap": 0}
+        assert calls == {"fft2": 1, "quadrant": 1, "range": 1, "kernel": 0, "overlap": 0}
         assert w.aoi_visibility_scan(gaussian, geom, alphas, True).shape == (angles,)
-        assert calls == {"kernel": 1, "range": 1, "fft2": 1, "overlap": 1}
+        assert calls == {"fft2": 1, "quadrant": 1, "range": 1, "kernel": 0, "overlap": 1}
+
+    @pytest.mark.parametrize("mode, grid_n, mode_count, seed", SWEEP_FIELDS)
+    def test_matches_dense_oracle_on_sweep_fields(
+        self, geom, mode, grid_n, mode_count, seed
+    ):
+        field = FieldSpec(mode, grid_n, mode_count=mode_count, seed=seed).build(geom)
+        scan = w.aoi_visibility_scan(field, geom, self.ALPHAS, False)
+        dense = aoi_visibility_scan_dense(field, geom, self.ALPHAS)
+        assert np.max(np.abs(scan - dense)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [64, 65, 96, 97])
+    def test_matches_dense_oracle_on_band_limited_grids(self, geom, n):
+        # Every frequency up to the grid's band edge carries power, so a fold
+        # that drops or doubles an edge column (k = N/2 for even N, or
+        # (N-1)/2 and its partner for odd N) moves the result.
+        rng = np.random.Generator(np.random.PCG64(n))
+        k = np.minimum(np.arange(n), n - np.arange(n))
+        taper = 1.0 / (1.0 + k[:, None] ** 2 + k[None, :] ** 2)
+        spec = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * taper
+        field = w.ScalarField(np.fft.fftshift(np.fft.ifft2(spec)), 0.012, 776e-9)
+        scan = w.aoi_visibility_scan(field, geom, self.ALPHAS, False)
+        dense = aoi_visibility_scan_dense(field, geom, self.ALPHAS)
+        assert np.max(np.abs(scan - dense)) <= 1e-15
 
     def test_empty_sweep_does_not_propagate(self, gaussian, geom, monkeypatch):
         def fail(*args):
-            raise AssertionError("kernel built for an empty sweep")
+            raise AssertionError("spectrum or kernel built for an empty sweep")
 
-        monkeypatch.setattr(w, "_angular_spectra", fail)
+        monkeypatch.setattr(np.fft, "fft2", fail)
+        monkeypatch.setattr(w, "_kernel_quadrant", fail)
         for relay in (False, True):
             out = w.aoi_visibility_scan(gaussian, geom, [], relay)
             assert out.shape == (0,) and out.dtype == float
