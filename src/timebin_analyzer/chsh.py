@@ -93,20 +93,40 @@ class DriftModel:
 
     def phase(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            return self.phase0 + self.amount * t / self.period
-        return self.phase0 + self.amount * np.sin(2.0 * math.pi * t / self.period)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "linear":
+                phi = self.phase0 + self.amount * t / self.period
+            else:
+                phi = self.phase0 + self.amount * np.sin(2 * math.pi * t / self.period)
+        if not np.all(np.isfinite(phi)):
+            raise ValueError(
+                f"amount and period must be such that the drift phase stays "
+                f"finite, got amount {self.amount} rad and period {self.period} s"
+            )
+        return phi
+
+
+# Largest mean pair count per bucket, rate * bucket.  numpy's Poisson
+# sampler refuses means above about 9.2e18; every bucket's mean count is
+# at most rate * bucket, so this bound keeps each draw within it.
+MAX_PAIRS_PER_BUCKET = 1e18
 
 
 def bucket_times(duration, bucket, rate=None):
     """Start times of the buckets of a scan, after checking its parameters.
 
     ``duration``, ``bucket`` and (unless None) ``rate`` must be finite
-    and > 0, and the duration must round to at least one bucket.
+    and > 0, rate * bucket at most ``MAX_PAIRS_PER_BUCKET``, and the
+    duration must round to at least one bucket.
     """
     for name, value in (("rate", rate), ("duration", duration), ("bucket", bucket)):
         if value is not None:
             finite_in(name, value, 0, open_lo=True)
+    if rate is not None and rate * bucket > MAX_PAIRS_PER_BUCKET:
+        raise ValueError(
+            f"rate * bucket must be <= {MAX_PAIRS_PER_BUCKET:g} pairs per bucket, "
+            f"got rate {rate} /s and bucket {bucket} s"
+        )
     n = int(round(duration / bucket))
     if n < 1:
         raise ValueError(

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra for small bipartite quantum systems.
+"""Dense linear algebra for small bipartite quantum systems.
 
 Operators live on a 2-dimensional polarization factor (Alice, basis
 {H, V}) tensored with a 2- or 3-dimensional time-bin factor (Bob).  The
 3-dimensional Bob basis is {no photon, E, L} with the vacuum first.
-All matrices are plain complex numpy arrays; :class:`DensityMatrix` is a
-thin validated wrapper that remembers the factor dimensions.
+All matrices are plain complex numpy arrays, except the PPT program's
+real symmetric unknowns (:func:`vec_symmetric`); :class:`DensityMatrix`
+is a thin validated wrapper that remembers the factor dimensions.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def partial_transpose(m, dim_a=2, dim_b=None):
 
     The operation is an involution and preserves trace and Hermiticity.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     n = m.shape[0]
     if m.shape != (n, n):
         raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
@@ -156,44 +157,34 @@ def operator_from_dict(d):
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def vec_hermitian(m):
-    """Real coordinates of a Hermitian n x n matrix, or of a stack of them.
+def vec_symmetric(m):
+    """Real coordinates of a real symmetric n x n matrix, or of a stack of them.
 
     The coordinates are those in the orthonormal (Frobenius) basis of
-    diagonal unit matrices, then (E_ij + E_ji)/sqrt(2) for each i<j,
-    then i(E_ij - E_ji)/sqrt(2) for each i<j, in row-major order of
-    (i, j): the n diagonal entries, then c*Re m[j,i] + c*Re m[i,j], then
-    c*Im m[j,i] - c*Im m[i,j] with c = 1/sqrt(2).  Both triangles are
-    read, so the map is the Frobenius pairing Tr(B m) also for a matrix
-    that is Hermitian only to rounding.
+    diagonal unit matrices, then (E_ij + E_ji)/sqrt(2) for each i<j in
+    row-major order: m[i,i], then c*m[j,i] + c*m[i,j] with c = 1/sqrt(2).
+    Both triangles are read, so the map is the Frobenius pairing Tr(B m)
+    also for a matrix that is symmetric only to rounding.  A nonzero
+    imaginary part raises ValueError.
     """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    upper, lower = m[..., i, j], m[..., j, i]
-    d = np.arange(n)
-    return np.concatenate(
-        [
-            m[..., d, d].real,
-            _INV_SQRT2 * lower.real + _INV_SQRT2 * upper.real,
-            _INV_SQRT2 * lower.imag - _INV_SQRT2 * upper.imag,
-        ],
-        axis=-1,
-    )
+    m = np.asarray(m)
+    if np.any(np.imag(m)):
+        raise ValueError("vec_symmetric needs a real matrix, got a complex one")
+    m = m.real
+    i, j = np.triu_indices(m.shape[-1], 1)
+    pairs = _INV_SQRT2 * m[..., j, i] + _INV_SQRT2 * m[..., i, j]
+    return np.concatenate([m.diagonal(axis1=-2, axis2=-1), pairs], axis=-1)
 
 
-def unvec_hermitian(x):
-    """Hermitian matrix from its coordinates in :func:`vec_hermitian` order."""
+def unvec_symmetric(x):
+    """Real symmetric matrix from its coordinates in :func:`vec_symmetric` order."""
     x = np.asarray(x, dtype=float)
-    n = math.isqrt(x.shape[-1])
-    if n * n != x.shape[-1]:
-        raise DimensionMismatchError(f"{x.shape[-1]} coordinates are not n^2")
+    n = (math.isqrt(8 * x.shape[-1] + 1) - 1) // 2
+    if n * (n + 1) != 2 * x.shape[-1]:
+        raise DimensionMismatchError(f"{x.shape[-1]} coordinates are not n(n+1)/2")
     i, j = np.triu_indices(n, 1)
-    pairs = i.size
-    sym, anti = x[..., n : n + pairs], x[..., n + pairs :]
-    m = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    m = np.zeros(x.shape[:-1] + (n, n))
     d = np.arange(n)
     m[..., d, d] = x[..., :n]
-    m[..., i, j] = _INV_SQRT2 * sym - 1j * (_INV_SQRT2 * anti)
-    m[..., j, i] = _INV_SQRT2 * sym + 1j * (_INV_SQRT2 * anti)
+    m[..., i, j] = m[..., j, i] = _INV_SQRT2 * x[..., n:]
     return m

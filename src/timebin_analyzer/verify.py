@@ -16,9 +16,12 @@ without affecting verdicts; the certified feasible/infeasible answer is
 independent of that mass for any value in (0, 1).
 
 One program: maximize t subject to rho - t*I > 0 and rho^Gamma - t*I > 0
-over the affine subspace of all Hermitian 6x6 matrices that meet the
-five constraints, held in the real coordinates of
-:func:`~timebin_analyzer.quantum.vec_hermitian`.  One solver: log-det
+over the real symmetric 6x6 matrices that meet the five constraints, in
+the coordinates of :func:`~timebin_analyzer.quantum.vec_symmetric`.  The
+operators are real, so the conjugate of a feasible state is feasible with
+the same t; the barrier is conjugation-invariant and strictly convex, so
+its central points are real (Gatermann & Parrilo, J. Pure Appl. Algebra
+192, 2004).  One solver: log-det
 barrier path-following (Nesterov & Nemirovskii 1994; Vandenberghe &
 Boyd, SIAM Rev. 38, 1996).  From a strictly feasible start, damped
 Newton steps minimize -t/mu - log det(rho - t*I) - log det(rho^Gamma -
@@ -53,15 +56,17 @@ from .quantum import (
     min_eigenvalue,
     partial_transpose,
     tensor,
-    unvec_hermitian,
-    vec_hermitian,
+    unvec_symmetric,
+    vec_symmetric,
 )
 
 DEFAULT_QUBIT_MASS = 2.0 / 3.0
 DEFAULT_TOL = 1e-7
+# Smallest boundary_scan step; on a finer grid, points in [0.5, 1) collide.
+MIN_RESOLUTION = 2.0**-53
 
 # Projector onto Bob's detected (one-photon) subspace, in {none, E, L}.
-_QUBIT_SECTOR = np.kron(np.eye(2), np.diag([0.0, 1.0, 1.0])).astype(complex)
+_QUBIT_SECTOR = np.kron(np.eye(2), np.diag([0.0, 1.0, 1.0]))
 
 
 class NonConvergenceError(RuntimeError):
@@ -75,7 +80,7 @@ class NonConvergenceError(RuntimeError):
 @dataclass
 class ConstraintSet:
     """Affine constraints Tr(rho C_k) = b_k of the feasibility program, with
-    their least-squares solution ``x0`` in Hermitian coordinates and the
+    their least-squares solution ``x0`` in real symmetric coordinates and the
     ``singular_values`` of the constraint rows, both found on construction."""
 
     operators: list
@@ -87,7 +92,7 @@ class ConstraintSet:
     qubit_mass: float
 
     def __post_init__(self):
-        rows = vec_hermitian(np.array(self.operators))
+        rows = vec_symmetric(np.array(self.operators))
         b = np.asarray(self.targets, dtype=float)
         self.x0, _, _, self.singular_values = np.linalg.lstsq(rows, b, rcond=None)
         residual = float(np.max(np.abs(rows @ self.x0 - b)))
@@ -140,7 +145,7 @@ def build_constraints(
         return d - v * s
 
     operators = [
-        np.eye(6, dtype=complex),
+        np.eye(6),
         coincidence((alice["H"], bob["E"]), (alice["V"], bob["E"]), v_z),
         coincidence((alice["V"], bob["L"]), (alice["H"], bob["L"]), v_z),
         coincidence((alice["D"], bob["X"]), (alice["A"], bob["X"]), v_xy),
@@ -208,10 +213,10 @@ def _log_det_derivatives(c):
     the latter as one (K, 72) x (72, K) product.
     """
     k = c.shape[1]
-    grad = -c.diagonal(axis1=2, axis2=3).sum(-1).real.sum(axis=0)
+    grad = -c.diagonal(axis1=2, axis2=3).sum(-1).sum(axis=0)
     left = c.transpose(1, 0, 2, 3).reshape(k, 72)
     right = c.transpose(0, 3, 2, 1).reshape(72, k)
-    return grad, (left @ right).T.real
+    return grad, (left @ right).T
 
 
 def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
@@ -226,15 +231,15 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     line search stalls or a Newton system fails to factor.
     """
     finite_in("tol", tol, 0, open_lo=True)
-    # The null basis (11 kB) is not kept on cs: callers hold many constraint sets.
-    _, s, vt = np.linalg.svd(vec_hermitian(np.array(cs.operators)))
+    # The null basis (2.7 kB) is not kept on cs: callers hold many constraint sets.
+    _, s, vt = np.linalg.svd(vec_symmetric(np.array(cs.operators)))
     rank = int(np.sum(s > 1e-12 * s[0]))
     null = vt[rank:].T  # columns span the nullspace
     # F_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
-    basis = np.concatenate([unvec_hermitian(null.T), -np.eye(6)[None]])
+    basis = np.concatenate([unvec_symmetric(null.T), -np.eye(6)[None]])
     a = np.stack([basis, [partial_transpose(m) for m in basis]])
     a_flat = a.transpose(1, 0, 2, 3).reshape(len(basis), 72)
-    x0 = unvec_hermitian(cs.x0)
+    x0 = unvec_symmetric(cs.x0)
     f0 = np.stack([x0, partial_transpose(x0)])
 
     def factor(w):
@@ -245,7 +250,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
             return None
 
     def objective(w, chol):
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum()
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
         return -w[-1] / mu - log_det
 
     w = np.zeros(null.shape[1] + 1)
@@ -255,7 +260,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     steps = 0
     while True:
         inv = np.linalg.inv(chol)
-        f_inv = inv.conj().transpose(0, 2, 1) @ inv
+        f_inv = inv.transpose(0, 2, 1) @ inv
         grad, hess = _log_det_derivatives(f_inv[:, None] @ a)
         grad[-1] -= 1.0 / mu
         try:
@@ -292,7 +297,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         w, chol = trial, chol_trial
         steps += 1
 
-    rho = unvec_hermitian(cs.x0 + null @ w[:-1])
+    rho = unvec_symmetric(cs.x0 + null @ w[:-1])
     min_eig, min_eig_pt = min_eigenvalue(rho), min_eigenvalue(partial_transpose(rho))
     margin = min(min_eig, min_eig_pt)
     feasible = margin >= -tol
@@ -330,10 +335,10 @@ def boundary_scan(
     """Smallest infeasible v_xy on a dyadic grid, for each v_z.
 
     The grid step is 2^-m, the largest power of two not above
-    ``resolution``.  The threshold is the grid point k/2^m with
-    (k-1)/2^m feasible and k/2^m infeasible (margin < -tol): where the
-    verdict changes once along the grid, the point bisection of [0, 1]
-    reaches, found with fewer solves.  Each step
+    ``resolution`` (at least ``MIN_RESOLUTION`` = 2^-53).  The threshold
+    is the grid point k/2^m with (k-1)/2^m feasible and k/2^m infeasible
+    (margin < -tol): where the verdict changes once along the grid, the
+    point bisection of [0, 1] reaches, found with fewer solves.  Each step
     rounds to the grid the regula falsi estimate of the zero of
     margin + tol, with the Illinois rule (halve the value kept at an end
     that two steps in a row left in place), and takes the midpoint
@@ -343,7 +348,7 @@ def boundary_scan(
     with a PPT state the point is reported unbracketed with an infinite
     threshold.
     """
-    finite_in("resolution", resolution, 0, open_lo=True)
+    finite_in("resolution", resolution, MIN_RESOLUTION)
     n = 1
     while 1.0 / n > resolution:
         n *= 2

@@ -232,6 +232,13 @@ def hermitian_basis(dim):
     return basis
 
 
+def symmetric_basis(dim):
+    """The real members of :func:`hermitian_basis`: an orthonormal basis of
+    the real symmetric dim x dim matrices, diagonal unit matrices first,
+    then (E_ij + E_ji)/sqrt(2) for each i<j."""
+    return [b.real for b in hermitian_basis(dim) if not np.any(b.imag)]
+
+
 def basis_traces(m, basis):
     """Real coordinates Tr(b^dagger m) of a matrix in an orthonormal basis."""
     m = np.asarray(m, dtype=complex)

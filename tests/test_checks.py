@@ -159,6 +159,12 @@ GUARDED = {
     "boundary_scan.resolution": (
         lambda v: verify.boundary_scan([0.9], EFF, resolution=v), "resolution", POSITIVE
     ),
+    # Below 2^-53 the dyadic grid would overflow a float or repeat its points.
+    "boundary_scan.resolution_floor": (
+        lambda v: verify.boundary_scan([0.9], EFF, resolution=v),
+        "resolution",
+        hst.floats(0.0, 2.0**-53, exclude_min=True, exclude_max=True),
+    ),
     "expectation_vs_aoi.v_xy": (
         lambda v: analysis.expectation_vs_aoi(GEOM, v, [0.0], False), "v_xy", SIGNED
     ),

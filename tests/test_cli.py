@@ -237,6 +237,15 @@ class TestVisibilityScan:
                  "resolution"),
                 (["npt-boundary", "--vz-grid", "0.9", "--resolution", "0"],
                  "resolution"),
+                (["npt-boundary", "--resolution", "1e-310"], "resolution"),
+                (["chsh-scan", "--rate", "1e308"], "rate * bucket"),
+                (["chsh-scan", "--drift-amount", "1e308rad"], "amount and period"),
+                (["chsh-scan", "--drift-period", "1e-308s"], "amount and period"),
+                (["chsh-scan", "--bucket", "1e300s", "--duration", "1e300s"],
+                 "rate * bucket"),
+                (["stability", "--rate", "1e308"], "rate * bucket"),
+                (["stability", "--drift-amount", "1e308rad"], "amount and period"),
+                (["stability", "--drift-period", "1e-308s"], "amount and period"),
                 (["visibility-scan", "--relay", "yes"], "relay"),
                 (["expectation-aoi", "--relay", "yes"], "relay"),
                 (["npt-verify", "--eta-l", "abc"], "eta_l"),

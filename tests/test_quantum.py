@@ -10,11 +10,11 @@ from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_p
 
 from oracles import (
     basis_traces,
-    hermitian_basis,
     jacobi_eigvalsh,
     kron_loops,
     partial_transpose_loops,
     random_density_matrix,
+    symmetric_basis,
 )
 
 
@@ -186,44 +186,45 @@ class TestSerialization:
 
 
 class TestHermitianBasis:
-    """The index map against the oracle's explicit basis and traces."""
+    """The real symmetric index map against the real members of the
+    oracle's Hermitian basis and their traces."""
 
     def test_orthonormal_and_complete(self):
-        basis = hermitian_basis(6)
-        assert len(basis) == 36
+        basis = symmetric_basis(6)
+        assert len(basis) == 21
         gram = np.array([basis_traces(b, basis) for b in basis])
-        assert np.max(np.abs(gram - np.eye(36))) < 1e-14
-        assert np.array_equal(q.vec_hermitian(np.array(basis)), gram)
+        assert np.max(np.abs(gram - np.eye(21))) < 1e-14
+        assert np.array_equal(q.vec_symmetric(np.array(basis)), gram)
 
     def test_vec_round_trip(self):
         rng = np.random.default_rng(20)
-        m = random_hermitian(rng, 6)
-        x = q.vec_hermitian(m)
-        assert x.shape == (36,)
-        assert np.max(np.abs(q.unvec_hermitian(x) - m)) < 1e-13
+        m = random_hermitian(rng, 6).real
+        x = q.vec_symmetric(m)
+        assert x.shape == (21,)
+        assert np.max(np.abs(q.unvec_symmetric(x) - m)) < 1e-13
 
     def test_vec_matches_basis_traces(self):
         rng = np.random.default_rng(21)
-        basis = hermitian_basis(6)
+        basis = symmetric_basis(6)
         eff = AnalyzerEfficiencies(0.9, 0.9)
-        matrices = [random_hermitian(rng, 6) for _ in range(20)]
+        matrices = [random_hermitian(rng, 6).real for _ in range(20)]
         matrices += verify.build_constraints(0.952, 0.804, eff).operators
-        # A gradient is Hermitian only to rounding; both triangles count.
-        matrices.append(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        # A Newton-step matrix is symmetric only to rounding; both triangles count.
+        matrices.append(rng.normal(size=(6, 6)))
         for m in matrices:
-            assert np.array_equal(q.vec_hermitian(m), basis_traces(m, basis))
-        stacked = q.vec_hermitian(np.array(matrices))
+            assert np.array_equal(q.vec_symmetric(m), basis_traces(m, basis))
+        stacked = q.vec_symmetric(np.array(matrices))
         assert np.array_equal(stacked, [basis_traces(m, basis) for m in matrices])
 
     def test_unvec_matches_basis_sum(self):
         rng = np.random.default_rng(22)
-        basis = np.array(hermitian_basis(6))
+        basis = np.array(symmetric_basis(6))
         for _ in range(20):
-            x = rng.normal(size=36)
+            x = rng.normal(size=21)
             assert np.array_equal(
-                q.unvec_hermitian(x), np.tensordot(x, basis, axes=1)
+                q.unvec_symmetric(x), np.tensordot(x, basis, axes=1)
             )
 
     def test_unvec_rejects_bad_length(self):
         with pytest.raises(q.DimensionMismatchError):
-            q.unvec_hermitian(np.zeros(35))
+            q.unvec_symmetric(np.zeros(20))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
 from timebin_analyzer import verify
-from timebin_analyzer.measurement import AnalyzerEfficiencies
+from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_povm
 
 from oracles import (
     alternating_projections,
@@ -132,18 +133,44 @@ class TestSdpFeasible:
 
 
 def test_log_det_derivatives_match_trace_and_einsum():
-    # c[b, k] = F_b^-1 A_bk with F_b positive definite and A_bk Hermitian.
+    # c[b, k] = F_b^-1 A_bk with F_b positive definite and A_bk symmetric,
+    # all real, for the 17 coordinates of w.
     rng = np.random.default_rng(7)
-    g = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
-    f = g @ g.conj().transpose(0, 2, 1) + np.eye(6)
-    h = rng.normal(size=(2, 32, 6, 6)) + 1j * rng.normal(size=(2, 32, 6, 6))
-    a = h + h.conj().transpose(0, 1, 3, 2)
+    g = rng.normal(size=(2, 6, 6))
+    f = g @ g.transpose(0, 2, 1) + np.eye(6)
+    h = rng.normal(size=(2, 17, 6, 6))
+    a = h + h.transpose(0, 1, 3, 2)
     c = np.linalg.inv(f)[:, None] @ a
     grad, hess = verify._log_det_derivatives(c)
-    ref_grad = -np.trace(c, axis1=2, axis2=3).real.sum(axis=0)
-    ref_hess = np.einsum("bkij,blji->kl", c, c, optimize=True).real
+    ref_grad = -np.trace(c, axis1=2, axis2=3).sum(axis=0)
+    ref_hess = np.einsum("bkij,blji->kl", c, c, optimize=True)
     assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
     assert np.linalg.norm(hess - ref_hess) <= 1e-12 * np.linalg.norm(ref_hess)
+
+
+def test_complex_constraint_operator_refused():
+    # A nonzero Bob phase makes the program complex; the real solver
+    # refuses it instead of dropping the imaginary part.
+    cs = verify.build_constraints(0.9, 0.3, EFF)
+    mid = bob_povm(EFF, relative_phase=0.3)["X"]
+    operators = [*cs.operators[:3], q.tensor(alice_povm()["D"], mid), *cs.operators[4:]]
+    with pytest.raises(ValueError, match="real"):
+        dataclasses.replace(cs, operators=operators)
+
+
+def test_newton_system_is_17_by_17(monkeypatch):
+    # 21 real symmetric coordinates less 5 constraints, plus t.
+    systems = set()
+    solve = verify._newton_direction
+
+    def record(hess, rhs):
+        systems.add((hess.shape, hess.dtype, rhs.dtype))
+        return solve(hess, rhs)
+
+    monkeypatch.setattr(verify, "_newton_direction", record)
+    for v_xy in (0.3, 0.804):
+        verify.sdp_feasible(verify.build_constraints(0.952, v_xy, EFF))
+    assert systems == {((17, 17), np.dtype(float), np.dtype(float))}
 
 
 class TestAlternatingProjections:
