@@ -4,8 +4,9 @@ Subpackages by concern:
 
 - :mod:`timebin_analyzer.geometry`: closed-form ray model of the
   unbalanced Michelson analyzer and the relay ABCD identity.
-- :mod:`timebin_analyzer.waveoptics`: scalar-field propagation,
-  speckle fields, and overlap-based fringe visibility.
+- :mod:`timebin_analyzer.waveoptics`: Gaussian and speckle fields on
+  grids, and the analyzer's fringe visibility versus angle, scored in the
+  spectral domain.
 - :mod:`timebin_analyzer.quantum`: dense operators, tensor products,
   partial transpose, expectation values.
 - :mod:`timebin_analyzer.states`: hybrid entangled state, the

@@ -128,8 +128,8 @@ def expectation_vs_aoi(
     if relay:
         e_vals = np.full(alphas.shape, v_xy * math.cos(fixed_phase))
     else:
-        envelope = _geometry.visibility(geom, alphas) / geom.v0
         unwrapped = _geometry.phase(geom, alphas).unwrapped
+        envelope = _geometry.visibility(geom, alphas) / geom.v0
         e_vals = envelope * v_xy * np.cos(unwrapped)
     rate = throughput_vs_aoi(alphas)
     rows = np.column_stack([alphas, e_vals, rate])

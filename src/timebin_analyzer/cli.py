@@ -274,10 +274,19 @@ def cmd_relay_check(settings):
 def cmd_phase_sensitivity(settings):
     geom = _geometry_from(settings)
     step = 1e-9
-    d1 = (
-        geometry.path_difference(geom, step) - geometry.path_difference(geom, -step)
-    ) / (2 * step)
+    # A slope that overflows comes with a phase that overflows, which
+    # geometry.phase refuses below, naming the settings.
+    with np.errstate(over="ignore"):
+        d1 = (
+            geometry.path_difference(geom, step) - geometry.path_difference(geom, -step)
+        ) / (2 * step)
     aoi_per_pi = geom.wavelength / (2.0 * abs(d1))
+    if not aoi_per_pi < geometry.ALPHA_LIMIT:
+        raise ValueError(
+            f"wavelength and delta_l0 must be such that the pi-shift angle "
+            f"wavelength/(2|slope|) is below pi/4 rad, got wavelength "
+            f"{geom.wavelength} m and delta_l0 {geom.delta_l0} m"
+        )
     nominal = 349e-9
     residual = abs(aoi_per_pi - nominal) / nominal
     phi0 = geometry.phase(geom, 0.0).unwrapped

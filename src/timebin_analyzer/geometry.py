@@ -118,7 +118,13 @@ def phase(geom: InterferometerGeometry, alpha) -> PhaseResult:
     (-pi, pi].  Only phase differences are physically meaningful; the
     wrapped value is convenient for fringe prediction.
     """
-    u = 2.0 * math.pi * path_difference(geom, alpha) / geom.wavelength
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 2.0 * math.pi * path_difference(geom, alpha) / geom.wavelength
+    if not np.isfinite(u).all():
+        raise ValueError(
+            f"delta_l0 and wavelength must be such that the phase stays finite, "
+            f"got delta_l0 {geom.delta_l0} m and wavelength {geom.wavelength} m"
+        )
     w = math.pi - np.mod(math.pi - u, 2.0 * math.pi)
     if np.ndim(u) == 0:
         return PhaseResult(float(u), float(w))

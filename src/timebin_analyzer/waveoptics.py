@@ -1,9 +1,12 @@
 """Scalar wave-optics model of the analyzer.
 
 Fields are complex amplitudes sampled on a square grid with the origin
-at the center.  Propagation uses the exact scalar angular-spectrum
-kernel with an anti-aliasing guard; translations are spectral and exact
-for band-limited fields.
+at the center.  :func:`aoi_visibility_scan` scores the analyzer on the
+field's power spectrum: the long arm is the input propagated with the
+exact scalar angular-spectrum kernel, behind an anti-aliasing guard, and
+offset spectrally, which is exact for band-limited fields.  The
+per-angle composition it replaces (propagate, shift, overlap in real
+space) is kept in ``tests/oracles.py`` as the reference.
 
 The fundamental Gaussian is E(r) ~ exp(-r^2/(4 sigma^2)), i.e. ``sigma``
 is the standard deviation of the intensity profile.  Two unit-power
@@ -60,10 +63,6 @@ class ScalarField:
     def cell(self) -> float:
         return self.extent / self.n
 
-    def coords(self):
-        """Centered coordinate axis of the grid [m]."""
-        return (np.arange(self.n) - self.n // 2) * self.cell
-
     def power(self) -> float:
         a = np.abs(self.grid)
         return float(np.sum(np.square(a, out=a)) * self.cell**2)
@@ -103,10 +102,18 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
         extent = 16.0 * sigma
     finite_in("extent", extent, 12.0 * sigma)
     cell = extent / grid_n
+    # The power sums |E|^2 cell^2 and the profile squares x up to extent/2:
+    # unless cell^2 is a normal float and extent^2 finite, the field's power
+    # reads inf or NaN.
+    if not (1.5e-154 <= cell and extent < 1.3e154):
+        raise ValueError(
+            f"sigma must be such that (extent/grid_n)^2 is a normal float and "
+            f"extent^2 finite, got sigma {sigma} m and extent {extent} m"
+        )
     if sigma < 3.0 * cell:
         raise GridResolutionError(
             f"sigma = {sigma} spans fewer than 3 grid cells (cell = {cell}); "
-            f"increase grid_n to at least {math.ceil(3 * extent / sigma)}"
+            f"increase grid_n to at least {np.ceil(3 * extent / sigma):.12g}"
         )
     # Cell i sits at (i - N/2) cell, and (-k cell)^2 == (k cell)^2, so the
     # quadrant k = |i - N/2| <= N/2 holds every value of the full grid.
@@ -191,11 +198,6 @@ def _check_shift(field: ScalarField, dx_abs):
         )
 
 
-def _spectrum(field: ScalarField):
-    """Unshifted 2-D spectrum of the field grid."""
-    return np.fft.fft2(np.fft.ifftshift(field.grid))
-
-
 def _fold(power):
     """Add column j of ``power`` into column min(j, N - j), the folded index:
     the last axis shrinks from N to N//2 + 1."""
@@ -255,11 +257,13 @@ def _check_alias(field: ScalarField, quadrant, distance):
         # at the field's own bandwidth: |dphi/df| * (1/L) <= pi.
         z_max = field.extent * math.sqrt(inv_lam**2 - f_sig**2) / (2.0 * f_sig)
     if abs(distance) > z_max:
-        factor = abs(distance) / max(z_max, 1e-300)
+        with np.errstate(over="ignore"):  # only printed; an overflow reads inf
+            factor = abs(distance) / max(z_max, 1e-300)
+            samples = np.ceil(field.n * factor)
         raise AliasingError(
             f"|distance| = {abs(distance)} m exceeds the alias-free range "
             f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
-            f"at fixed cell size, i.e. use >= {math.ceil(field.n * factor)} samples"
+            f"at fixed cell size, i.e. use >= {samples:.12g} samples"
         )
 
 
@@ -280,53 +284,6 @@ def _kernel_quadrant(field: ScalarField, distance):
     return quadrant
 
 
-def _kernel(field: ScalarField, distance):
-    """The kernel on the N x N FFT grid.  It depends on (|kx|, |ky|) alone,
-    so the quadrant is expanded by gathering rows, then columns."""
-    _, k = _folded_frequencies(field)
-    return _kernel_quadrant(field, distance).take(k, axis=0).take(k, axis=1)
-
-
-def propagate(field: ScalarField, distance) -> ScalarField:
-    """Exact scalar angular-spectrum propagation over ``distance`` [m].
-
-    Power is conserved for propagating components; the grids used here
-    carry no evanescent content.  Raises :class:`AliasingError` with the
-    required grid when the kernel would alias at the field's bandwidth.
-    """
-    finite_in("distance", distance)
-    if distance == 0.0:
-        return ScalarField(field.grid.copy(), field.extent, field.wavelength)
-    spec = _spectrum(field)
-    _check_alias(field, _folded_power(spec)[1], distance)
-    kernel = _kernel(field, distance)
-    out = np.fft.fftshift(np.fft.ifft2(np.multiply(spec, kernel, out=kernel)))
-    return ScalarField(out, field.extent, field.wavelength)
-
-
-def overlap(a: ScalarField, b: ScalarField) -> complex:
-    """Inner product <a|b> with the physical cell measure."""
-    if a.grid.shape != b.grid.shape or a.extent != b.extent:
-        raise ValueError("fields must share the same grid")
-    product = np.conj(a.grid)
-    return complex(np.sum(np.multiply(product, b.grid, out=product)) * a.cell**2)
-
-
-def fringe_visibility(a: ScalarField, b: ScalarField) -> float:
-    """Fringe visibility of two interfering fields.
-
-    V = |<a|b>| / ((|a|^2 + |b|^2)/2); the symmetric denominator makes
-    unequal arm powers reduce the visibility.
-    """
-    return float(_visibility(overlap(a, b), a.power(), b.power()))
-
-
-def _visibility(cross, pa, pb):
-    if not (0 < pa < math.inf and 0 < pb < math.inf):
-        raise ValueError(f"both fields must carry finite power, got {pa} and {pb}")
-    return np.abs(cross) / (0.5 * (pa + pb))
-
-
 def interfere(
     field: ScalarField,
     geom: "_geometry.InterferometerGeometry",
@@ -341,8 +298,8 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     """Fringe visibility of the analyzer for an input field at each angle.
 
     The short-arm output is the input.  With relay the long arm images the
-    input at every angle (the relay is the identity), so one overlap
-    serves the sweep.  Without relay the long arm is the input
+    input at every angle (the relay is the identity), so the arms overlap
+    exactly and every angle reads v0.  Without relay the long arm is the input
     propagated over delta_l0, spectrum B = A K (A the input spectrum, K the
     angular-spectrum kernel), and offset by the ray-traced delta(alpha).
     By Parseval <a|shift(b, delta)> ~ sum_i cross[i] exp(-2 pi i fx_i delta),
@@ -355,7 +312,7 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     only multiplies A by a phase.  The common tilt cancels; the result is
     scaled by v0.  Raises AliasingError, then AngleDomainError, then
     ShiftTooLargeError; with relay, AngleDomainError for the angles the ray
-    model rejects.
+    model rejects.  A field of zero or non-finite power raises ValueError.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
@@ -363,7 +320,9 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     if relay:
         _geometry._check_alpha(alphas)
         p = field.power()
-        return np.full(alphas.shape, geom.v0 * _visibility(overlap(field, field), p, p))
+        if not 0 < p < math.inf:
+            raise ValueError(f"field must carry nonzero finite power, got {p}")
+        return np.full(alphas.shape, geom.v0, dtype=float)
     rows, quadrant = _folded_power(np.fft.fft2(field.grid))
     _check_alias(field, quadrant, geom.delta_l0)
     delta = _geometry.lateral_offset(geom, alphas)
@@ -375,4 +334,7 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     overlaps = np.exp(-2j * math.pi * np.multiply.outer(delta, fx)) @ cross
     gain = np.abs(kernel)
     gain *= gain
-    return geom.v0 * _visibility(overlaps, np.sum(quadrant), np.sum(quadrant * gain))
+    pa, pb = np.sum(quadrant), np.sum(quadrant * gain)
+    if not (0 < pa < math.inf and 0 < pb < math.inf):
+        raise ValueError(f"both fields must carry finite power, got {pa} and {pb}")
+    return geom.v0 * (np.abs(overlaps) / (0.5 * (pa + pb)))

@@ -12,8 +12,9 @@ from its closed form, the classical boundary is the unit circle, the
 boundary search is plain bisection, the angular-spectrum kernel is built
 on the full N x N frequency grid, and the signal bandwidth is taken
 either from an argsort of every radial frequency or from a cell-by-cell
-loop over rings, a field is shifted and tilted in its own spectrum, the
-relay is traced lens by lens, a field is normalized by a copying
+loop over rings, a field is propagated with that full-grid kernel, shifted
+and tilted in its own spectrum and overlapped with another in real space,
+the relay is traced lens by lens, a field is normalized by a copying
 division, and the Gaussian is evaluated on the full N x N meshgrid.
 """
 
@@ -380,15 +381,61 @@ def angular_spectrum_kernel_dense(field, distance):
     return kernel
 
 
+def coords(field):
+    """Centered coordinate axis of the field's grid [m]."""
+    return (np.arange(field.n) - field.n // 2) * field.cell
+
+
+def spectrum(field):
+    """Unshifted 2-D spectrum of the centered field grid."""
+    return np.fft.fft2(np.fft.ifftshift(field.grid))
+
+
+def propagate(field, distance):
+    """Exact scalar angular-spectrum propagation over ``distance`` [m]: the
+    spectrum times the full-grid kernel.  Power is conserved for propagating
+    components.  Raises the library's AliasingError when the kernel would
+    alias at the field's bandwidth."""
+    from timebin_analyzer import waveoptics as w
+    from timebin_analyzer._checks import finite_in
+
+    finite_in("distance", distance)
+    if distance == 0.0:
+        return w.ScalarField(field.grid.copy(), field.extent, field.wavelength)
+    spec = spectrum(field)
+    w._check_alias(field, w._folded_power(spec)[1], distance)
+    kernel = angular_spectrum_kernel_dense(field, distance)
+    out = np.fft.fftshift(np.fft.ifft2(np.multiply(spec, kernel, out=kernel)))
+    return w.ScalarField(out, field.extent, field.wavelength)
+
+
+def overlap(a, b):
+    """Inner product <a|b> with the physical cell measure."""
+    if a.grid.shape != b.grid.shape or a.extent != b.extent:
+        raise ValueError("fields must share the same grid")
+    product = np.conj(a.grid)
+    return complex(np.sum(np.multiply(product, b.grid, out=product)) * a.cell**2)
+
+
+def fringe_visibility(a, b):
+    """Fringe visibility of two interfering fields,
+    V = |<a|b>| / ((|a|^2 + |b|^2)/2); the symmetric denominator makes
+    unequal arm powers reduce the visibility."""
+    cross = overlap(a, b)
+    pa, pb = a.power(), b.power()
+    if not (0 < pa < math.inf and 0 < pb < math.inf):
+        raise ValueError(f"both fields must carry finite power, got {pa} and {pb}")
+    return float(np.abs(cross) / (0.5 * (pa + pb)))
+
+
 def aoi_visibility_scan_dense(field, geom, alphas):
     """Relay-off visibilities on the full N x N grid: the spectrum A of the
     centered field, B = A K with the dense kernel, cross[i] = sum_j conj(A) B
     over each row, one phase ramp per angle, and the powers sum |A|^2 and
     sum |B|^2."""
     from timebin_analyzer import geometry as g
-    from timebin_analyzer import waveoptics as w
 
-    spec = w._spectrum(field)
+    spec = spectrum(field)
     spec_long = spec * angular_spectrum_kernel_dense(field, geom.delta_l0)
     cross = np.einsum("ij,ij->i", np.conj(spec), spec_long)
     delta = g.lateral_offset(geom, np.asarray(alphas, dtype=float))
@@ -479,11 +526,11 @@ def shift_and_tilt(field, dx, alpha):
     out = field.grid
     if dx != 0.0:
         fx = np.fft.fftfreq(field.n, d=field.cell)[:, None]
-        spec = w._spectrum(field)
+        spec = spectrum(field)
         spec *= np.exp(-2j * math.pi * fx * dx)
         out = np.fft.fftshift(np.fft.ifft2(spec))
     if alpha != 0.0:
-        x = field.coords()
+        x = coords(field)
         tilt = np.exp(2j * math.pi * math.sin(alpha) * x / field.wavelength)
         out = out * tilt[:, None]
     return w.ScalarField(out, field.extent, field.wavelength)
@@ -493,7 +540,7 @@ def lens(field, focal_length):
     """Thin-lens phase exp(-i pi r^2 / (lambda f)) applied on the grid."""
     from timebin_analyzer.waveoptics import ScalarField
 
-    x = field.coords()
+    x = coords(field)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     phase = np.exp(
         -1j * math.pi * (xx**2 + yy**2) / (field.wavelength * focal_length)
@@ -507,8 +554,6 @@ def relay_by_lenses(field, f):
     At realistic parameters the lens phase aliases on practical grids,
     which is why the library models the relay as the identity.
     """
-    from timebin_analyzer.waveoptics import propagate
-
     out = field
     for _ in range(2):
         out = propagate(out, f)

@@ -13,6 +13,8 @@ from timebin_analyzer import states as st
 from timebin_analyzer._checks import finite_in
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
+from oracles import propagate
+
 GEOM_KW = dict(
     delta_l0=0.6, sigma=1.49e-3, v0=0.91, wavelength=776e-9, focal_length=0.1
 )
@@ -102,6 +104,16 @@ GUARDED = {
     "make_gaussian.sigma": (
         lambda v: waveoptics.make_gaussian(v, grid_n=64), "sigma", POSITIVE
     ),
+    # Below about 6e-154 m the default cell area (sigma/4)^2 is subnormal;
+    # above about 8e152 m the default extent 16 sigma squares to inf.
+    "make_gaussian.sigma_cell_area": (
+        lambda v: waveoptics.make_gaussian(v, grid_n=64),
+        "sigma",
+        hst.one_of(
+            hst.floats(0.0, 5.9e-154, exclude_min=True),
+            hst.floats(8.5e152, 1e306),
+        ),
+    ),
     "make_gaussian.extent": (
         lambda v: waveoptics.make_gaussian(1e-3, grid_n=64, extent=v),
         "extent",
@@ -122,7 +134,7 @@ GUARDED = {
         lambda v: waveoptics.make_speckle(3, 0, grid_n=64, extent=v), "extent", POSITIVE
     ),
     "propagate.distance": (
-        lambda v: waveoptics.propagate(FIELD, v), "distance", FINITE
+        lambda v: propagate(FIELD, v), "distance", FINITE
     ),
     "DriftModel.amount": (lambda v: chsh.DriftModel(amount=v), "amount", FINITE),
     "DriftModel.phase0": (lambda v: chsh.DriftModel(phase0=v), "phase0", FINITE),

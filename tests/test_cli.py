@@ -254,12 +254,33 @@ class TestVisibilityScan:
                 (["chsh-scan", "--seed", "-5"], "seed"),
                 (["stability", "--seed", "-1"], "seed"),
                 (["visibility-scan", "--mode", "speckle", "--seed", "-1"], "seed"),
+                (["visibility-scan", "--grid-n", "64", "--sigma", "1e-300m"], "sigma"),
+                (["expectation-aoi", "--relay", "off", "--delta-l0", "1e308m"],
+                 "delta_l0 and wavelength"),
+                (["phase-sensitivity", "--delta-l0", "1e308m"],
+                 "delta_l0 and wavelength"),
+                (["phase-sensitivity", "--wavelength", "1e308m"],
+                 "wavelength and delta_l0"),
+                (["phase-sensitivity", "--delta-l0", "1e-9m"],
+                 "wavelength and delta_l0"),
             ]
         ],
     )
     def test_bad_sweep_input_rejected(self, tmp_path, capsys, argv, name):
         assert run([*argv, "--out-dir", str(tmp_path)]) == 2
         assert f"error: {name} must be" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--delta-l0", "--wavelength"])
+    def test_alias_error_with_huge_setting(self, tmp_path, capsys, flag):
+        # The grid the message asks for is infinite or 300 digits long; it is
+        # printed in exponent form instead of overflowing an integer.
+        argv = ["visibility-scan", "--grid-n", "64", "--alpha-steps", "3"]
+        assert run([*argv, flag, "1e308m", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: |distance| = ")
+        assert "exceeds the alias-free range" in err
+        assert len(err) < 300
         assert not any(tmp_path.iterdir())
 
 

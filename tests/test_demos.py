@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -43,3 +44,41 @@ def test_demo_runs(tmp_path, script, headers):
     assert result.returncode == 0, result.stderr
     for header in headers:
         assert header in result.stdout
+
+
+def test_readme_quick_start():
+    # Runs the README "Quick start" block statement by statement and checks
+    # each value that a trailing comment states as a number or a string
+    # literal, to the digits the comment gives.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    values = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            expression = compile(ast.Expression(node.value), "README.md", "eval")
+            value = eval(expression, namespace)
+            values[ast.get_source_segment(block, node)] = value
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            if not isinstance(node, ast.Assign):
+                continue
+            value = namespace[node.targets[0].id]
+        comment = lines[node.end_lineno - 1].partition("#")[2].split()
+        try:
+            documented = ast.literal_eval(comment[0]) if comment else None
+        except (ValueError, SyntaxError):
+            continue
+        if isinstance(documented, float):
+            digits = len(comment[0].partition(".")[2])
+            assert round(value, digits) == documented, comment[0]
+            checked += 1
+        elif isinstance(documented, str):
+            assert value == documented
+            checked += 1
+    assert checked >= 6
+    # The relay images every mode onto itself: exactly v0, not v0 up to rounding.
+    assert values["waveoptics.interfere(speckle, geom, alpha=0.0, relay=True)"] == 0.91

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -143,6 +145,22 @@ class TestPhase:
             assert -math.pi < res.wrapped <= math.pi
             residue = (res.unwrapped - res.wrapped) / (2.0 * math.pi)
             assert abs(residue - round(residue)) * 2.0 * math.pi <= 1e-9
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(delta_l0=1e308), dict(wavelength=1e-320)],
+        ids=["delta_l0", "wavelength"],
+    )
+    def test_non_finite_phase_refused(self, geom, kwargs):
+        # 2 pi L / lambda overflows: refused, naming both, without a numpy
+        # overflow warning and before a NaN wrapped phase.
+        wide = dataclasses.replace(geom, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.0, [0.0, 1e-3]):
+                with pytest.raises(
+                    ValueError, match="^delta_l0 and wavelength must be .* finite"
+                ):
+                    g.phase(wide, alpha)
 
 
 class TestRelayMatrix:
