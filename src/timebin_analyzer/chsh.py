@@ -111,13 +111,17 @@ class DriftModel:
 # at most rate * bucket, so this bound keeps each draw within it.
 MAX_PAIRS_PER_BUCKET = 1e18
 
+# Most buckets in one scan, duration / bucket.  A drift scan takes about
+# 1.6 kB per bucket at its peak, so 160 MB at this cap.
+MAX_BUCKETS = 100_000
+
 
 def bucket_times(duration, bucket, rate=None):
     """Start times of the buckets of a scan, after checking its parameters.
 
     ``duration``, ``bucket`` and (unless None) ``rate`` must be finite
     and > 0, rate * bucket at most ``MAX_PAIRS_PER_BUCKET``, and the
-    duration must round to at least one bucket.
+    duration must round to at least one bucket and at most ``MAX_BUCKETS``.
     """
     for name, value in (("rate", rate), ("duration", duration), ("bucket", bucket)):
         if value is not None:
@@ -127,10 +131,11 @@ def bucket_times(duration, bucket, rate=None):
             f"rate * bucket must be <= {MAX_PAIRS_PER_BUCKET:g} pairs per bucket, "
             f"got rate {rate} /s and bucket {bucket} s"
         )
-    n = int(round(duration / bucket))
-    if n < 1:
+    ratio = duration / bucket  # inf, not an error, past the float range
+    n = round(ratio) if ratio <= MAX_BUCKETS else MAX_BUCKETS + 1
+    if not 1 <= n <= MAX_BUCKETS:
         raise ValueError(
-            f"duration must be more than half a bucket (no bucket otherwise), "
+            f"duration must be 1 to {MAX_BUCKETS} buckets, rounded to whole buckets, "
             f"got duration {duration} s and bucket {bucket} s"
         )
     return np.arange(n) * bucket

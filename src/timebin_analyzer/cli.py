@@ -15,8 +15,10 @@ Unit-bearing flags accept suffixes (deg, mrad, urad, nrad, rad; m, mm,
 um, nm; s, ms, ns); bare numbers are SI base units.  Configuration
 precedence: built-in defaults < JSON config file (--config; its
 "defaults" scope, whose keys apply to every subcommand that has them,
-then the subcommand's own scope) < explicit flags.  Exit codes:
-0 success, 2 validation error, 3 solver non-convergence.
+then the subcommand's own scope) < explicit flags.  Each setting's default
+and kind are declared once, in ``_COMMANDS``, and every merged value is
+converted once, before the subcommand runs.  Exit codes: 0 success,
+2 validation error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ from .states import DepolarizationParams, depolarize, hybrid_bell_state
 
 ENV_OUT_DIR = "TIMEBIN_ANALYZER_OUTDIR"
 CONFIG_SCHEMA = 1
+# Most angles in one sweep (--alpha-steps).  A relay-off visibility scan
+# holds an angles x grid_n complex array: 134 MB at this cap and the largest
+# grid, waveoptics.MAX_GRID_N.
+MAX_ALPHA_STEPS = 4096
 
 _UNITS = {
     "angle": {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "nrad": 1e-9,
               "deg": math.pi / 180.0},
     "length": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
     "time": {"s": 1.0, "ms": 1e-3, "ns": 1e-9},
-    "none": {"": 1.0},
+    "number": {"": 1.0},
 }
 
 
@@ -71,17 +77,22 @@ _SWITCH = {"on": True, "true": True, "off": False, "false": False}
 _EXPECTED = {
     **{kind: f"a number with an optional unit ({', '.join(units)})"
        for kind, units in _UNITS.items()},
-    "none": "a number",
+    "number": "a number",
     "int": "an integer",
     "numbers": "comma-separated numbers",
     "switch": "on, off, true, false or a JSON boolean",
+    "text": "text",
 }
 
 
-def _setting(settings, key, kind="none"):
-    """``settings[key]`` as an "int", a list of "numbers", an on/off "switch" or
-    a quantity of the unit ``kind``; CliError names ``key`` if it does not convert."""
-    value = settings[key]
+def _convert(key, value, kind):
+    """``value`` of the setting ``key`` as its ``kind``: an "int", a list of
+    "numbers", an on/off "switch", "text", or a quantity of the unit ``kind``.
+    A kind ending in "|none" also takes none (the word or JSON null).
+    CliError names ``key`` if the value does not convert."""
+    kind, _, nullable = kind.partition("|")
+    if nullable and value in (None, "none"):
+        return None
     try:
         if kind == "int":
             return int(str(value))  # a JSON 2.7 is refused, not truncated
@@ -89,13 +100,25 @@ def _setting(settings, key, kind="none"):
             return [float(v) for v in str(value).split(",")]
         if kind == "switch":
             return value if isinstance(value, bool) else _SWITCH[value]
+        if kind == "text":
+            if not isinstance(value, str):
+                raise TypeError(value)
+            return value
         return parse_quantity(value, kind)
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise CliError(f"{key} must be {_EXPECTED[kind]}, got {value!r}") from exc
 
 
-def _merge_settings(defaults, config, args_dict, command):
-    merged = dict(defaults)
+# Settings of every subcommand.  An empty out_dir means ENV_OUT_DIR, else ".".
+_OUTPUT = {"out_dir": ("", "text"), "svg": (False, "switch")}
+
+
+def _merge_settings(command, config, args_dict):
+    """The settings of ``command``: its defaults, then the config file's
+    "defaults" and ``command`` scopes, then the flags, each value converted
+    to its kind."""
+    table = {**_COMMANDS[command][1], **_OUTPUT}
+    merged = {key: default for key, (default, _) in table.items()}
     if config is not None:
         if not isinstance(config, dict):
             raise CliError(f"config must be a JSON object, got {type(config).__name__}")
@@ -118,7 +141,7 @@ def _merge_settings(defaults, config, args_dict, command):
     for key, value in args_dict.items():
         if key in merged and value is not None:
             merged[key] = value
-    return merged
+    return {key: _convert(key, value, table[key][1]) for key, value in merged.items()}
 
 
 def _write_csv(path, columns, rows, params):
@@ -177,63 +200,56 @@ def _write(settings, files, note):
 
 
 def _geometry_from(settings):
-    return geometry.InterferometerGeometry(
-        delta_l0=_setting(settings, "delta_l0", "length"),
-        sigma=_setting(settings, "sigma", "length"),
-        v0=_setting(settings, "v0"),
-        wavelength=_setting(settings, "wavelength", "length"),
-        focal_length=_setting(settings, "focal_length", "length"),
-    )
+    return geometry.InterferometerGeometry(**{key: settings[key] for key in _GEOMETRY})
 
 
 def _efficiencies_from(settings):
-    return AnalyzerEfficiencies(
-        _setting(settings, "eta_l"), _setting(settings, "eta_s")
-    )
+    return AnalyzerEfficiencies(settings["eta_l"], settings["eta_s"])
 
 
 def _drift_from(settings):
     return chsh.DriftModel(
         kind=settings["drift"],
-        amount=_setting(settings, "drift_amount", "angle"),
-        period=_setting(settings, "drift_period", "time"),
+        amount=settings["drift_amount"],
+        period=settings["drift_period"],
     )
 
 
 def _sweep_range(settings):
     """Largest angle and number of angles of a sweep, validated."""
-    alpha_max = _setting(settings, "alpha_max", "angle")
-    steps = _setting(settings, "alpha_steps", "int")
-    return finite_in("alpha_max", alpha_max), finite_in("alpha_steps", steps, 1)
+    return (
+        finite_in("alpha_max", settings["alpha_max"]),
+        finite_in("alpha_steps", settings["alpha_steps"], 1, MAX_ALPHA_STEPS),
+    )
 
 
 # --- subcommand implementations -------------------------------------------
 # Each returns its files, a one-line note and, where a check can fail after
 # the files are made, an exit code.
 
-_GEOMETRY_DEFAULTS = {
-    "delta_l0": "0.6m",
-    "sigma": "1.49mm",
-    "v0": 0.91,
-    "wavelength": "776nm",
-    "focal_length": "0.1m",
+_GEOMETRY = {
+    "delta_l0": ("0.6m", "length"),
+    "sigma": ("1.49mm", "length"),
+    "v0": (0.91, "number"),
+    "wavelength": ("776nm", "length"),
+    "focal_length": ("0.1m", "length"),
 }
+_EFFICIENCIES = {"eta_l": (0.9, "number"), "eta_s": (0.9, "number")}
 
 
 def cmd_visibility_scan(settings):
     geom = _geometry_from(settings)
     alpha_max, steps = _sweep_range(settings)
     alphas = np.linspace(0.0, alpha_max, steps)
-    relay = _setting(settings, "relay", "switch")
+    relay = settings["relay"]
     spec = analysis.FieldSpec(
         mode=settings["mode"],
-        grid_n=_setting(settings, "grid_n", "int"),
-        mode_count=_setting(settings, "mode_count", "int"),
-        seed=_setting(settings, "seed", "int"),
+        grid_n=settings["grid_n"],
+        mode_count=settings["mode_count"],
+        seed=settings["seed"],
     )
-    jobs = _setting(settings, "jobs", "int")
     curve = analysis.aoi_sweep(geom, spec, alphas, relay)
-    params = {**curve.params, "seed": settings["seed"], "jobs": jobs}
+    params = {**curve.params, "jobs": settings["jobs"]}
     alpha, wave, ray = curve.rows.T
     plot = (
         [("wave optics", alpha * 1e3, wave), ("ray model", alpha * 1e3, ray)],
@@ -245,7 +261,7 @@ def cmd_visibility_scan(settings):
 
 
 def cmd_relay_check(settings):
-    f = _setting(settings, "focal_length", "length")
+    f = settings["focal_length"]
     m = geometry.relay_matrix(f)
     residual = float(np.max(np.abs(m - np.eye(2))))
     det = float(np.linalg.det(m))
@@ -322,17 +338,14 @@ def cmd_phase_sensitivity(settings):
 
 
 def cmd_chsh_scan(settings):
-    params = DepolarizationParams.unbiased(
-        _setting(settings, "p_xy"), _setting(settings, "p_z")
-    )
+    params = DepolarizationParams.unbiased(settings["p_xy"], settings["p_z"])
     rho = depolarize(hybrid_bell_state(), params)
     eff = _efficiencies_from(settings)
-    duration = _setting(settings, "duration", "time")
-    bucket = _setting(settings, "bucket", "time")
+    duration = settings["duration"]
+    bucket = settings["bucket"]
     drift = _drift_from(settings)
-    rate = _setting(settings, "rate")
+    rate = settings["rate"]
     seed = settings["seed"]
-    seed = None if seed in (None, "none") else _setting(settings, "seed", "int")
     traces = {}
     for idx, axis in enumerate(("z+x", "z-x")):
         scan_seed = None if seed is None else seed + idx
@@ -390,10 +403,9 @@ def cmd_chsh_scan(settings):
 def cmd_npt_verify(settings):
     eff = _efficiencies_from(settings)
     cs = verify.build_constraints(
-        _setting(settings, "vz"), _setting(settings, "vxy"), eff,
-        qubit_mass=_setting(settings, "qubit_mass"),
+        settings["vz"], settings["vxy"], eff, qubit_mass=settings["qubit_mass"]
     )
-    report = verify.sdp_feasible(cs, tol=_setting(settings, "tol"))
+    report = verify.sdp_feasible(cs, tol=settings["tol"])
     rows = [
         ["verdict", report.verdict],
         ["margin", report.margin],
@@ -419,12 +431,9 @@ def cmd_npt_verify(settings):
 
 def cmd_npt_boundary(settings):
     eff = _efficiencies_from(settings)
-    grid = _setting(settings, "vz_grid", "numbers")
-    jobs = _setting(settings, "jobs", "int")
-    tol = _setting(settings, "tol")
-    resolution = _setting(settings, "resolution")
-    mass = _setting(settings, "qubit_mass")
-    results = verify.boundary_scan(grid, eff, tol, resolution, mass)
+    tol, resolution = settings["tol"], settings["resolution"]
+    mass = settings["qubit_mass"]
+    results = verify.boundary_scan(settings["vz_grid"], eff, tol, resolution, mass)
     finite = [(p.v_z, p.threshold) for p in results if math.isfinite(p.threshold)]
     file = _File(
         "npt_boundary.csv",
@@ -437,7 +446,7 @@ def cmd_npt_boundary(settings):
             "tol": tol,
             "resolution": resolution,
             "qubit_mass": mass,
-            "jobs": jobs,
+            "jobs": settings["jobs"],
         },
         (
             [("classical bound", [v for v, _ in finite], [t for _, t in finite])],
@@ -448,15 +457,13 @@ def cmd_npt_boundary(settings):
 
 
 def cmd_stability(settings):
-    drift = _drift_from(settings)
-    rate = None if settings["rate"] in (None, "none") else _setting(settings, "rate")
     curve = analysis.stability_series(
-        v_xy=_setting(settings, "vxy"),
-        drift=drift,
-        duration=_setting(settings, "duration", "time"),
-        bucket=_setting(settings, "bucket", "time"),
-        rate=rate,
-        seed=_setting(settings, "seed", "int"),
+        v_xy=settings["vxy"],
+        drift=_drift_from(settings),
+        duration=settings["duration"],
+        bucket=settings["bucket"],
+        rate=settings["rate"],
+        seed=settings["seed"],
     )
     t, e1, e2, combined = curve.rows.T
     plot = (
@@ -471,10 +478,9 @@ def cmd_expectation_aoi(settings):
     geom = _geometry_from(settings)
     alpha_max, steps = _sweep_range(settings)
     alphas = np.linspace(-alpha_max, alpha_max, steps)
-    relay = _setting(settings, "relay", "switch")
+    relay = settings["relay"]
     curve = analysis.expectation_vs_aoi(
-        geom, _setting(settings, "vxy"), alphas, relay,
-        fixed_phase=_setting(settings, "fixed_phase", "angle"),
+        geom, settings["vxy"], alphas, relay, fixed_phase=settings["fixed_phase"]
     )
     alpha, e, _ = curve.rows.T
     plot = (
@@ -485,84 +491,83 @@ def cmd_expectation_aoi(settings):
     return [file], f"E from {e.min():.4f} to {e.max():.4f}"
 
 
+# Each subcommand's settings, as {key: (default, kind)}; see _convert for
+# the kinds.  Only chsh-scan's seed and stability's rate take none.
 _COMMANDS = {
     "visibility-scan": (
         cmd_visibility_scan,
         {
-            **_GEOMETRY_DEFAULTS,
-            "mode": "gaussian",
-            "relay": "off",
-            "alpha_max": "2mrad",
-            "alpha_steps": 21,
-            "grid_n": 512,
-            "mode_count": 50,
-            "seed": 0,
-            "jobs": 1,
+            **_GEOMETRY,
+            "mode": ("gaussian", "text"),
+            "relay": ("off", "switch"),
+            "alpha_max": ("2mrad", "angle"),
+            "alpha_steps": (21, "int"),
+            "grid_n": (512, "int"),
+            "mode_count": (50, "int"),
+            "seed": (0, "int"),
+            "jobs": (1, "int"),
         },
     ),
-    "relay-check": (cmd_relay_check, {"focal_length": "0.1m"}),
-    "phase-sensitivity": (cmd_phase_sensitivity, dict(_GEOMETRY_DEFAULTS)),
+    "relay-check": (cmd_relay_check, {"focal_length": _GEOMETRY["focal_length"]}),
+    "phase-sensitivity": (cmd_phase_sensitivity, _GEOMETRY),
     "chsh-scan": (
         cmd_chsh_scan,
         {
-            "p_xy": 0.012,
-            "p_z": 0.086,
-            "eta_l": 0.9,
-            "eta_s": 0.9,
-            "rate": 1000.0,
-            "duration": "120s",
-            "bucket": "0.5s",
-            "drift": "linear",
-            "drift_amount": "6.283185307179586rad",
-            "drift_period": "120s",
-            "seed": 1,
+            "p_xy": (0.012, "number"),
+            "p_z": (0.086, "number"),
+            **_EFFICIENCIES,
+            "rate": (1000.0, "number"),
+            "duration": ("120s", "time"),
+            "bucket": ("0.5s", "time"),
+            "drift": ("linear", "text"),
+            "drift_amount": ("6.283185307179586rad", "angle"),
+            "drift_period": ("120s", "time"),
+            "seed": (1, "int|none"),
         },
     ),
     "npt-verify": (
         cmd_npt_verify,
         {
-            "vz": 0.952,
-            "vxy": 0.804,
-            "eta_l": 0.9,
-            "eta_s": 0.9,
-            "tol": 1e-7,
-            "qubit_mass": verify.DEFAULT_QUBIT_MASS,
+            "vz": (0.952, "number"),
+            "vxy": (0.804, "number"),
+            **_EFFICIENCIES,
+            "tol": (1e-7, "number"),
+            "qubit_mass": (verify.DEFAULT_QUBIT_MASS, "number"),
         },
     ),
     "npt-boundary": (
         cmd_npt_boundary,
         {
-            "vz_grid": "0.5,0.7,0.8,0.9,0.952,1.0",
-            "eta_l": 0.9,
-            "eta_s": 0.9,
-            "tol": 1e-7,
-            "resolution": 1e-3,
-            "qubit_mass": verify.DEFAULT_QUBIT_MASS,
-            "jobs": 1,
+            "vz_grid": ("0.5,0.7,0.8,0.9,0.952,1.0", "numbers"),
+            **_EFFICIENCIES,
+            "tol": (1e-7, "number"),
+            "resolution": (1e-3, "number"),
+            "qubit_mass": (verify.DEFAULT_QUBIT_MASS, "number"),
+            "jobs": (1, "int"),
         },
     ),
     "stability": (
         cmd_stability,
         {
-            "vxy": 0.804,
-            "drift": "linear",
-            "drift_amount": "1.5707963267948966rad",
-            "drift_period": "1800s",
-            "duration": "1800s",
-            "bucket": "180s",
-            "rate": 1000.0,
-            "seed": 0,
+            "vxy": (0.804, "number"),
+            "drift": ("linear", "text"),
+            "drift_amount": ("1.5707963267948966rad", "angle"),
+            "drift_period": ("1800s", "time"),
+            "duration": ("1800s", "time"),
+            "bucket": ("180s", "time"),
+            "rate": (1000.0, "number|none"),
+            "seed": (0, "int"),
         },
     ),
     "expectation-aoi": (
         cmd_expectation_aoi,
         {
-            **_GEOMETRY_DEFAULTS,
-            "relay": "on",
-            "vxy": 0.80,
-            "alpha_max": "0.2deg",
-            "alpha_steps": 801,
-            "fixed_phase": "0rad",
+            **_GEOMETRY,
+            "relay": ("on", "switch"),
+            "vxy": (0.80, "number"),
+            "alpha_max": ("0.2deg", "angle"),
+            "alpha_steps": (801, "int"),
+            "fixed_phase": ("0rad", "angle"),
         },
     ),
 }
@@ -575,13 +580,13 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name, (_, defaults) in _COMMANDS.items():
+    for name, (_, table) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"{name} scenario")
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--svg", action="store_const", const=True, default=None,
                        help="also write SVG plots")
-        for key in defaults:
+        for key in table:
             flag = "--" + key.replace("_", "-")
             if key == "focal_length":
                 p.add_argument(flag, "--f", dest=key, default=None)
@@ -599,18 +604,10 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage()
         return 2
-    func, defaults = _COMMANDS[args.command]
     try:
-        config = None
-        if args.config:
-            config = json.loads(Path(args.config).read_text())
-        settings = _merge_settings(
-            {**defaults, "out_dir": None, "svg": None},
-            config,
-            vars(args),
-            args.command,
-        )
-        files, note, *code = func(settings)
+        config = json.loads(Path(args.config).read_text()) if args.config else None
+        settings = _merge_settings(args.command, config, vars(args))
+        files, note, *code = _COMMANDS[args.command][0](settings)
         _write(settings, files, note)
         return code[0] if code else 0
     except verify.NonConvergenceError as exc:

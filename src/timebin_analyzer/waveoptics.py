@@ -85,9 +85,30 @@ def _unit_power(grid, extent, wavelength) -> ScalarField:
     return field
 
 
+# Largest grid side.  A relay-off sweep of a 2048^2 field peaks near 200 MB
+# (about 50 MB at 1024^2); a side twice as large would need four times that.
+MAX_GRID_N = 2048
+
+
 def _require_power_of_two(n):
-    if n < 64 or n & (n - 1):
-        raise ValueError(f"grid_n must be a power of two >= 64, got {n}")
+    if n < 64 or n > MAX_GRID_N or n & (n - 1):
+        raise ValueError(
+            f"grid_n must be a power of two in [64, {MAX_GRID_N}], got {n}"
+        )
+
+
+def _require_normal_cell_area(name, value, extent, grid_n):
+    """Refuse, naming ``name``, a grid whose cell area (extent/grid_n)^2 is not
+    a normal float or whose extent^2 overflows: the power sums |E|^2 cell^2,
+    and the Gaussian profile squares coordinates up to extent/2, so such a
+    field's power reads inf or NaN.  The bounds are plain comparisons because
+    squaring a Python float past its range raises OverflowError."""
+    if not (1.5e-154 <= extent / grid_n and extent < 1.3e154):
+        also = "" if name == "extent" else f" and extent {extent} m"
+        raise ValueError(
+            f"{name} must be such that (extent/grid_n)^2 is a normal float and "
+            f"extent^2 finite, got {name} {value} m{also}"
+        )
 
 
 def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarField:
@@ -101,15 +122,8 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
     if extent is None:
         extent = 16.0 * sigma
     finite_in("extent", extent, 12.0 * sigma)
+    _require_normal_cell_area("sigma", sigma, extent, grid_n)
     cell = extent / grid_n
-    # The power sums |E|^2 cell^2 and the profile squares x up to extent/2:
-    # unless cell^2 is a normal float and extent^2 finite, the field's power
-    # reads inf or NaN.
-    if not (1.5e-154 <= cell and extent < 1.3e154):
-        raise ValueError(
-            f"sigma must be such that (extent/grid_n)^2 is a normal float and "
-            f"extent^2 finite, got sigma {sigma} m and extent {extent} m"
-        )
     if sigma < 3.0 * cell:
         raise GridResolutionError(
             f"sigma = {sigma} spans fewer than 3 grid cells (cell = {cell}); "
@@ -155,6 +169,7 @@ def make_speckle(
     _require_power_of_two(grid_n)
     finite_in("mode_count", mode_count, 1)
     finite_in("extent", extent, 0, open_lo=True)
+    _require_normal_cell_area("extent", extent, extent, grid_n)
     top = mode_count - 1  # highest 1D order present
     width = extent / (3.0 * math.sqrt(2.0) * (math.sqrt(2 * top + 1) + 3.0))
     cell = extent / grid_n
@@ -247,23 +262,31 @@ def _signal_bandwidth(field: ScalarField, quadrant):
 
 def _check_alias(field: ScalarField, quadrant, distance):
     """Raise AliasingError if angular-spectrum propagation of ``field``, of
-    folded spectral power ``quadrant``, over ``distance`` would alias."""
+    folded spectral power ``quadrant``, over ``distance`` would alias.  The
+    message names ``delta_l0``, the one distance the library propagates."""
     f_sig = 1.1 * _signal_bandwidth(field, quadrant)
     inv_lam = 1.0 / field.wavelength
-    if f_sig <= 0 or f_sig >= inv_lam:
-        z_max = 0.0 if f_sig >= inv_lam else math.inf
-    else:
-        # Kernel phase must change by less than pi between frequency samples
-        # at the field's own bandwidth: |dphi/df| * (1/L) <= pi.
-        z_max = field.extent * math.sqrt(inv_lam**2 - f_sig**2) / (2.0 * f_sig)
+    if f_sig >= inv_lam and distance != 0:
+        raise AliasingError(
+            f"delta_l0 must be 0 m when the field's bandwidth {f_sig:.3g} /m "
+            f"reaches 1/wavelength, since no grid then propagates it "
+            f"alias-free, got delta_l0 {distance} m and wavelength "
+            f"{field.wavelength} m"
+        )
+    if not 0 < f_sig < inv_lam:
+        return
+    # Kernel phase must change by less than pi between frequency samples
+    # at the field's own bandwidth: |dphi/df| * (1/L) <= pi.
+    z_max = field.extent * math.sqrt(inv_lam**2 - f_sig**2) / (2.0 * f_sig)
     if abs(distance) > z_max:
         with np.errstate(over="ignore"):  # only printed; an overflow reads inf
             factor = abs(distance) / max(z_max, 1e-300)
             samples = np.ceil(field.n * factor)
         raise AliasingError(
-            f"|distance| = {abs(distance)} m exceeds the alias-free range "
-            f"{z_max:.3g} m; enlarge the extent (and grid) by >= {factor:.2g}x "
-            f"at fixed cell size, i.e. use >= {samples:.12g} samples"
+            f"delta_l0 must be within the alias-free range {z_max:.3g} m of "
+            f"this field and grid, got {distance} m; enlarge the extent (and "
+            f"grid) by >= {factor:.2g}x at fixed cell size, i.e. use >= "
+            f"{samples:.12g} samples"
         )
 
 

@@ -133,6 +133,17 @@ GUARDED = {
     "make_speckle.extent": (
         lambda v: waveoptics.make_speckle(3, 0, grid_n=64, extent=v), "extent", POSITIVE
     ),
+    # Below 64 x 1.5e-154 m the 64-cell grid's cell area is subnormal; from
+    # 1.3e154 m on extent^2 overflows.
+    "make_speckle.extent_cell_area": (
+        lambda v: waveoptics.make_speckle(3, 0, grid_n=64, extent=v),
+        "extent",
+        hst.one_of(
+            hst.floats(0.0, 9.5e-153, exclude_min=True),
+            hst.floats(1.3e154, 1e306),
+            hst.sampled_from([1e-300, 1e-160, 1e200]),
+        ),
+    ),
     "propagate.distance": (
         lambda v: propagate(FIELD, v), "distance", FINITE
     ),
@@ -143,6 +154,11 @@ GUARDED = {
         lambda v: chsh.bucket_times(v, 1.0), "duration", POSITIVE
     ),
     "bucket_times.bucket": (lambda v: chsh.bucket_times(10.0, v), "bucket", POSITIVE),
+    "bucket_times.bucket_count": (
+        lambda v: chsh.bucket_times(v, 1.0),
+        "duration",
+        hst.floats(chsh.MAX_BUCKETS + 1.0, 1e308),
+    ),
     "bucket_times.rate": (
         lambda v: chsh.bucket_times(10.0, 1.0, v), "rate", POSITIVE
     ),

@@ -106,8 +106,12 @@ class TestNptVerify:
             (["--vz", "0.9", "--vxy", "0.3"],
              {"npt_verify.csv": "npt_verify_vz0.9_vxy0.3.csv",
               "npt_witness.json": "npt_witness_vz0.9_vxy0.3.json"}),
+            # The header records each converted value, however it was spelled.
+            (["--tol", "1e-7"], {"npt_verify.csv": "npt_verify_paper_point.csv"}),
+            (["--tol", "0.0000001", "--vz", ".952"],
+             {"npt_verify.csv": "npt_verify_paper_point.csv"}),
         ],
-        ids=["paper_point", "feasible"],
+        ids=["paper_point", "feasible", "tol_spelled", "tol_and_vz_spelled"],
     )
     def test_golden_bytes(self, tmp_path, extra, golden):
         # Margin, iteration count and witness digits pin the solver path.
@@ -263,6 +267,20 @@ class TestVisibilityScan:
                  "wavelength and delta_l0"),
                 (["phase-sensitivity", "--delta-l0", "1e-9m"],
                  "wavelength and delta_l0"),
+                # Sizes past their caps are refused before any allocation.
+                (["visibility-scan", "--grid-n", "4096"], "grid_n"),
+                (["visibility-scan", "--grid-n", str(2**62)], "grid_n"),
+                (["visibility-scan", "--alpha-steps", "4097"], "alpha_steps"),
+                (["expectation-aoi", "--alpha-steps", str(10**12)], "alpha_steps"),
+                (["stability", "--duration", "1e300s", "--bucket", "1s",
+                  "--rate", "none"], "duration"),
+                (["stability", "--duration", "10s", "--bucket", "1e-300s",
+                  "--rate", "none"], "duration"),
+                (["chsh-scan", "--duration", "100001s", "--bucket", "1s"], "duration"),
+                # Only chsh-scan's seed and stability's rate take none.
+                (["visibility-scan", "--seed", "none"], "seed"),
+                (["npt-verify", "--tol", "none"], "tol"),
+                (["chsh-scan", "--rate", "none"], "rate"),
             ]
         ],
     )
@@ -278,10 +296,19 @@ class TestVisibilityScan:
         argv = ["visibility-scan", "--grid-n", "64", "--alpha-steps", "3"]
         assert run([*argv, flag, "1e308m", "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: |distance| = ")
-        assert "exceeds the alias-free range" in err
+        assert err.startswith("error: delta_l0 must be ")
+        assert "alias-free" in err
         assert len(err) < 300
         assert not any(tmp_path.iterdir())
+
+    def test_seed_spelling_same_bytes(self, tmp_path):
+        argv = ["visibility-scan", "--grid-n", "64", "--alpha-steps", "3",
+                "--relay", "on", "--mode", "speckle", "--mode-count", "3"]
+        for seed in ("5", "05"):
+            assert run([*argv, "--seed", seed, "--out-dir", str(tmp_path / seed)]) == 0
+        text = (tmp_path / "5" / "visibility_scan.csv").read_bytes()
+        assert b"# seed=5\n" in text
+        assert (tmp_path / "05" / "visibility_scan.csv").read_bytes() == text
 
 
 class TestChshScan:
@@ -524,6 +551,29 @@ class TestConfigPrecedence:
         assert "error: alpha_steps must be an integer, got 2.7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_svg_off_in_config_writes_no_svg(self, tmp_path):
+        # A config file takes the switch words for svg, as for relay.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"defaults": {"svg": "off"}}))
+        out = tmp_path / "out"
+        assert run(["stability", "--duration", "60s", "--bucket", "10s",
+                    "--config", str(config), "--out-dir", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["stability.csv"]
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"defaults": {"out_dir": 5}}, "out_dir"), ({"stability": {"drift": 5}}, "drift")],
+        ids=["out_dir", "drift"],
+    )
+    def test_text_setting_of_wrong_type_exits_2(
+        self, tmp_path, monkeypatch, capsys, config, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(config))
+        assert run(["stability", "--config", "config.json"]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be text, got 5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "env"))
         assert run(["relay-check"]) == 0
@@ -593,3 +643,21 @@ class TestUsageErrors:
             outputs.add((out / "expectation_aoi.csv").read_text())
         (text,) = outputs
         assert f"# relay={words[-1]}" in text
+
+
+def test_readme_command_lines_convert():
+    # Every "timebin-analyzer ..." line of the README's "Command line" block
+    # parses and converts through the settings table; nothing is run.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines()
+             if line.startswith("timebin-analyzer ")]
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    for argv in lines:
+        args = cli.build_parser().parse_args(argv)
+        settings = cli._merge_settings(args.command, None, vars(args))
+        table = {**cli._COMMANDS[args.command][1], **cli._OUTPUT}
+        assert set(settings) == set(table)
+        for key, (_, kind) in table.items():
+            assert isinstance(settings[key], str) == (kind == "text"), (argv, key)

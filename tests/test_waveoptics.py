@@ -82,6 +82,18 @@ class TestMakeGaussian:
         with pytest.raises(w.GridResolutionError):
             w.make_gaussian(1e-5, grid_n=64, extent=0.02)  # beam under-resolved
 
+    @pytest.mark.parametrize("n", [2 * w.MAX_GRID_N, 2**62])
+    def test_grid_cap_refused_before_allocation(self, n, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("grid built past the cap")
+
+        monkeypatch.setattr(np, "arange", fail)
+        for build in (lambda: w.make_gaussian(SIGMA, grid_n=n),
+                      lambda: w.make_speckle(3, 0, grid_n=n)):
+            with pytest.raises(ValueError, match=r"^grid_n must be a power of two in "
+                               rf"\[64, {w.MAX_GRID_N}\], got {n}$"):
+                build()
+
     def test_nan_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
