@@ -33,11 +33,16 @@ class FieldSpec:
 
     def build(self, geom: _geometry.InterferometerGeometry) -> _waveoptics.ScalarField:
         if self.mode == "gaussian":
-            # The fringe-formula sigma is twice the intensity std.
+            # The fringe-formula sigma is twice the intensity std.  The grid
+            # is checked here so that a refusal reports the sigma given.
+            std = _geometry.intensity_std_from_sigma(geom.sigma)
+            extent = 16.0 * std
+            _waveoptics._require_power_of_two(self.grid_n)
+            _waveoptics._require_normal_cell_area(
+                "sigma", geom.sigma, extent, self.grid_n
+            )
             return _waveoptics.make_gaussian(
-                _geometry.intensity_std_from_sigma(geom.sigma),
-                grid_n=self.grid_n,
-                wavelength=geom.wavelength,
+                std, grid_n=self.grid_n, extent=extent, wavelength=geom.wavelength
             )
         if self.mode == "speckle":
             return _waveoptics.make_speckle(

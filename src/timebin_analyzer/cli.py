@@ -45,6 +45,9 @@ CONFIG_SCHEMA = 1
 # holds an angles x grid_n complex array: 134 MB at this cap and the largest
 # grid, waveoptics.MAX_GRID_N.
 MAX_ALPHA_STEPS = 4096
+# Most buckets in one chsh-scan.  Each of its two surface files holds one
+# row per pair of buckets, about 28 bytes each: 480 MB at this cap.
+MAX_SURFACE_BUCKETS = 4096
 
 _UNITS = {
     "angle": {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "nrad": 1e-9,
@@ -346,6 +349,12 @@ def cmd_chsh_scan(settings):
     drift = _drift_from(settings)
     rate = settings["rate"]
     seed = settings["seed"]
+    if chsh.bucket_times(duration, bucket, rate).size > MAX_SURFACE_BUCKETS:
+        raise ValueError(
+            f"duration must be at most {MAX_SURFACE_BUCKETS} buckets for the "
+            f"surface export, rounded to whole buckets, got duration {duration} s "
+            f"and bucket {bucket} s"
+        )
     traces = {}
     for idx, axis in enumerate(("z+x", "z-x")):
         scan_seed = None if seed is None else seed + idx

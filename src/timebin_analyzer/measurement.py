@@ -49,17 +49,16 @@ def bob_povm(eff: AnalyzerEfficiencies, relative_phase=0.0):
     The middle-bin element X interferes the early component transmitted
     through the long path with the late component through the short
     path; its early/late relative phase defaults to zero and can be set
-    for sensitivity studies.  For an array of phases every element is a
-    stack of shape ``phases.shape + (3, 3)``.
+    for sensitivity studies.
     """
+    finite_in("relative_phase", relative_phase)
     eta_l, eta_s = eff.eta_l, eff.eta_s
-    phase = np.asarray(relative_phase, dtype=float)
-    cross = np.sqrt(eta_l * eta_s) * np.exp(1j * phase)
-    elements = np.zeros((3,) + phase.shape + (3, 3), dtype=complex)
+    cross = np.sqrt(eta_l * eta_s) * np.exp(1j * relative_phase)
+    elements = np.zeros((3, 3, 3), dtype=complex)
     m_e, m_l, m_x = elements
-    m_e[..., 1, 1] = m_x[..., 2, 2] = eta_s
-    m_l[..., 2, 2] = m_x[..., 1, 1] = eta_l
-    m_x[..., 1, 2], m_x[..., 2, 1] = cross, np.conj(cross)
+    m_e[1, 1] = m_x[2, 2] = eta_s
+    m_l[2, 2] = m_x[1, 1] = eta_l
+    m_x[1, 2], m_x[2, 1] = cross, np.conj(cross)
     m_e, m_l, m_x = 0.25 * elements
     m_none = np.eye(3, dtype=complex) - m_e - m_l - m_x
     return {"E": m_e, "L": m_l, "X": m_x, "none": m_none}

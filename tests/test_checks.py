@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 from timebin_analyzer import analysis, chsh, geometry, verify, waveoptics
 from timebin_analyzer import states as st
 from timebin_analyzer._checks import finite_in
-from timebin_analyzer.measurement import AnalyzerEfficiencies
+from timebin_analyzer.measurement import AnalyzerEfficiencies, bob_povm
 
 from oracles import propagate
 
@@ -78,6 +78,9 @@ GUARDED = {
     ),
     "AnalyzerEfficiencies.eta_s": (
         lambda v: AnalyzerEfficiencies(0.9, v), "eta_s", UNIT
+    ),
+    "bob_povm.relative_phase": (
+        lambda v: bob_povm(EFF, relative_phase=v), "relative_phase", FINITE
     ),
     "DepolarizationParams.p_x": (
         lambda v: st.DepolarizationParams(v, 0.0, 0.0), "p_x", UNIT

@@ -271,19 +271,43 @@ class TestSimulateDriftScan:
         with pytest.raises(ValueError):
             chsh.simulate_drift_scan(noisy, EFF, drift_2pi(1.0), rate=-5.0)
 
+    @pytest.mark.parametrize("seed", [None, 3], ids=["noiseless", "seeded"])
+    def test_memory_bounded_at_cap(self, noisy, seed):
+        # A stack of one 6x6 complex operator per bucket would peak at 164 MB.
+        tracemalloc.start()
+        try:
+            trace = chsh.simulate_drift_scan(
+                noisy, EFF, drift_2pi(600.0), duration=chsh.MAX_BUCKETS * 0.5,
+                seed=seed,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n_buckets == chsh.MAX_BUCKETS
+        assert peak < 24e6
+
     @scan_grid
     def test_matches_per_bucket_loop(
         self, noisy, n, kind, phase0, etas, axis, embedded
     ):
+        # The static bins are the oracle's bits.  The middle bin is
+        # d + c cos(phi) + s sin(phi), the oracle's value rounded another
+        # way, so it is pinned within 2 eps of the pairs per bucket (8x the
+        # largest deviation over the grid).
         rho, drift, trace = grid_scan(noisy, n, kind, phase0, etas, axis, embedded)
         six = rho if embedded else st.embed_2x3(rho, 1.0)
+        scale = 1000.0 * 0.5
         expected = drift_scan_rates_loop(
             six.matrix, chsh.alice_setting(axis), *etas, drift.phase(trace.times),
-            1000.0 * 0.5,
+            scale,
         )
         assert trace.counts.keys() == expected.keys()
         for key, series in expected.items():
-            assert np.array_equal(trace.counts[key], series), key
+            if key[1] == "mid":
+                error = np.max(np.abs(trace.counts[key] - series))
+                assert error <= 2 * np.finfo(float).eps * scale, key
+            else:
+                assert np.array_equal(trace.counts[key], series), key
 
 
 class TestMaxExpectationSurface:

@@ -210,10 +210,10 @@ class TestVisibilityScan:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "argv, name",
+        "argv, name, got",
         [
-            pytest.param(argv, name, id="-".join([*argv, name]))
-            for argv, name in [
+            pytest.param(argv, name, "".join(got), id="-".join([*argv, name]))
+            for argv, name, *got in [
                 (["visibility-scan", "--sigma", "nan"], "sigma"),
                 (["visibility-scan", "--delta-l0", "nan"], "delta_l0"),
                 (["visibility-scan", "--wavelength", "nan"], "wavelength"),
@@ -258,7 +258,8 @@ class TestVisibilityScan:
                 (["chsh-scan", "--seed", "-5"], "seed"),
                 (["stability", "--seed", "-1"], "seed"),
                 (["visibility-scan", "--mode", "speckle", "--seed", "-1"], "seed"),
-                (["visibility-scan", "--grid-n", "64", "--sigma", "1e-300m"], "sigma"),
+                (["visibility-scan", "--grid-n", "64", "--sigma", "1e-300m"], "sigma",
+                 "got sigma 1e-300 m and extent 8e-300 m"),
                 (["expectation-aoi", "--relay", "off", "--delta-l0", "1e308m"],
                  "delta_l0 and wavelength"),
                 (["phase-sensitivity", "--delta-l0", "1e308m"],
@@ -277,6 +278,8 @@ class TestVisibilityScan:
                 (["stability", "--duration", "10s", "--bucket", "1e-300s",
                   "--rate", "none"], "duration"),
                 (["chsh-scan", "--duration", "100001s", "--bucket", "1s"], "duration"),
+                (["chsh-scan", "--duration", "2049s", "--bucket", "0.5s"], "duration",
+                 "at most 4096 buckets for the surface export"),
                 # Only chsh-scan's seed and stability's rate take none.
                 (["visibility-scan", "--seed", "none"], "seed"),
                 (["npt-verify", "--tol", "none"], "tol"),
@@ -284,9 +287,11 @@ class TestVisibilityScan:
             ]
         ],
     )
-    def test_bad_sweep_input_rejected(self, tmp_path, capsys, argv, name):
+    def test_bad_sweep_input_rejected(self, tmp_path, capsys, argv, name, got):
         assert run([*argv, "--out-dir", str(tmp_path)]) == 2
-        assert f"error: {name} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {name} must be" in err
+        assert got in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--delta-l0", "--wavelength"])
@@ -374,9 +379,9 @@ CHSH_SCAN_20S = ["chsh-scan", "--duration", "20s", "--drift-period", "20s"]
             "chsh_trace_a2.csv": "chsh_scan_noiseless_trace_a2.csv",
             "chsh_summary.csv": "chsh_scan_noiseless_summary.csv",
             "chsh_surface_a1.csv":
-                "7a785b4ae5ac2650d55a63960c902c024a8a3dd4cfa3a076ad487d695e636cff",
+                "5bc6c97a421c03c39f66710ccb45e253d4df360f0a60a8b99baa2d6bfc5ac371",
             "chsh_surface_a2.csv":
-                "46700b7439b3b5fb403bbdd0b790f6a6e1c215d140dd4d2861a53bafd254eb7e",
+                "f6166d5ad101bca843697225fdfef2b5d63e2610dd278203721593f0784e2932",
         }),
         (["stability", "--seed", "3", "--duration", "600s", "--bucket", "10s"],
          {"stability.csv": "stability_seed3.csv"}),
