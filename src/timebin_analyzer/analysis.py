@@ -186,10 +186,8 @@ def stability_series(
         total = plus + minus
         e = np.divide(plus - minus, total, out=np.zeros(total.shape), where=total > 0)
         e1, e2 = e.T
-    # math.hypot, as in chsh.combined_expectation: np.hypot differs by an ulp.
     _chsh.check_expectations(np.column_stack([e1, e2]))
-    combined = np.array(list(map(math.hypot, e1.tolist(), e2.tolist())))
-    rows = np.column_stack([times, e1, e2, combined])
+    rows = np.column_stack([times, e1, e2, np.hypot(e1, e2)])
     return Curve(
         columns=["time_s", "e_phi", "e_phi_quadrature", "combined"],
         rows=rows,

@@ -67,7 +67,7 @@ def s_theo(v_z, v_xy):
 def combined_expectation(e1, e2):
     """Drift-invariant magnitude sqrt(e1^2 + e2^2) of two quadratures."""
     check_expectations((e1, e2))
-    return math.hypot(e1, e2)
+    return float(np.hypot(e1, e2))
 
 
 @dataclass(frozen=True)

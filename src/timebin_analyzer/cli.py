@@ -219,9 +219,16 @@ def _drift_from(settings):
 
 
 def _sweep_range(settings):
-    """Largest angle and number of angles of a sweep, validated."""
+    """Largest angle and number of angles of a sweep, validated before any
+    array is built: every angle of the sweep lies within |alpha_max|."""
+    alpha_max = settings["alpha_max"]
+    if not abs(alpha_max) < geometry.ALPHA_LIMIT:
+        raise ValueError(
+            f"alpha_max must be in (-pi/4, pi/4) rad for the ray model, "
+            f"got {alpha_max}"
+        )
     return (
-        finite_in("alpha_max", settings["alpha_max"]),
+        alpha_max,
         finite_in("alpha_steps", settings["alpha_steps"], 1, MAX_ALPHA_STEPS),
     )
 

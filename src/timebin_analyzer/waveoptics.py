@@ -263,7 +263,14 @@ def _signal_bandwidth(field: ScalarField, quadrant):
 def _check_alias(field: ScalarField, quadrant, distance):
     """Raise AliasingError if angular-spectrum propagation of ``field``, of
     folded spectral power ``quadrant``, over ``distance`` would alias.  The
-    message names ``delta_l0``, the one distance the library propagates."""
+    message names ``delta_l0``, the one distance the library propagates.
+    A wavelength whose square is not a normal float is refused first: the
+    range squares 1/wavelength and the kernel squares the wavelength."""
+    if not field.wavelength >= 1.5e-154:
+        raise ValueError(
+            f"wavelength must be >= 1.5e-154 m for angular-spectrum "
+            f"propagation, got {field.wavelength} m"
+        )
     f_sig = 1.1 * _signal_bandwidth(field, quadrant)
     inv_lam = 1.0 / field.wavelength
     if f_sig >= inv_lam and distance != 0:

@@ -122,6 +122,18 @@ class TestStabilitySeries:
         b = analysis.stability_series(0.8, drift, 1200.0, 60.0, rate=500.0, seed=9)
         assert np.array_equal(a.rows, b.rows)
 
+    @pytest.mark.parametrize("rate, seed", [(1000.0, 3), (50.0, 11), (None, 0)])
+    def test_combined_column_is_combined_expectation(self, rate, seed):
+        # One hypot for the library: the series' combined column and the
+        # scalar function agree to the bit, row by row.
+        drift = chsh.DriftModel("sinusoidal", amount=2.0, period=700.0, phase0=0.3)
+        curve = analysis.stability_series(
+            0.804, drift, 3600.0, 1.0, rate=rate, seed=seed
+        )
+        _, e1, e2, combined = curve.rows.T
+        expected = [chsh.combined_expectation(a, b) for a, b in zip(e1, e2)]
+        assert combined.tobytes() == np.array(expected).tobytes()
+
     def test_validation(self):
         drift = chsh.DriftModel()
         with pytest.raises(ValueError):

@@ -185,6 +185,18 @@ class TestCombinedExpectation:
         with pytest.raises(ValueError, match="expectation value nan"):
             chsh.combined_expectation(0.4, math.nan)
 
+    @given(
+        hst.floats(-1.0, 1.0, allow_nan=False),
+        hst.floats(-1.0, 1.0, allow_nan=False),
+    )
+    def test_within_one_spacing_of_math_hypot(self, a, b):
+        # np.hypot and math.hypot may round differently, but by at most one
+        # unit in the last place.
+        exact = math.hypot(a, b)
+        got = chsh.combined_expectation(a, b)
+        assert type(got) is float
+        assert abs(got - exact) <= np.spacing(exact)
+
 
 class TestDriftModel:
     def test_linear(self):

@@ -222,6 +222,11 @@ class TestVisibilityScan:
                 (["relay-check", "--focal-length", "inf"], "focal_length"),
                 (["visibility-scan", "--delta-l0", "inf"], "delta_l0"),
                 (["visibility-scan", "--alpha-max", "nan"], "alpha_max"),
+                (["visibility-scan", "--alpha-max", "-1"], "alpha_max", "got -1.0"),
+                (["expectation-aoi", "--alpha-max", "1e308"], "alpha_max",
+                 "got 1e+308"),
+                (["visibility-scan", "--grid-n", "64", "--wavelength", "1e-300"],
+                 "wavelength", "got 1e-300 m"),
                 (["visibility-scan", "--alpha-steps", "0"], "alpha_steps"),
                 (["expectation-aoi", "--alpha-steps", "0"], "alpha_steps"),
                 (["expectation-aoi", "--vxy", "2"], "v_xy"),
@@ -287,6 +292,7 @@ class TestVisibilityScan:
             ]
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_sweep_input_rejected(self, tmp_path, capsys, argv, name, got):
         assert run([*argv, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -294,6 +300,7 @@ class TestVisibilityScan:
         assert got in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", ["--delta-l0", "--wavelength"])
     def test_alias_error_with_huge_setting(self, tmp_path, capsys, flag):
         # The grid the message asks for is infinite or 300 digits long; it is
