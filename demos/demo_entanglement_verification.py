@@ -19,7 +19,7 @@ eff = AnalyzerEfficiencies(0.9, 0.9)
 print("Measured visibilities v_z = 0.952, v_xy = 0.804:")
 report = verify.sdp_feasible(verify.build_constraints(0.952, 0.804, eff))
 print(f"  {report.verdict} (margin {report.margin:+.4e}, "
-      f"{report.iterations} Newton steps)")
+      f"{report.iterations} iterations)")
 print("  no PPT state is consistent with the data: the state was entangled")
 
 print("\nControl points:")

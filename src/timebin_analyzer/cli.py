@@ -589,28 +589,43 @@ _COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """The parser of one subcommand.  It adds the flags of its settings
+    table when it first parses, so a run builds the flags of the subcommand
+    it runs and of no other."""
+
+    def __init__(self, *args, table, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._table = table
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._table is not None:
+            table, self._table = self._table, None
+            self.add_argument("--config", default=None, help="JSON config file")
+            self.add_argument("--out-dir", dest="out_dir", default=None)
+            self.add_argument("--svg", action="store_const", const=True,
+                              default=None, help="also write SVG plots")
+            for key in table:
+                flag = "--" + key.replace("_", "-")
+                if key == "focal_length":
+                    self.add_argument(flag, "--f", dest=key, default=None)
+                elif key == "jobs":
+                    self.add_argument(flag, dest=key, default=None,
+                                      help="accepted for compatibility; ignored")
+                else:
+                    self.add_argument(flag, dest=key, default=None)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="timebin-analyzer",
         description="Angle-tolerant time-bin qubit analyzer simulations",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_SubcommandParser)
     for name, (_, table) in _COMMANDS.items():
-        p = sub.add_parser(name, help=f"{name} scenario")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--svg", action="store_const", const=True, default=None,
-                       help="also write SVG plots")
-        for key in table:
-            flag = "--" + key.replace("_", "-")
-            if key == "focal_length":
-                p.add_argument(flag, "--f", dest=key, default=None)
-            elif key == "jobs":
-                p.add_argument(flag, dest=key, default=None,
-                               help="accepted for compatibility; ignored")
-            else:
-                p.add_argument(flag, dest=key, default=None)
+        sub.add_parser(name, help=f"{name} scenario", table=table)
     return parser
 
 

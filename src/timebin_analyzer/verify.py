@@ -19,26 +19,24 @@ One program: maximize t subject to rho - t*I > 0 and rho^Gamma - t*I > 0
 over the real symmetric 6x6 matrices that meet the five constraints, in
 the coordinates of :func:`~timebin_analyzer.quantum.vec_symmetric`.  The
 operators are real, so the conjugate of a feasible state is feasible with
-the same t; the barrier is conjugation-invariant and strictly convex, so
-its central points are real (Gatermann & Parrilo, J. Pure Appl. Algebra
-192, 2004).  One solver: log-det
-barrier path-following (Nesterov & Nemirovskii 1994; Vandenberghe &
-Boyd, SIAM Rev. 38, 1996).  From a strictly feasible start, damped
-Newton steps minimize -t/mu - log det(rho - t*I) - log det(rho^Gamma -
-t*I) for a decreasing sequence of barrier weights mu, each Newton system
-solved by Cholesky.  The path ends at mu_end = 50^-5 = 3.2e-9, the first
-stage with 12*mu <= 1e-7 and the last at which the Newton matrix stays
-positive definite in double precision (at the next stage, mu = 6.4e-11,
-Cholesky fails on it in most solves).
+the same t, and the real program has the same optimum (Gatermann &
+Parrilo, J. Pure Appl. Algebra 192, 2004).  One solver: a feasible
+primal-dual interior-point method on this LMI (Vandenberghe & Boyd, SIAM
+Rev. 38, 1996), with the HKM direction (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 6, 1996) and Mehrotra's predictor-corrector
+(SIAM J. Optim. 2, 1992).  It keeps a primal point S = (rho - t*I,
+rho^Gamma - t*I) > 0 and a dual-feasible Z = (Z_1, Z_2) > 0 at every
+iterate and stops when the duality gap Tr(S Z) is at most MAX_GAP = 1e-8.
 
 The margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
 point decides the verdict: infeasible when it is < -tol.  Soundness: the
-returned point is strictly inside both cones, so margin > t, and near
-the central path t >= t* - 12*mu_end = t* - 3.84e-8, t* the optimum.  A
-PPT state meeting the constraints has t* >= 0, so for tol >= 3.84e-8 an
-infeasible verdict proves that no such state exists; for a smaller tol
-the band that verdict is proved for is 3.84e-8, not tol.  For 2x3 the
-PPT test is exact, so an infeasible program certifies entanglement.
+returned point is strictly inside both cones, so margin > t, and weak
+duality with the dual-feasible Z gives t* <= t + Tr(S Z) <= t + 1e-8, t*
+the optimum.  A PPT state meeting the constraints has t* >= 0, so for tol
+>= 1e-8 an infeasible verdict proves that no such state exists; for a
+smaller tol the band that verdict is proved for is 1e-8, not tol.  For
+2x3 the PPT test is exact, so an infeasible program certifies
+entanglement.
 """
 
 from __future__ import annotations
@@ -92,7 +90,9 @@ class ConstraintSet:
     qubit_mass: float
 
     def __post_init__(self):
-        rows = vec_symmetric(np.array(self.operators))
+        operators = np.array(self.operators)
+        rows = vec_symmetric(operators)  # refuses a complex operator
+        self.operators = [np.array(op, dtype=float) for op in operators.real]
         b = np.asarray(self.targets, dtype=float)
         self.x0, _, _, self.singular_values = np.linalg.lstsq(rows, b, rcond=None)
         residual = float(np.max(np.abs(rows @ self.x0 - b)))
@@ -110,11 +110,13 @@ class ConstraintSet:
 
 @dataclass
 class FeasibilityReport:
-    """Outcome of one feasibility instance."""
+    """Outcome of one feasibility instance; ``gap`` is the final duality gap
+    Tr(S Z), at most ``MAX_GAP``."""
 
     feasible: bool
     margin: float
     iterations: int
+    gap: float
     residuals: dict
     witness: np.ndarray | None
 
@@ -173,129 +175,111 @@ def build_constraints(
     return cs
 
 
-# Path-following schedule.  Each centring takes damped Newton steps on
-# -t/mu - log det F1 - log det F2 until the squared Newton decrement is
-# at most _DECREMENT_TOL; then mu is divided by _MU_FACTOR.  On the
-# central path the optimum exceeds t by at most 12*mu (the order of the
-# two 6x6 blocks times mu), so the path ends at the first mu with
-# 12*mu <= _GAP_TARGET: mu = 50^-5 = 3.2e-9.  The end is fixed, not tied
-# to tol, because double precision sets it: down to mu = 3.2e-9 every
-# Newton matrix of 200 random solves (efficiencies in [0.3, 1]), 85
-# boundary scans and the 64 points v_xy = k/1024 at v_z = 1 factored,
-# while at the next stage, mu = 6.4e-11, Cholesky fails in about three
-# solves of four (149 of the 200).
-_MU_FACTOR = 50.0
-_GAP_TARGET = 1e-7
-_DECREMENT_TOL = 1e-2
-_NEWTON_BUDGET = 500
-_ARMIJO = 0.25
-_MIN_STEP = 2.0**-40
+# The solve stops once the duality gap Tr(S Z) is at most MAX_GAP, which
+# bounds the optimum: t* <= t + MAX_GAP.  Solves take about 8 iterations;
+# the cap only ends one that does not converge.
+MAX_GAP = 1e-8
+_ITERATION_CAP = 50
+# Each step goes this fraction of the way to the boundary of the cone.
+_STEP_FRACTION = 0.98
 
 
-def _newton_direction(hess, rhs):
-    """Solution x of hess @ x = rhs and the squared decrement rhs @ x.
+def _schur_factor(l_inv, r, a):
+    """Upper-triangular U with U^T U = H, H_kl = sum_b Tr(A_bk S_b^-1 A_bl Z_b)
+    for the blocks b and coordinates k, l, given l_inv[b] = L_b^-1 for
+    S_b = L_b L_b^T and Z_b = r[b] r[b]^T.
 
-    Solved by Cholesky alone.  The Hessian grows like 1/mu^2 along the
-    active eigenvectors, and the path ends (``_GAP_TARGET``) at the last
-    stage where it stays positive definite in double precision, so a
-    failed factorization raises :class:`numpy.linalg.LinAlgError`.
+    H is the Gram matrix of the l_inv[b] A_bk r[b], so U is the R of their
+    QR decomposition, one (72, K) factorization.  Near the gap target H's
+    condition number can pass 1e16, where its Cholesky factorization fails
+    (6 of 3800 random solves) and this QR does not.
     """
-    chol = np.linalg.cholesky(hess)
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, y), float(y @ y)
+    k = a.shape[1]
+    m = (l_inv[:, None] @ a @ r[:, None]).transpose(1, 0, 2, 3).reshape(k, 72)
+    return np.linalg.qr(m.T, mode="r")
 
 
-def _log_det_derivatives(c):
-    """Gradient and Hessian of -log det F_1 - log det F_2 in w, from
-    c[b, k] = F_b^-1 A_bk for the blocks b and coordinates k.
+def _step(l_inv, d):
+    """_STEP_FRACTION of the largest step along ``d`` that keeps each block
+    L L^T positive definite, capped at 1: read off lambda_min(L^-1 d L^-T)."""
+    low = np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1)).min()
+    return min(1.0, -_STEP_FRACTION / low) if low < 0 else 1.0
 
-    grad_k = -sum_b Tr c[b, k] and hess_kl = sum_b Tr(c[b, k] c[b, l]),
-    the latter as one (K, 72) x (72, K) product.
-    """
-    k = c.shape[1]
-    grad = -c.diagonal(axis1=2, axis2=3).sum(-1).sum(axis=0)
-    left = c.transpose(1, 0, 2, 3).reshape(k, 72)
-    right = c.transpose(0, 3, 2, 1).reshape(72, k)
-    return grad, (left @ right).T
+
+def _sym(m):
+    return 0.5 * (m + m.transpose(0, 2, 1))
 
 
 def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     """Decide whether a PSD state with PSD partial transpose satisfies ``cs``.
 
-    Maximizes t subject to F1 = rho(z) - t*I > 0 and F2 = rho(z)^Gamma
-    - t*I > 0 over the affine constraint subspace, by log-det barrier
-    path-following in w = (z, t); the verdict is feasible iff the margin
-    min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned point is
-    >= -tol.  Deterministic for fixed inputs.  Raises
-    :class:`NonConvergenceError` when the Newton-step budget runs out, a
-    line search stalls or a Newton system fails to factor.
+    Maximizes t subject to S_1 = rho(z) - t*I > 0 and S_2 = rho(z)^Gamma
+    - t*I > 0 over the affine constraint subspace, in w = (z, t), by a
+    feasible primal-dual interior-point method; the verdict is feasible iff
+    the margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
+    point is >= -tol.  Deterministic for fixed inputs.  Raises
+    :class:`NonConvergenceError` when the iteration cap is reached or a
+    factorization fails before the gap reaches ``MAX_GAP``.
     """
     finite_in("tol", tol, 0, open_lo=True)
     # The null basis (2.7 kB) is not kept on cs: callers hold many constraint sets.
     _, s, vt = np.linalg.svd(vec_symmetric(np.array(cs.operators)))
     rank = int(np.sum(s > 1e-12 * s[0]))
     null = vt[rank:].T  # columns span the nullspace
-    # F_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
+    # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
     basis = np.concatenate([unvec_symmetric(null.T), -np.eye(6)[None]])
     a = np.stack([basis, [partial_transpose(m) for m in basis]])
     a_flat = a.transpose(1, 0, 2, 3).reshape(len(basis), 72)
     x0 = unvec_symmetric(cs.x0)
     f0 = np.stack([x0, partial_transpose(x0)])
+    # The dual: Z_b > 0 with sum_b Tr(a[b, k] Z_b) = c_k, c = -e_t.  Every
+    # null-basis matrix has trace 0, so Z_1 = Z_2 = I/12 is feasible.
+    c = np.zeros(len(basis))
+    c[-1] = -1.0
 
-    def factor(w):
-        """Cholesky factors of both blocks, or None outside the cone."""
-        try:
-            return np.linalg.cholesky(f0 + np.dot(w[None], a_flat).reshape(2, 6, 6))
-        except np.linalg.LinAlgError:
-            return None
+    def blocks(dw):
+        return np.dot(dw, a_flat).reshape(2, 6, 6)
 
-    def objective(w, chol):
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
-        return -w[-1] / mu - log_det
-
-    w = np.zeros(null.shape[1] + 1)
+    w = np.zeros(len(basis))
     w[-1] = min(min_eigenvalue(f) for f in f0) - 1.0
-    chol = factor(w)
-    mu = 1.0
-    steps = 0
-    while True:
-        inv = np.linalg.inv(chol)
-        f_inv = inv.transpose(0, 2, 1) @ inv
-        grad, hess = _log_det_derivatives(f_inv[:, None] @ a)
-        grad[-1] -= 1.0 / mu
+    s_mat = f0 + blocks(w)
+    z = np.stack([np.eye(6), np.eye(6)]) / 12.0
+    iterations = 0
+    # A NaN gap fails the comparison, so it ends in NonConvergenceError.
+    while not (gap := float(np.vdot(s_mat, z))) <= MAX_GAP:
+        diagnostics = {"gap": gap, "iterations": iterations, "t": float(w[-1])}
+        if iterations == _ITERATION_CAP:
+            raise NonConvergenceError(
+                f"primal-dual solver exhausted {iterations} iterations", diagnostics
+            )
         try:
-            step, decrement = _newton_direction(hess, -grad)
+            ls = np.linalg.inv(np.linalg.cholesky(s_mat))
+            r = np.linalg.cholesky(z)
+            rz = np.linalg.inv(r)
+            u_inv = np.linalg.inv(_schur_factor(ls, r, a))
         except np.linalg.LinAlgError:
             raise NonConvergenceError(
-                "barrier Newton system is not positive definite",
-                {"mu": mu, "t": float(w[-1]), "steps": steps},
+                "primal-dual system is not positive definite", diagnostics
             ) from None
-        if decrement <= _DECREMENT_TOL:
-            if 12 * mu <= _GAP_TARGET:
-                break
-            mu /= _MU_FACTOR
-            continue
-        if steps == _NEWTON_BUDGET:
-            raise NonConvergenceError(
-                f"barrier solver exhausted {steps} Newton steps",
-                {"mu": mu, "decrement": decrement, "t": float(w[-1])},
-            )
-        value, s = objective(w, chol), 1.0
-        while True:
-            trial = w + s * step
-            chol_trial = factor(trial)
-            if chol_trial is not None and (
-                objective(trial, chol_trial) <= value - _ARMIJO * s * decrement
-            ):
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                raise NonConvergenceError(
-                    "barrier line search stalled",
-                    {"mu": mu, "decrement": decrement, "t": float(w[-1])},
-                )
-        w, chol = trial, chol_trial
-        steps += 1
+        h_inv = u_inv @ u_inv.T
+        s_inv = ls.transpose(0, 2, 1) @ ls
+        # Predictor (sigma = 0), then Mehrotra's corrector, each in the HKM
+        # direction dZ = sym(sigma mu S^-1 - Z - Z dS S^-1 - ...).
+        ds_aff = blocks(h_inv @ -c)
+        dz_aff = -z - _sym(z @ ds_aff @ s_inv)
+        mu = gap / 12
+        mu_aff = np.vdot(
+            s_mat + _step(ls, ds_aff) * ds_aff, z + _step(rz, dz_aff) * dz_aff
+        ) / 12
+        sigma_mu = (mu_aff / mu) ** 3 * mu
+        second = dz_aff @ ds_aff @ s_inv
+        dw = h_inv @ (sigma_mu * (a_flat @ s_inv.ravel()) - c - a_flat @ second.ravel())
+        ds = blocks(dw)
+        dz = _sym(sigma_mu * s_inv - z - z @ ds @ s_inv - second)
+        w = w + _step(ls, ds) * dw
+        s_mat = f0 + blocks(w)
+        z = z + _step(rz, dz) * dz
+        iterations += 1
 
     rho = unvec_symmetric(cs.x0 + null @ w[:-1])
     min_eig, min_eig_pt = min_eigenvalue(rho), min_eigenvalue(partial_transpose(rho))
@@ -304,7 +288,8 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     return FeasibilityReport(
         feasible=feasible,
         margin=margin,
-        iterations=steps,
+        iterations=iterations,
+        gap=gap,
         residuals={**cs.residuals(rho), "min_eig": min_eig, "min_eig_pt": min_eig_pt},
         witness=rho if feasible else None,
     )
@@ -315,7 +300,7 @@ class BoundaryPoint:
     """One point of the classical boundary: threshold in v_xy at fixed v_z.
 
     ``margin`` is the solver margin at ``threshold``; ``iterations`` is
-    the number of Newton steps summed over every solve the scan made.
+    the number of solver iterations summed over every solve the scan made.
     """
 
     v_z: float

@@ -1,4 +1,4 @@
-"""Solver sweep: the verdicts, margins and Newton steps of
+"""Solver sweep: the verdicts, margins and iterations of
 ``verify.sdp_feasible`` on a fixed set of points, and the thresholds of
 ``verify.boundary_scan`` on the default ``npt-boundary`` grid.
 
@@ -11,7 +11,7 @@ verdict and no threshold::
 
 With no argument it prints one JSON document.  With two documents it
 prints the verdict flips, the threshold moves, the largest |margin
-difference| and the Newton-step totals of each side.  pytest does not
+difference| and the iteration totals of each side.  pytest does not
 collect this file.
 
 The points (efficiencies (0.9, 0.9) unless drawn):
@@ -61,7 +61,7 @@ def run():
         solves[label] = {
             "verdict": report.verdict,
             "margin": repr(report.margin),
-            "steps": report.iterations,
+            "iterations": report.iterations,
         }
     scans = {}
     for eta_l, eta_s in SCAN_EFFICIENCIES:
@@ -73,7 +73,7 @@ def run():
             continue
         scans[label] = {
             "thresholds": {repr(p.v_z): repr(p.threshold) for p in result},
-            "steps": sum(p.iterations for p in result),
+            "iterations": sum(p.iterations for p in result),
         }
     return {"solves": solves, "scans": scans}
 
@@ -95,9 +95,9 @@ def compare(old, new):
         if outcome(a, "thresholds") != outcome(new["scans"][label], "thresholds"):
             moves.append(label)
 
-    def steps(doc):
+    def iterations(doc):
         return {
-            part: sum(entry.get("steps", 0) for entry in doc[part].values())
+            part: sum(entry.get("iterations", 0) for entry in doc[part].values())
             for part in ("solves", "scans")
         }
 
@@ -105,7 +105,7 @@ def compare(old, new):
         "verdict_flips": flips,
         "threshold_moves": moves,
         "largest_margin_difference": worst,
-        "newton_steps": {"old": steps(old), "new": steps(new)},
+        "iterations": {"old": iterations(old), "new": iterations(new)},
     }
 
 

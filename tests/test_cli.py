@@ -129,27 +129,27 @@ class TestNptVerify:
         assert not any(tmp_path.iterdir())
 
     def test_exit_3_prints_solver_diagnostics(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "_NEWTON_BUDGET", 5)
+        monkeypatch.setattr(verify, "_ITERATION_CAP", 5)
         assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
         assert not any(tmp_path.iterdir())
         err = capsys.readouterr().err
-        assert "exhausted 5 Newton steps" in err
-        assert "diagnostics: decrement=" in err and " mu=" in err and " t=" in err
+        assert "exhausted 5 iterations" in err
+        assert "diagnostics: gap=" in err and " iterations=5 " in err and " t=" in err
 
     def test_newton_cholesky_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        # Run past the last barrier stage at which the Newton matrix stays
-        # positive definite in double precision: the failed Cholesky is a
+        # With no gap target the iterates run on until a factorization of
+        # the primal-dual system fails in double precision: that is a
         # NonConvergenceError with diagnostics, not a LinAlgError (a
         # ValueError, which would exit 2).
-        monkeypatch.setattr(verify, "_GAP_TARGET", 1e-10)
+        monkeypatch.setattr(verify, "MAX_GAP", 0.0)
         cs = verify.build_constraints(0.952, 0.804, AnalyzerEfficiencies(0.9, 0.9))
         with pytest.raises(verify.NonConvergenceError, match="not positive") as info:
             verify.sdp_feasible(cs)
-        assert set(info.value.diagnostics) == {"mu", "t", "steps"}
+        assert set(info.value.diagnostics) == {"gap", "iterations", "t"}
         assert run(["npt-verify", "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "not positive definite" in err
-        assert "diagnostics: mu=" in err and " steps=" in err and " t=" in err
+        assert "diagnostics: gap=" in err and " iterations=" in err and " t=" in err
 
 
 class TestVisibilityScan:
@@ -673,3 +673,30 @@ def test_readme_command_lines_convert():
         assert set(settings) == set(table)
         for key, (_, kind) in table.items():
             assert isinstance(settings[key], str) == (kind == "text"), (argv, key)
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads((DATA / "cli_parser_texts.json").read_text()),
+    ids=lambda case: " ".join(case["argv"]) or "no_arguments",
+)
+def test_parser_texts_unchanged(case, monkeypatch, capsys):
+    # Usage, --help and argparse error texts, recorded when the parser built
+    # the flags of all eight subcommands on every call.
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_parser_builds_only_the_chosen_subcommand():
+    parser = cli.build_parser()
+    parser.parse_args(["relay-check", "--f", "0.1m"])
+    (sub,) = [action for action in parser._actions if action.dest == "command"]
+    usages = {name: p.format_usage() for name, p in sub.choices.items()}
+    assert "--focal-length FOCAL_LENGTH" in usages.pop("relay-check")
+    for name, usage in usages.items():
+        assert usage == f"usage: timebin-analyzer {name} [-h]\n"

@@ -209,7 +209,7 @@ class TestHermitianBasis:
         eff = AnalyzerEfficiencies(0.9, 0.9)
         matrices = [random_hermitian(rng, 6).real for _ in range(20)]
         matrices += verify.build_constraints(0.952, 0.804, eff).operators
-        # A Newton-step matrix is symmetric only to rounding; both triangles count.
+        # A matrix symmetric only to rounding: both triangles count.
         matrices.append(rng.normal(size=(6, 6)))
         for m in matrices:
             assert np.array_equal(q.vec_symmetric(m), basis_traces(m, basis))

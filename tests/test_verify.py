@@ -11,6 +11,7 @@ from timebin_analyzer import states as st
 from timebin_analyzer import verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_povm
 
+import solver_sweep
 from oracles import (
     alternating_projections,
     boundary_closed_form,
@@ -78,7 +79,7 @@ class TestSdpFeasible:
     )
     def test_perfect_z_zero_xy_feasible_with_witness(self, v_z, v_xy):
         # Edge points of the feasible region, where the optimal margin is
-        # zero or tiny and the Newton system is close to singular.
+        # zero or tiny and the primal-dual system is close to singular.
         cs = verify.build_constraints(v_z, v_xy, EFF)
         report = verify.sdp_feasible(cs)
         assert report.feasible
@@ -89,10 +90,12 @@ class TestSdpFeasible:
         assert q.min_eigenvalue(q.partial_transpose(witness, 2, 3)) >= -1e-8
 
     def test_newton_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(verify, "_NEWTON_BUDGET", 5)
-        with pytest.raises(verify.NonConvergenceError, match="5 Newton steps") as info:
+        monkeypatch.setattr(verify, "_ITERATION_CAP", 5)
+        with pytest.raises(verify.NonConvergenceError, match="5 iterations") as info:
             verify.sdp_feasible(verify.build_constraints(0.952, 0.804, EFF))
-        assert set(info.value.diagnostics) == {"mu", "decrement", "t"}
+        assert set(info.value.diagnostics) == {"gap", "iterations", "t"}
+        assert info.value.diagnostics["iterations"] == 5
+        assert info.value.diagnostics["gap"] > verify.MAX_GAP
 
     def test_zero_visibilities_strictly_interior(self):
         report = verify.sdp_feasible(verify.build_constraints(0.0, 0.0, EFF))
@@ -132,20 +135,20 @@ class TestSdpFeasible:
             assert feasible.feasible
 
 
-def test_log_det_derivatives_match_trace_and_einsum():
-    # c[b, k] = F_b^-1 A_bk with F_b positive definite and A_bk symmetric,
-    # all real, for the 17 coordinates of w.
+def test_schur_factor_matches_trace_and_einsum():
+    # U^T U = H, H_kl = sum_b Tr(A_bk S_b^-1 A_bl Z_b), with S_b and Z_b
+    # positive definite and A_bk symmetric, all real, for the 17
+    # coordinates of w.
     rng = np.random.default_rng(7)
-    g = rng.normal(size=(2, 6, 6))
-    f = g @ g.transpose(0, 2, 1) + np.eye(6)
+    g = rng.normal(size=(2, 2, 6, 6))
+    s, z = g @ g.transpose(0, 1, 3, 2) + np.eye(6)
     h = rng.normal(size=(2, 17, 6, 6))
     a = h + h.transpose(0, 1, 3, 2)
-    c = np.linalg.inv(f)[:, None] @ a
-    grad, hess = verify._log_det_derivatives(c)
-    ref_grad = -np.trace(c, axis1=2, axis2=3).sum(axis=0)
-    ref_hess = np.einsum("bkij,blji->kl", c, c, optimize=True)
-    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
-    assert np.linalg.norm(hess - ref_hess) <= 1e-12 * np.linalg.norm(ref_hess)
+    l_inv = np.linalg.inv(np.linalg.cholesky(s))
+    u = verify._schur_factor(l_inv, np.linalg.cholesky(z), a)
+    ref = np.einsum("bkij,bjm,blmn,bni->kl", a, np.linalg.inv(s), a, z, optimize=True)
+    assert np.array_equal(u, np.triu(u))
+    assert np.linalg.norm(u.T @ u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_complex_constraint_operator_refused():
@@ -159,18 +162,51 @@ def test_complex_constraint_operator_refused():
 
 
 def test_newton_system_is_17_by_17(monkeypatch):
-    # 21 real symmetric coordinates less 5 constraints, plus t.
-    systems = set()
-    solve = verify._newton_direction
+    # 21 real symmetric coordinates less 5 constraints, plus t: the Schur
+    # matrix of every iteration is 17 x 17 and real.
+    factors = set()
+    factor = verify._schur_factor
 
-    def record(hess, rhs):
-        systems.add((hess.shape, hess.dtype, rhs.dtype))
-        return solve(hess, rhs)
+    def record(l_inv, r, a):
+        u = factor(l_inv, r, a)
+        factors.add((u.shape, u.dtype))
+        return u
 
-    monkeypatch.setattr(verify, "_newton_direction", record)
+    monkeypatch.setattr(verify, "_schur_factor", record)
     for v_xy in (0.3, 0.804):
         verify.sdp_feasible(verify.build_constraints(0.952, v_xy, EFF))
-    assert systems == {((17, 17), np.dtype(float), np.dtype(float))}
+    assert factors == {((17, 17), np.dtype(float))}
+
+
+def test_operators_stored_real():
+    cs = verify.build_constraints(0.952, 0.804, EFF)
+    assert isinstance(cs.operators, list)
+    assert {op.dtype for op in cs.operators} == {np.dtype(float)}
+
+
+def test_solver_sweep_matches_reference():
+    # The verdicts, margins and thresholds of tests/solver_sweep.py, recorded
+    # with the log-det barrier solver that the primal-dual one replaced: a
+    # solver change that moves a verdict or a threshold fails here.
+    reference = json.loads(
+        Path(__file__).with_name("data").joinpath("solver_sweep_reference.json")
+        .read_text()
+    )
+    for label, v_z, v_xy, eta_l, eta_s in solver_sweep.points():
+        cs = verify.build_constraints(v_z, v_xy, AnalyzerEfficiencies(eta_l, eta_s))
+        report = verify.sdp_feasible(cs)
+        expected = reference["solves"][label]
+        assert report.verdict == expected["verdict"], label
+        assert abs(report.margin - float(expected["margin"])) <= 5e-8, label
+        assert report.gap <= 1e-8, label
+    paper = verify.sdp_feasible(verify.build_constraints(0.952, 0.804, EFF))
+    assert paper.iterations <= 12
+    for eta_l, eta_s in solver_sweep.SCAN_EFFICIENCIES:
+        points = verify.boundary_scan(
+            solver_sweep.GRID, AnalyzerEfficiencies(eta_l, eta_s)
+        )
+        thresholds = {repr(p.v_z): repr(p.threshold) for p in points}
+        assert thresholds == reference["scans"][f"eff {eta_l} {eta_s}"]["thresholds"]
 
 
 class TestAlternatingProjections:
