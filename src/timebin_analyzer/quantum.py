@@ -10,6 +10,7 @@ is a thin validated wrapper that remembers the factor dimensions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,19 +40,30 @@ def is_hermitian(m, tol=HERMITICITY_TOL):
 
 
 def tensor(a, b):
-    """Kronecker product with Alice's factor leftmost."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with Alice's factor leftmost.
+
+    ``a`` may be a stack (..., p, q); each of its matrices is tensored with
+    the matrix ``b``.  Every entry is the one complex product a_ij b_kl, as
+    in ``np.kron``, formed in one broadcast multiply.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (p, q), (m, n) = a.shape[-2:], b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(
+        a.shape[:-2] + (p * m, q * n)
+    )
 
 
 def partial_transpose(m, dim_a=2, dim_b=None):
-    """Transpose the first (Alice) tensor factor of a bipartite operator.
+    """Transpose the first (Alice) tensor factor of a bipartite operator,
+    or of each operator in a stack (..., n, n).
 
     The operation is an involution and preserves trace and Hermiticity.
     """
     m = np.asarray(m)
-    n = m.shape[0]
-    if m.shape != (n, n):
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    n = m.shape[-1]
     if dim_b is None:
         dim_b, rem = divmod(n, dim_a)
         if rem:
@@ -60,13 +72,15 @@ def partial_transpose(m, dim_a=2, dim_b=None):
         raise DimensionMismatchError(
             f"dim_a*dim_b = {dim_a * dim_b} does not match size {n}"
         )
-    blocks = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    return blocks.transpose(2, 1, 0, 3).reshape(n, n)
+    blocks = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    return blocks.swapaxes(-4, -2).reshape(m.shape)
 
 
 def min_eigenvalue(m):
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0])
+    """Smallest eigenvalue of a Hermitian matrix; a stack (..., n, n) gives
+    an array of them."""
+    low = np.linalg.eigvalsh(np.asarray(m, dtype=complex))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def expectation(rho, obs):
@@ -157,6 +171,12 @@ def operator_from_dict(d):
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n):
+    """Row and column indices (i, j), i < j, of an n x n matrix, row-major."""
+    return np.triu_indices(n, 1)
+
+
 def vec_symmetric(m):
     """Real coordinates of a real symmetric n x n matrix, or of a stack of them.
 
@@ -171,7 +191,7 @@ def vec_symmetric(m):
     if np.any(np.imag(m)):
         raise ValueError("vec_symmetric needs a real matrix, got a complex one")
     m = m.real
-    i, j = np.triu_indices(m.shape[-1], 1)
+    i, j = _upper_pairs(m.shape[-1])
     pairs = _INV_SQRT2 * m[..., j, i] + _INV_SQRT2 * m[..., i, j]
     return np.concatenate([m.diagonal(axis1=-2, axis2=-1), pairs], axis=-1)
 
@@ -182,7 +202,7 @@ def unvec_symmetric(x):
     n = (math.isqrt(8 * x.shape[-1] + 1) - 1) // 2
     if n * (n + 1) != 2 * x.shape[-1]:
         raise DimensionMismatchError(f"{x.shape[-1]} coordinates are not n(n+1)/2")
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     m = np.zeros(x.shape[:-1] + (n, n))
     d = np.arange(n)
     m[..., d, d] = x[..., :n]

@@ -142,9 +142,8 @@ def build_constraints(
     bob = bob_povm(eff)
 
     def coincidence(pair_plus, pair_minus, v):
-        d = tensor(*pair_plus) - tensor(*pair_minus)
-        s = tensor(*pair_plus) + tensor(*pair_minus)
-        return d - v * s
+        plus, minus = tensor(*pair_plus), tensor(*pair_minus)
+        return (plus - minus) - v * (plus + minus)
 
     operators = [
         np.eye(6),
@@ -199,11 +198,14 @@ def _schur_factor(l_inv, r, a):
     return np.linalg.qr(m.T, mode="r")
 
 
-def _step(l_inv, d):
-    """_STEP_FRACTION of the largest step along ``d`` that keeps each block
-    L L^T positive definite, capped at 1: read off lambda_min(L^-1 d L^-T)."""
-    low = np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1)).min()
-    return min(1.0, -_STEP_FRACTION / low) if low < 0 else 1.0
+def _steps(l_inv, ds, dz):
+    """(primal, dual) steps: _STEP_FRACTION of the largest step along ``ds``
+    that keeps S_1, S_2 positive definite and along ``dz`` for Z_1, Z_2,
+    each capped at 1.  l_inv stacks L^-1 of S = L L^T then of Z; each step
+    reads off lambda_min(L^-1 d L^-T) over its two blocks."""
+    d = np.concatenate([ds, dz])
+    low = np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1)).reshape(2, -1)
+    return [min(1.0, -_STEP_FRACTION / x) if x < 0 else 1.0 for x in low.min(axis=1)]
 
 
 def _sym(m):
@@ -228,7 +230,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     null = vt[rank:].T  # columns span the nullspace
     # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
     basis = np.concatenate([unvec_symmetric(null.T), -np.eye(6)[None]])
-    a = np.stack([basis, [partial_transpose(m) for m in basis]])
+    a = np.stack([basis, partial_transpose(basis)])
     a_flat = a.transpose(1, 0, 2, 3).reshape(len(basis), 72)
     x0 = unvec_symmetric(cs.x0)
     f0 = np.stack([x0, partial_transpose(x0)])
@@ -241,7 +243,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         return np.dot(dw, a_flat).reshape(2, 6, 6)
 
     w = np.zeros(len(basis))
-    w[-1] = min(min_eigenvalue(f) for f in f0) - 1.0
+    w[-1] = min_eigenvalue(f0).min() - 1.0
     s_mat = f0 + blocks(w)
     z = np.stack([np.eye(6), np.eye(6)]) / 12.0
     iterations = 0
@@ -252,11 +254,15 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
             raise NonConvergenceError(
                 f"primal-dual solver exhausted {iterations} iterations", diagnostics
             )
+        # The four 6x6 blocks (S_1, S_2, Z_1, Z_2) go through each numpy
+        # call as one stack: at this size a call costs more than its
+        # arithmetic, and a stacked call gives each block the same bits
+        # as a call on that block alone.
         try:
-            ls = np.linalg.inv(np.linalg.cholesky(s_mat))
-            r = np.linalg.cholesky(z)
-            rz = np.linalg.inv(r)
-            u_inv = np.linalg.inv(_schur_factor(ls, r, a))
+            r = np.linalg.cholesky(np.concatenate([s_mat, z]))
+            l_inv = np.linalg.inv(r)
+            ls = l_inv[:2]
+            u_inv = np.linalg.inv(_schur_factor(ls, r[2:], a))
         except np.linalg.LinAlgError:
             raise NonConvergenceError(
                 "primal-dual system is not positive definite", diagnostics
@@ -268,21 +274,22 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         ds_aff = blocks(h_inv @ -c)
         dz_aff = -z - _sym(z @ ds_aff @ s_inv)
         mu = gap / 12
-        mu_aff = np.vdot(
-            s_mat + _step(ls, ds_aff) * ds_aff, z + _step(rz, dz_aff) * dz_aff
-        ) / 12
+        step_s, step_z = _steps(l_inv, ds_aff, dz_aff)
+        mu_aff = np.vdot(s_mat + step_s * ds_aff, z + step_z * dz_aff) / 12
         sigma_mu = (mu_aff / mu) ** 3 * mu
         second = dz_aff @ ds_aff @ s_inv
         dw = h_inv @ (sigma_mu * (a_flat @ s_inv.ravel()) - c - a_flat @ second.ravel())
         ds = blocks(dw)
         dz = _sym(sigma_mu * s_inv - z - z @ ds @ s_inv - second)
-        w = w + _step(ls, ds) * dw
+        step_s, step_z = _steps(l_inv, ds, dz)
+        w = w + step_s * dw
         s_mat = f0 + blocks(w)
-        z = z + _step(rz, dz) * dz
+        z = z + step_z * dz
         iterations += 1
 
     rho = unvec_symmetric(cs.x0 + null @ w[:-1])
-    min_eig, min_eig_pt = min_eigenvalue(rho), min_eigenvalue(partial_transpose(rho))
+    lows = min_eigenvalue(np.stack([rho, partial_transpose(rho)]))
+    min_eig, min_eig_pt = map(float, lows)
     margin = min(min_eig, min_eig_pt)
     feasible = margin >= -tol
     return FeasibilityReport(

@@ -10,9 +10,10 @@ verdict and no threshold::
     python tests/solver_sweep.py old.json new.json
 
 With no argument it prints one JSON document.  With two documents it
-prints the verdict flips, the threshold moves, the largest |margin
-difference| and the iteration totals of each side.  pytest does not
-collect this file.
+prints whether they are identical, the verdict flips, the threshold
+moves, the largest |margin difference| and the iteration totals of each
+side.  A solver change meant to be bit-identical must show
+``"identical": true``.  pytest does not collect this file.
 
 The points (efficiencies (0.9, 0.9) unless drawn):
   - the paper point (0.952, 0.804), (0.9, 0.3), (1, 1/1024) and
@@ -102,6 +103,7 @@ def compare(old, new):
         }
 
     return {
+        "identical": old == new,
         "verdict_flips": flips,
         "threshold_moves": moves,
         "largest_margin_difference": worst,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from timebin_analyzer import quantum as q
+from timebin_analyzer import states as st
 from timebin_analyzer import verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_povm
 
@@ -47,6 +48,26 @@ class TestTensor:
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
         assert np.max(np.abs(q.tensor(a, b) - kron_loops(a, b))) < 1e-13
 
+    def test_equals_kron_exactly(self):
+        # Each entry is the one complex product a_ij b_kl that np.kron forms.
+        rng = np.random.default_rng(13)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for dim_b in (2, 3):
+            for _ in range(10):
+                a, b = draw(2, 2), draw(dim_b, dim_b)
+                assert np.array_equal(q.tensor(a, b), np.kron(a, b))
+
+    def test_stack_equals_kron_exactly(self):
+        # The (24, 2, 2) phase-projector stack of visibility_xy.
+        p_plus, _ = st.alice_phase_projectors(np.linspace(0, 2 * np.pi, 24))
+        bob_x = bob_povm(AnalyzerEfficiencies(0.9, 0.8))["X"]
+        stacked = q.tensor(p_plus, bob_x)
+        assert stacked.shape == (24, 6, 6)
+        assert np.array_equal(stacked, np.kron(p_plus, bob_x))
+
 
 def bell_state_2x3():
     psi = np.zeros(6, dtype=complex)
@@ -85,6 +106,25 @@ class TestPartialTranspose:
                 np.abs(q.partial_transpose(m, *dims) - partial_transpose_loops(m, *dims))
             ) < 1e-14
 
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(14)
+        m = rng.normal(size=(17, 6, 6)) + 1j * rng.normal(size=(17, 6, 6))
+        for dims in ((2, 3), (2, None), (3, 2)):
+            stacked = q.partial_transpose(m, *dims)
+            expected = [q.partial_transpose(x, *dims) for x in m]
+            assert np.array_equal(stacked, expected)
+        nested = q.partial_transpose(m[:16].reshape(4, 4, 6, 6), 2, 3)
+        assert np.array_equal(nested.reshape(16, 6, 6), q.partial_transpose(m[:16]))
+
+    @pytest.mark.parametrize(
+        "shape, dims",
+        [((6,), (2, 3)), ((6, 4), (2, 3)), ((5, 6, 4), (2, 3)), ((5, 5), (2, None)),
+         ((3, 6, 6), (2, 2)), ((3, 6, 6), (4, None))],
+    )
+    def test_rejects_bad_shapes(self, shape, dims):
+        with pytest.raises(q.DimensionMismatchError):
+            q.partial_transpose(np.zeros(shape), *dims)
+
     def test_pure_state_pt_spectrum_structure(self):
         # For a pure state with Schmidt coefficients s_i the partial
         # transpose has eigenvalues {s_i^2} plus pairs +/- s_i s_j.
@@ -97,6 +137,15 @@ class TestPartialTranspose:
             expected = [s[0] ** 2, s[1] ** 2, s[0] * s[1], -s[0] * s[1], 0.0, 0.0]
             w = np.linalg.eigvalsh(q.partial_transpose(rho, 2, 3))
             assert np.allclose(np.sort(w), np.sort(expected), atol=1e-10)
+
+
+def test_min_eigenvalue_stack_equals_each_matrix():
+    rng = np.random.default_rng(15)
+    m = np.array([random_hermitian(rng, 6) for _ in range(8)]).reshape(2, 4, 6, 6)
+    lows = q.min_eigenvalue(m)
+    assert lows.shape == (2, 4)
+    assert np.array_equal(lows, [[q.min_eigenvalue(x) for x in row] for row in m])
+    assert isinstance(q.min_eigenvalue(m[0, 0]), float)
 
 
 class TestExpectation:
@@ -202,6 +251,19 @@ class TestHermitianBasis:
         x = q.vec_symmetric(m)
         assert x.shape == (21,)
         assert np.max(np.abs(q.unvec_symmetric(x) - m)) < 1e-13
+
+    def test_stack_round_trip(self):
+        # A (3, 5) stack maps as its matrices do one at a time, bit for bit,
+        # and comes back to within rounding of 1/sqrt(2) squared.
+        rng = np.random.default_rng(23)
+        g = rng.normal(size=(3, 5, 6, 6))
+        m = g + g.swapaxes(-1, -2)
+        x = q.vec_symmetric(m)
+        assert x.shape == (3, 5, 21)
+        assert np.array_equal(x, [[q.vec_symmetric(b) for b in row] for row in m])
+        back = q.unvec_symmetric(x)
+        assert np.array_equal(back, [[q.unvec_symmetric(v) for v in row] for row in x])
+        assert np.max(np.abs(back - m)) < 1e-13
 
     def test_vec_matches_basis_traces(self):
         rng = np.random.default_rng(21)

@@ -178,6 +178,27 @@ def test_newton_system_is_17_by_17(monkeypatch):
     assert factors == {((17, 17), np.dtype(float))}
 
 
+@pytest.mark.parametrize("v_z, v_xy", [(0.952, 0.804), (0.9, 0.3)])
+def test_dispatches_per_iteration(monkeypatch, v_z, v_xy):
+    # The blocks (S_1, S_2, Z_1, Z_2) share one Cholesky call per iteration
+    # and each primal/dual step pair one eigensolve; the start t and the
+    # final margins take one eigensolve each.
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    cs = verify.build_constraints(v_z, v_xy, EFF)
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = verify.sdp_feasible(cs)
+    assert report.iterations > 0
+    assert calls["eigvalsh"] <= 2 * report.iterations + 2
+    assert 0 < calls["cholesky"] <= report.iterations
+
+
 def test_operators_stored_real():
     cs = verify.build_constraints(0.952, 0.804, EFF)
     assert isinstance(cs.operators, list)
