@@ -1,9 +1,11 @@
 """The one scalar input rule: a range or finiteness requirement on a
-parameter is checked by :func:`finite_in` where the parameter enters."""
+parameter is checked by :func:`finite_in` (or, for a count or a seed,
+:func:`integer_in`) where the parameter enters."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 
 def finite_in(name, value, lo=-math.inf, hi=math.inf, *, open_lo=False):
@@ -19,6 +21,17 @@ def finite_in(name, value, lo=-math.inf, hi=math.inf, *, open_lo=False):
         raise ValueError(f"{name} must be finite, got {value}")
     if not (above_lo and value <= hi):
         raise ValueError(f"{name} must be {_rule(lo, hi, open_lo)}, got {value}")
+    return value
+
+
+def integer_in(name, value, lo=-math.inf, hi=math.inf):
+    """Return ``value`` unchanged if it is an integer (Python or numpy) in
+    [lo, hi]; else raise ValueError naming ``name``.  A float is refused
+    even when integral (``x must be an integer, got 3.0``)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be {_rule(lo, hi, False)}, got {value}")
     return value
 
 

@@ -107,15 +107,16 @@ def depolarize(rho: DensityMatrix, params: DepolarizationParams) -> DensityMatri
     return DensityMatrix(out, dim_a=2, dim_b=2)
 
 
-def _default_measurements(rho: DensityMatrix):
-    alice = alice_povm()
-    if rho.dim_b == 2:
-        bob = ideal_bob_projectors()
-    elif rho.dim_b == 3:
-        bob = bob_povm(AnalyzerEfficiencies(1.0, 1.0))
-    else:
+def _bob_measurement(rho: DensityMatrix, bob=None):
+    """``bob``, or when it is None the default POVM for the state's Bob
+    dimension; a dimension other than 2 or 3 is refused either way."""
+    if rho.dim_b not in (2, 3):
         raise ValueError(f"unsupported Bob dimension {rho.dim_b}")
-    return alice, bob
+    if bob is not None:
+        return bob
+    if rho.dim_b == 2:
+        return ideal_bob_projectors()
+    return bob_povm(AnalyzerEfficiencies(1.0, 1.0))
 
 
 def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
@@ -125,8 +126,8 @@ def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
     v_plus = (N_HE - N_VE) / (N_HE + N_VE) and analogously for v_minus
     with the roles of H and V swapped.
     """
-    alice, default_bob = _default_measurements(rho)
-    bob = default_bob if bob is None else bob
+    alice = alice_povm()
+    bob = _bob_measurement(rho, bob)
 
     n_he = rho.expectation(tensor(alice["H"], bob["E"]))
     n_ve = rho.expectation(tensor(alice["V"], bob["E"]))
@@ -186,8 +187,7 @@ def visibility_xy(rho: DensityMatrix, phase_grid, bob_x=None) -> XYVisibilityRes
             "phase grid must span at least 2*pi with at least 8 points"
         )
     if bob_x is None:
-        _, default_bob = _default_measurements(rho)
-        bob_x = default_bob["X"]
+        bob_x = _bob_measurement(rho)["X"]
 
     p_plus, p_minus = alice_phase_projectors(phases)
     rate_plus = rho.expectation(tensor(p_plus, bob_x))

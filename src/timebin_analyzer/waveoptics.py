@@ -18,13 +18,15 @@ exp(-delta^2/(2 sigma_g^2)) for a geometry width sigma_g = 2 sigma (see
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as _geometry
-from ._checks import finite_in
+from ._checks import finite_in, integer_in
 
 
 class GridResolutionError(ValueError):
@@ -68,30 +70,38 @@ class ScalarField:
         return float(np.sum(np.square(a, out=a)) * self.cell**2)
 
 
-def _unit_power(grid, extent, wavelength) -> ScalarField:
-    """Field of the fresh array ``grid``, scaled in place to unit power."""
-    field = ScalarField(grid, extent, wavelength)
-    p = field.power()
+def _scale_to_unit_power(parts, p):
+    """Scale the float array ``parts`` in place by 1/sqrt(p); a field power
+    ``p`` that is zero or not finite is refused."""
     if not 0 < p < math.inf:
         raise ValueError(
             f"cannot normalize a zero-power field or one of non-finite power, got {p}"
         )
+    parts *= 1.0 / math.sqrt(p)
+
+
+def _unit_power(grid, extent, wavelength) -> ScalarField:
+    """Field of the fresh array ``grid``, scaled in place to unit power."""
+    field = ScalarField(grid, extent, wavelength)
     # numpy divides a complex by a real s as (re + im*0) * (1/s) and
     # (im - re*0) * (1/s), so one real multiply of the float view by 1/s gives
     # the same bits, except that a part of -0 stays -0 where the division can
     # give +0 (the two still compare equal).
-    parts = field.grid.view(np.float64)
-    parts *= 1.0 / math.sqrt(p)
+    _scale_to_unit_power(field.grid.view(np.float64), field.power())
     return field
 
 
 # Largest grid side.  A relay-off sweep of a 2048^2 field peaks near 200 MB
 # (about 50 MB at 1024^2); a side twice as large would need four times that.
+# Relay-off sweeps also keep one kernel quadrant per (grid_n, cell,
+# wavelength, delta_l0), for at most _KERNEL_CACHE_SIZE of them: up to
+# 4 x 16.8 MB at 2048^2, 4 x 1.06 MB at 512^2.
 MAX_GRID_N = 2048
+_KERNEL_CACHE_SIZE = 4
 
 
 def _require_power_of_two(n):
-    if n < 64 or n > MAX_GRID_N or n & (n - 1):
+    if not (isinstance(n, numbers.Integral) and 64 <= n <= MAX_GRID_N) or n & (n - 1):
         raise ValueError(
             f"grid_n must be a power of two in [64, {MAX_GRID_N}], got {n}"
         )
@@ -130,13 +140,22 @@ def make_gaussian(sigma, grid_n=512, extent=None, wavelength=776e-9) -> ScalarFi
             f"increase grid_n to at least {np.ceil(3 * extent / sigma):.12g}"
         )
     # Cell i sits at (i - N/2) cell, and (-k cell)^2 == (k cell)^2, so the
-    # quadrant k = |i - N/2| <= N/2 holds every value of the full grid.
+    # quadrant k = |i - N/2| <= N/2 holds every value of the full grid: rows
+    # and columns N/2.. read k = 0..N/2-1, and 0..N/2-1 read k = N/2..1.
     h = grid_n // 2
     x2 = (np.arange(h + 1) * cell) ** 2
-    quadrant = np.exp(-(x2[:, None] + x2[None, :]) / (4.0 * sigma**2))
-    k = np.abs(np.arange(grid_n) - h)
-    grid = quadrant.take(k, axis=0).take(k, axis=1).astype(complex)
-    return _unit_power(grid, extent, wavelength)
+    quadrant = np.add.outer(x2, x2)
+    quadrant /= -4.0 * sigma**2
+    np.exp(quadrant, out=quadrant)
+    field = ScalarField(np.zeros((grid_n, grid_n), dtype=complex), extent, wavelength)
+    real = field.grid.real
+    halves = ((slice(h, None), slice(h)), (slice(h), slice(h, 0, -1)))
+    for rows, k_rows in halves:
+        for cols, k_cols in halves:
+            real[rows, cols] = quadrant[k_rows, k_cols]
+    # |x + 0i|^2 == x^2, so this is field.power() without the complex pass.
+    _scale_to_unit_power(real, float(np.sum(np.square(real)) * cell**2))
+    return field
 
 
 def _hermite_functions(u, order):
@@ -167,7 +186,7 @@ def make_speckle(
     the extent.
     """
     _require_power_of_two(grid_n)
-    finite_in("mode_count", mode_count, 1)
+    integer_in("mode_count", mode_count, 1)
     finite_in("extent", extent, 0, open_lo=True)
     _require_normal_cell_area("extent", extent, extent, grid_n)
     top = mode_count - 1  # highest 1D order present
@@ -184,7 +203,7 @@ def make_speckle(
     u = x / (math.sqrt(2.0) * width)
     psi = _hermite_functions(u, top) / math.sqrt(math.sqrt(2.0) * width)
 
-    rng = np.random.Generator(np.random.PCG64(finite_in("seed", seed, 0)))
+    rng = np.random.Generator(np.random.PCG64(integer_in("seed", seed, 0)))
     order = np.arange(top + 1)
     present = np.add.outer(order, order) <= top
     # Boolean assignment fills in row-major order, the order of the draws.
@@ -194,16 +213,15 @@ def make_speckle(
     return _unit_power(psi.T @ coeff @ psi, extent, wavelength)
 
 
-def _folded_frequencies(field: ScalarField):
-    """FFT frequencies f[:N//2+1] and, per FFT index i, the index min(i, N - i).
+def _folded_frequencies(n, cell):
+    """FFT frequencies f[:N//2+1] of an N-point grid, those of the folded
+    indices min(i, N - i).
 
     ``fftfreq`` is odd-symmetric to the bit, f[N - i] == -f[i], so anything
     built from fx^2 + fy^2 is fixed by its values on the (N//2+1)^2 quadrant
     of folded indices, for even and odd N.
     """
-    n = field.n
-    i = np.arange(n)
-    return np.fft.fftfreq(n, d=field.cell)[: n // 2 + 1], np.minimum(i, n - i)
+    return np.fft.fftfreq(n, d=cell)[: n // 2 + 1]
 
 
 def _check_shift(field: ScalarField, dx_abs):
@@ -246,7 +264,7 @@ def _signal_bandwidth(field: ScalarField, quadrant):
     arbitrarily and rounds the cumulative sum cell by cell, which can move
     the answer by an ulp or, rarely, to the adjacent ring.
     """
-    f, _ = _folded_frequencies(field)
+    f = _folded_frequencies(field.n, field.cell)
     m2 = np.arange(f.size) ** 2
     keys = m2[:, None] + m2[None, :]
     cum = np.cumsum(np.bincount(keys.ravel(), weights=quadrant.ravel()))
@@ -300,9 +318,17 @@ def _check_alias(field: ScalarField, quadrant, distance):
 def _kernel_quadrant(field: ScalarField, distance):
     """Angular-spectrum kernel exp(2 pi i d sqrt(1/lambda^2 - fx^2 - fy^2)) on
     the (N//2+1)^2 quadrant of folded FFT indices; evanescent components
-    decay instead."""
-    f, _ = _folded_frequencies(field)
-    arg = 1.0 / field.wavelength**2 - f[:, None] ** 2 - f[None, :] ** 2
+    decay instead.  The array is shared between calls and read-only."""
+    return _angular_spectrum_quadrant(field.n, field.cell, field.wavelength, distance)
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _angular_spectrum_quadrant(n, cell, wavelength, distance):
+    """The kernel quadrant of :func:`_kernel_quadrant`, kept for the last few
+    grids so that its exp of phases near 2 pi d / lambda is paid once per
+    grid: sweeps repeat the same few grids."""
+    f = _folded_frequencies(n, cell)
+    arg = 1.0 / wavelength**2 - f[:, None] ** 2 - f[None, :] ** 2
     quadrant = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
     np.exp(quadrant, out=quadrant)
     evanescent = arg < 0
@@ -311,6 +337,7 @@ def _kernel_quadrant(field: ScalarField, distance):
             np.clip(-2.0 * math.pi * abs(distance) * np.sqrt(-arg[evanescent]), -700, 0)
         )
         quadrant[evanescent] = decay
+    quadrant.flags.writeable = False
     return quadrant
 
 
@@ -358,9 +385,13 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     delta = _geometry.lateral_offset(geom, alphas)
     _check_shift(field, np.max(np.abs(delta)))
     kernel = _kernel_quadrant(field, geom.delta_l0)
-    _, k = _folded_frequencies(field)
-    cross = np.einsum("ij,ij->i", rows, kernel.take(k, axis=0))
-    fx = np.fft.fftfreq(field.n, d=field.cell)
+    # Row i reads kernel row min(i, N - i): i itself up to N//2, then
+    # N - N//2 - 1 down to 1.
+    n, h = field.n, field.n // 2
+    cross = np.empty(n, dtype=complex)
+    np.einsum("ij,ij->i", rows[: h + 1], kernel, out=cross[: h + 1])
+    np.einsum("ij,ij->i", rows[h + 1 :], kernel[n - h - 1 : 0 : -1], out=cross[h + 1 :])
+    fx = np.fft.fftfreq(n, d=field.cell)
     overlaps = np.exp(-2j * math.pi * np.multiply.outer(delta, fx)) @ cross
     gain = np.abs(kernel)
     gain *= gain

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from timebin_analyzer import analysis, chsh, geometry, verify, waveoptics
 from timebin_analyzer import states as st
-from timebin_analyzer._checks import finite_in
+from timebin_analyzer._checks import finite_in, integer_in
 from timebin_analyzer.measurement import AnalyzerEfficiencies, bob_povm
 
 from oracles import propagate
@@ -37,6 +37,7 @@ POSITIVE = hst.floats(max_value=0.0, allow_nan=False)  # values outside (0, inf)
 UNIT = hst.one_of(below(0.0), above(1.0))
 SIGNED = hst.one_of(below(-1.0), above(1.0))
 FINITE = hst.just(math.nan)  # no finite value is out of range
+NON_INTEGER = hst.sampled_from([512.0, 100.5, 2.5, 1e20]) | hst.floats(allow_nan=False)
 ANGLE = hst.one_of(
     hst.floats(min_value=math.pi / 4), hst.floats(max_value=-math.pi / 4)
 )
@@ -132,6 +133,24 @@ GUARDED = {
     ),
     "make_speckle.seed": (
         lambda v: waveoptics.make_speckle(3, v, grid_n=64), "seed", below(0.0)
+    ),
+    # Sizes and seeds are integers: a float is refused even when integral.
+    "make_gaussian.grid_n": (
+        lambda v: waveoptics.make_gaussian(1e-3, grid_n=v), "grid_n", NON_INTEGER
+    ),
+    "make_speckle.grid_n": (
+        lambda v: waveoptics.make_speckle(3, 0, grid_n=v), "grid_n", NON_INTEGER
+    ),
+    "make_speckle.mode_count_integer": (
+        lambda v: waveoptics.make_speckle(v, 0, grid_n=64), "mode_count", NON_INTEGER
+    ),
+    "make_speckle.seed_integer": (
+        lambda v: waveoptics.make_speckle(3, v, grid_n=64), "seed", NON_INTEGER
+    ),
+    "FieldSpec.grid_n": (
+        lambda v: analysis.FieldSpec("gaussian", grid_n=v).build(GEOM),
+        "grid_n",
+        NON_INTEGER,
     ),
     "make_speckle.extent": (
         lambda v: waveoptics.make_speckle(3, 0, grid_n=64, extent=v), "extent", POSITIVE
@@ -265,3 +284,27 @@ def test_finite_in_message_rule(value, bounds, message):
 @pytest.mark.parametrize("value", [0.0, 0.5, 1.0, 1, np.float64(0.25)])
 def test_finite_in_returns_value_unchanged(value):
     assert finite_in("x", value, 0, 1) is value
+
+
+@pytest.mark.parametrize(
+    "value, bounds, message",
+    [
+        (2.5, {}, "x must be an integer, got 2.5"),
+        (512.0, dict(lo=0), "x must be an integer, got 512.0"),
+        (1e20, dict(lo=0), "x must be an integer, got 1e+20"),
+        (math.nan, dict(lo=0), "x must be an integer, got nan"),
+        (np.float64(3.0), dict(lo=1), "x must be an integer, got 3.0"),
+        (-1, dict(lo=0), "x must be >= 0, got -1"),
+        (0, dict(lo=1), "x must be >= 1, got 0"),
+        (5, dict(lo=1, hi=4), "x must be in [1, 4], got 5"),
+    ],
+)
+def test_integer_in_message_rule(value, bounds, message):
+    with pytest.raises(ValueError) as info:
+        integer_in("x", value, **bounds)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [0, 1, 10**30, np.int64(7), np.uint8(3)])
+def test_integer_in_returns_value_unchanged(value):
+    assert integer_in("x", value, 0) is value

@@ -405,7 +405,7 @@ class TestKernelAndBandwidth:
         dense = angular_spectrum_kernel_dense(field, distance)
         # Cells finer than lambda/2 put part of the grid past 1/lambda.
         assert (extent < 776e-9 * n / 2) == bool(np.any(np.abs(dense) < 0.5))
-        _, k = w._folded_frequencies(field)
+        k = np.minimum(np.arange(n), n - np.arange(n))
         kernel = w._kernel_quadrant(field, distance).take(k, axis=0).take(k, axis=1)
         assert kernel.shape == (n, n)
         assert np.array_equal(kernel.view(np.uint64), dense.view(np.uint64))
@@ -649,3 +649,60 @@ class TestAoiVisibilityScan:
             w.interfere(field, geom, alpha, relay)
         with pytest.raises(g.AngleDomainError):
             w.aoi_visibility_scan(field, geom, [0.0, alpha], relay)
+
+
+class TestKernelCache:
+    ALPHAS = np.linspace(0.0, 2e-3, 9)
+
+    # SHA-256 of aoi_visibility_scan(field, geom, ALPHAS, False).tobytes(),
+    # computed before the sweep shared its kernel quadrant between calls.
+    # The CSV goldens print %.12g and would not see a changed last bit.
+    @pytest.mark.parametrize(
+        "kind, grid_n, digest",
+        [
+            ("gaussian", 256, "e60a9b1a76c30517a79cf0cd44f29c924abacbf2cb9cb0e2592afbd962179539"),
+            ("speckle", 256, "53db0cd1972c73809ef99595b1054b3a5ca33a288747253d30819c89fa1ab8b9"),
+            ("gaussian", 512, "5103825f69b236cb49ad1b21a502fd84b56130abf9ed24f08d67c0e0139b8b1b"),
+            ("speckle", 512, "7f0bcaad0575b6362c9bc19b6dc2e9b41ae7871b6a84e8747a42f6f5aace66bf"),
+        ],
+    )
+    def test_sweep_bits_pinned_cold_and_warm(self, geom, kind, grid_n, digest):
+        if kind == "gaussian":
+            field = w.make_gaussian(SIGMA, grid_n=grid_n)
+        else:
+            field = w.make_speckle(30, 5, grid_n=grid_n)
+        w._angular_spectrum_quadrant.cache_clear()
+        for _ in range(2):  # cold, then from the cached quadrant
+            out = w.aoi_visibility_scan(field, geom, self.ALPHAS, False)
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    def test_one_read_only_quadrant_per_grid(self):
+        a = w.make_speckle(30, 5, grid_n=256)
+        b = w.make_speckle(10, 1, grid_n=256)
+        quadrant = w._kernel_quadrant(a, 0.6)
+        assert w._kernel_quadrant(b, 0.6) is quadrant
+        assert not quadrant.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            quadrant[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "other, distance",
+        [
+            (dict(grid_n=256), 0.3),  # another delta_l0
+            (dict(grid_n=256, wavelength=1550e-9), 0.6),
+            (dict(grid_n=128), 0.6),  # another grid side
+            (dict(grid_n=256, extent=0.03), 0.6),  # another cell
+        ],
+    )
+    def test_distinct_grids_distinct_quadrants(self, other, distance):
+        quadrant = w._kernel_quadrant(w.make_speckle(10, 1, grid_n=256), 0.6)
+        assert w._kernel_quadrant(w.make_speckle(10, 1, **other), distance) is not quadrant
+
+    def test_cache_is_bounded(self, geom):
+        w._angular_spectrum_quadrant.cache_clear()
+        for grid_n in (64, 128, 256):
+            for sigma in (SIGMA, 2.0 * SIGMA):
+                field = w.make_gaussian(sigma, grid_n=grid_n)
+                w.aoi_visibility_scan(field, geom, [0.0, 1e-4], False)
+        info = w._angular_spectrum_quadrant.cache_info()
+        assert info.misses == 6 and info.currsize <= 4
