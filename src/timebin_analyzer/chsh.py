@@ -25,8 +25,8 @@ import numpy as np
 
 from ._checks import finite_in
 from .measurement import AnalyzerEfficiencies, bob_povm
-from .quantum import DensityMatrix, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
-from .states import embed_2x3
+from .quantum import DensityMatrix, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tensor
+from .states import as_2x3
 
 
 class ZeroDenominatorError(ValueError):
@@ -210,10 +210,7 @@ def simulate_drift_scan(
     scan takes O(n) memory and time with no per-bucket operator.
     """
     times = bucket_times(duration, bucket, rate)
-    if (rho.dim_a, rho.dim_b) == (2, 2):
-        rho = embed_2x3(rho, 1.0)
-    if (rho.dim_a, rho.dim_b) != (2, 3):
-        raise ValueError("drift scan expects a 2x2 or 2x3 state")
+    rho = as_2x3(rho)
 
     povm = bob_povm(eff)
     diag = np.diag(np.diag(povm["X"]))
@@ -222,9 +219,9 @@ def simulate_drift_scan(
         [povm["E"], povm["L"], diag, cross, 1j * (np.triu(cross) - np.tril(cross))]
     )
     alice = np.stack(alice_setting(alice_axis))
-    # Kronecker products P_a x B for every (detector, Bob operator) pair.
-    ops = alice[:, None, :, None, :, None] * bob[None, :, None, :, None, :]
-    early, late, d, c, s = (rate * bucket * rho.expectation(ops.reshape(2, 5, 6, 6))).T
+    # P_a x B for every (detector, Bob operator) pair.
+    ops = tensor(alice[:, None], bob)
+    early, late, d, c, s = (rate * bucket * rho.expectation(ops)).T
     phi = drift.phase(times)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     # One trace per (detector, bin): np.full spreads a static bin's value

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite_in
-from .quantum import min_eigenvalue
+from .quantum import min_eigenvalue, tensor
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,21 @@ def bob_povm(eff: AnalyzerEfficiencies, relative_phase=0.0):
     return {"E": m_e, "L": m_l, "X": m_x, "none": m_none}
 
 
-def ideal_bob_projectors():
-    """Lossless 2-dimensional projectors {E, L, X} in the {E, L} basis."""
-    m_e = np.array([[1, 0], [0, 0]], dtype=complex)
-    m_l = np.array([[0, 0], [0, 1]], dtype=complex)
-    m_x = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    return {"E": m_e, "L": m_l, "X": m_x}
+# Alice's element in the plus and the minus coincidence of v_z+, v_z- and v_xy.
+_ALICE_PLUS = np.stack([alice_povm()[k] for k in "HVD"])
+_ALICE_MINUS = np.stack([alice_povm()[k] for k in "VHA"])
+
+
+def visibility_pairs(bob):
+    """Coincidence operators (plus, minus) of the three visibilities.
+
+    Each is a (3, 6, 6) stack in the order v_z+ (H x E | V x E), v_z-
+    (V x L | H x L) and v_xy (D x X | A x X), with E, L and X taken from
+    the Bob POVM ``bob``.  A visibility is (N_plus - N_minus) / (N_plus +
+    N_minus) of the two coincidence rates.
+    """
+    bobs = np.stack([bob["E"], bob["L"], bob["X"]])
+    return tensor(_ALICE_PLUS, bobs), tensor(_ALICE_MINUS, bobs)
 
 
 @dataclass

@@ -42,16 +42,16 @@ def is_hermitian(m, tol=HERMITICITY_TOL):
 def tensor(a, b):
     """Kronecker product with Alice's factor leftmost.
 
-    ``a`` may be a stack (..., p, q); each of its matrices is tensored with
-    the matrix ``b``.  Every entry is the one complex product a_ij b_kl, as
-    in ``np.kron``, formed in one broadcast multiply.
+    ``a`` and ``b`` may be stacks (..., p, q) and (..., m, n); their stack
+    shapes broadcast, and each pair of matrices is tensored.  Every entry
+    is the one complex product a_ij b_kl, as in ``np.kron``, formed in one
+    broadcast multiply.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    (p, q), (m, n) = a.shape[-2:], b.shape
-    return (a[..., :, None, :, None] * b[:, None, :]).reshape(
-        a.shape[:-2] + (p * m, q * n)
-    )
+    (p, q), (m, n) = a.shape[-2:], b.shape[-2:]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (p * m, q * n))
 
 
 def partial_transpose(m, dim_a=2, dim_b=None):

@@ -2,7 +2,10 @@
 
 The reference entangled state pairs horizontal polarization with the
 early time bin, (|H,E> + |V,L>)/sqrt(2), and every construction in this
-package follows that pairing.
+package follows that pairing.  Visibilities are measured on the lossy
+analyzer's 2x3 space: a 2x2 state is measured through its embedding
+``embed_2x3(rho, 1.0)``, by default under the lossless POVM
+``bob_povm(AnalyzerEfficiencies(1, 1))``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import finite_in
-from .measurement import AnalyzerEfficiencies, alice_povm, bob_povm, ideal_bob_projectors
+from .measurement import AnalyzerEfficiencies, bob_povm, visibility_pairs
 from .quantum import (
     DensityMatrix,
     IDENTITY_2,
@@ -107,16 +110,18 @@ def depolarize(rho: DensityMatrix, params: DepolarizationParams) -> DensityMatri
     return DensityMatrix(out, dim_a=2, dim_b=2)
 
 
-def _bob_measurement(rho: DensityMatrix, bob=None):
-    """``bob``, or when it is None the default POVM for the state's Bob
-    dimension; a dimension other than 2 or 3 is refused either way."""
-    if rho.dim_b not in (2, 3):
-        raise ValueError(f"unsupported Bob dimension {rho.dim_b}")
-    if bob is not None:
-        return bob
-    if rho.dim_b == 2:
-        return ideal_bob_projectors()
-    return bob_povm(AnalyzerEfficiencies(1.0, 1.0))
+def as_2x3(rho: DensityMatrix) -> DensityMatrix:
+    """``rho`` on the analyzer's 2x3 space: a 2x2 state is embedded with
+    the photon always arriving, a 2x3 state is returned as it is, and any
+    other shape is refused."""
+    if (rho.dim_a, rho.dim_b) == (2, 2):
+        return embed_2x3(rho, 1.0)
+    if (rho.dim_a, rho.dim_b) != (2, 3):
+        raise ValueError(f"expected a 2x2 or 2x3 state, got {rho.dim_a}x{rho.dim_b}")
+    return rho
+
+
+_LOSSLESS = AnalyzerEfficiencies(1.0, 1.0)
 
 
 def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
@@ -124,24 +129,18 @@ def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
 
     v_plus conditions on Bob's early bin, v_minus on his late bin:
     v_plus = (N_HE - N_VE) / (N_HE + N_VE) and analogously for v_minus
-    with the roles of H and V swapped.
+    with the roles of H and V swapped.  ``bob`` is the Bob POVM, lossless
+    by default.
     """
-    alice = alice_povm()
-    bob = _bob_measurement(rho, bob)
-
-    n_he = rho.expectation(tensor(alice["H"], bob["E"]))
-    n_ve = rho.expectation(tensor(alice["V"], bob["E"]))
-    n_vl = rho.expectation(tensor(alice["V"], bob["L"]))
-    n_hl = rho.expectation(tensor(alice["H"], bob["L"]))
-
-    denom_plus = n_he + n_ve
-    denom_minus = n_vl + n_hl
-    if denom_plus <= 0 or denom_minus <= 0:
+    rho = as_2x3(rho)
+    plus, minus = visibility_pairs(bob_povm(_LOSSLESS) if bob is None else bob)
+    n_plus, n_minus = rho.expectation(np.stack([plus[:2], minus[:2]]))
+    denom = n_plus + n_minus
+    if np.any(denom <= 0):
         raise ZeroCoincidenceError(
-            f"coincidence denominators vanished (early {denom_plus}, late {denom_minus})"
+            f"coincidence denominators vanished (early {denom[0]}, late {denom[1]})"
         )
-    v_plus = (n_he - n_ve) / denom_plus
-    v_minus = (n_vl - n_hl) / denom_minus
+    v_plus, v_minus = map(float, (n_plus - n_minus) / denom)
     return ZVisibilityResult(v_plus, v_minus, 0.5 * (v_plus + v_minus))
 
 
@@ -186,12 +185,12 @@ def visibility_xy(rho: DensityMatrix, phase_grid, bob_x=None) -> XYVisibilityRes
         raise FitDegenerateError(
             "phase grid must span at least 2*pi with at least 8 points"
         )
+    rho = as_2x3(rho)
     if bob_x is None:
-        bob_x = _bob_measurement(rho)["X"]
+        bob_x = bob_povm(_LOSSLESS)["X"]
 
-    p_plus, p_minus = alice_phase_projectors(phases)
-    rate_plus = rho.expectation(tensor(p_plus, bob_x))
-    rate_minus = rho.expectation(tensor(p_minus, bob_x))
+    projectors = np.stack(alice_phase_projectors(phases))
+    rate_plus, rate_minus = rho.expectation(tensor(projectors, bob_x))
 
     a_plus, b_plus, phi0, _ = fit_cosine(phases, rate_plus)
     a_minus, b_minus, _, _ = fit_cosine(phases, rate_minus)

@@ -25,27 +25,28 @@ def _ticks(lo, hi, n=5):
     return ticks
 
 
+def _range(values):
+    """(lo, hi) of the finite ``values``, widened to a unit range when they
+    hold one value or none (a plot of no finite point is its axes box)."""
+    finite = [v for v in values if math.isfinite(v)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    return lo, hi if hi > lo else lo + 1.0
+
+
 def line_plot(path, series, title="", xlabel="", ylabel="", size=(720, 440)):
     """Write an SVG polyline plot.
 
     ``series`` is a list of (label, xs, ys) triples.  Not a plotting
-    library: fixed layout, one axes box, automatic ranges and ticks.
+    library: fixed layout, one axes box, automatic ranges and ticks;
+    non-finite points are left out.
     """
     width, height = size
     margin_l, margin_r, margin_t, margin_b = 70, 20, 34, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    xs_all = [x for _, xs, _ in series for x in xs if math.isfinite(x)]
-    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
-        raise ValueError("series contain no finite points")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _range(x for _, xs, _ in series for x in xs)
+    y_lo, y_hi = _range(y for _, _, ys in series for y in ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -48,12 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite_in
-from .measurement import AnalyzerEfficiencies, alice_povm, bob_povm
+from .measurement import AnalyzerEfficiencies, bob_povm, visibility_pairs
 from .quantum import (
     DensityMatrix,
     min_eigenvalue,
     partial_transpose,
-    tensor,
     unvec_symmetric,
     vec_symmetric,
 )
@@ -117,7 +116,6 @@ class FeasibilityReport:
     margin: float
     iterations: int
     gap: float
-    residuals: dict
     witness: np.ndarray | None
 
     @property
@@ -138,20 +136,9 @@ def build_constraints(
     finite_in("v_z", v_z, -1, 1)
     finite_in("v_xy", v_xy, -1, 1)
     finite_in("qubit_mass", qubit_mass, 0, 1, open_lo=True)
-    alice = alice_povm()
-    bob = bob_povm(eff)
-
-    def coincidence(pair_plus, pair_minus, v):
-        plus, minus = tensor(*pair_plus), tensor(*pair_minus)
-        return (plus - minus) - v * (plus + minus)
-
-    operators = [
-        np.eye(6),
-        coincidence((alice["H"], bob["E"]), (alice["V"], bob["E"]), v_z),
-        coincidence((alice["V"], bob["L"]), (alice["H"], bob["L"]), v_z),
-        coincidence((alice["D"], bob["X"]), (alice["A"], bob["X"]), v_xy),
-        _QUBIT_SECTOR,
-    ]
+    plus, minus = visibility_pairs(bob_povm(eff))
+    v = np.array([v_z, v_z, v_xy], dtype=float)[:, None, None]
+    operators = [np.eye(6), *((plus - minus) - v * (plus + minus)), _QUBIT_SECTOR]
     targets = [1.0, 0.0, 0.0, 0.0, float(qubit_mass)]
     labels = ["trace", "vis_plus_z", "vis_minus_z", "vis_xy", "qubit_mass"]
     cs = ConstraintSet(
@@ -288,16 +275,13 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         iterations += 1
 
     rho = unvec_symmetric(cs.x0 + null @ w[:-1])
-    lows = min_eigenvalue(np.stack([rho, partial_transpose(rho)]))
-    min_eig, min_eig_pt = map(float, lows)
-    margin = min(min_eig, min_eig_pt)
+    margin = min(map(float, min_eigenvalue(np.stack([rho, partial_transpose(rho)]))))
     feasible = margin >= -tol
     return FeasibilityReport(
         feasible=feasible,
         margin=margin,
         iterations=iterations,
         gap=gap,
-        residuals={**cs.residuals(rho), "min_eig": min_eig, "min_eig_pt": min_eig_pt},
         witness=rho if feasible else None,
     )
 

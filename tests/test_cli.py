@@ -456,6 +456,22 @@ class TestNptBoundary:
             DATA / "npt_boundary_vz0.952.csv"
         ).read_bytes()
 
+    def test_svg_without_finite_threshold(self, tmp_path):
+        # At v_z = 0 even v_xy = 1 is feasible, so the only threshold is
+        # inf and the plot has no finite point: it is drawn as its axes box.
+        argv = ["npt-boundary", "--vz-grid", "0"]
+        assert run([*argv, "--out-dir", str(tmp_path / "csv")]) == 0
+        assert run([*argv, "--svg", "--out-dir", str(tmp_path / "svg")]) == 0
+        csv = (tmp_path / "csv" / "npt_boundary.csv").read_bytes()
+        assert b"\n0,inf," in csv
+        assert (tmp_path / "svg" / "npt_boundary.csv").read_bytes() == csv
+        svg = (tmp_path / "svg" / "npt_boundary.svg").read_text()
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert sorted(p.name for p in (tmp_path / "svg").iterdir()) == [
+            "npt_boundary.csv",
+            "npt_boundary.svg",
+        ]
+
 
 class TestImport:
     def test_npt_verify_does_not_load_scipy(self, tmp_path):

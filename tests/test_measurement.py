@@ -6,8 +6,8 @@ from timebin_analyzer.measurement import (
     AnalyzerEfficiencies,
     alice_povm,
     bob_povm,
-    ideal_bob_projectors,
     validate_povm,
+    visibility_pairs,
 )
 
 from oracles import jacobi_eigvalsh
@@ -92,6 +92,18 @@ class TestBobPovm:
             AnalyzerEfficiencies(0.5, -0.1)
 
 
+class TestVisibilityPairs:
+    @pytest.mark.parametrize("eta_l, eta_s, phase", [(1.0, 1.0, 0.0), (0.8, 0.5, 0.7)])
+    def test_equal_explicit_tensors(self, eta_l, eta_s, phase):
+        alice = alice_povm()
+        bob = bob_povm(AnalyzerEfficiencies(eta_l, eta_s), relative_phase=phase)
+        plus, minus = visibility_pairs(bob)
+        assert plus.shape == minus.shape == (3, 6, 6)
+        for k, (a_plus, a_minus, b) in enumerate(["HVE", "VHL", "DAX"]):
+            assert np.array_equal(plus[k], np.kron(alice[a_plus], bob[b]))
+            assert np.array_equal(minus[k], np.kron(alice[a_minus], bob[b]))
+
+
 class TestValidatePovm:
     def test_detects_psd_violation(self):
         m = bob_povm(AnalyzerEfficiencies(0.5, 0.5))
@@ -103,7 +115,7 @@ class TestValidatePovm:
         assert any("X" in f and "PSD" in f for f in diag.failures)
 
     def test_detects_incompleteness(self):
-        m = ideal_bob_projectors()
+        m = bob_povm(AnalyzerEfficiencies(1.0, 1.0))
         diag = validate_povm({"E": m["E"], "X": m["X"]})
         assert not diag.ok
         assert any("identity" in f for f in diag.failures)

@@ -68,6 +68,24 @@ class TestTensor:
         assert stacked.shape == (24, 6, 6)
         assert np.array_equal(stacked, np.kron(p_plus, bob_x))
 
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((2, 1, 2, 2), (5, 3, 3)), ((3, 2, 2), (3, 3, 3)), ((2, 2), (4, 3, 3))],
+    )
+    def test_two_stacks_equal_kron_pairwise(self, shape_a, shape_b):
+        # (2, 1, 2, 2) x (5, 3, 3) is the detector-by-operator product of
+        # chsh.simulate_drift_scan; stack shapes broadcast like numpy's.
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        stacked = q.tensor(a, b)
+        batch = np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+        assert stacked.shape == batch + (2 * 3, 2 * 3)
+        a = np.broadcast_to(a, batch + (2, 2))
+        b = np.broadcast_to(b, batch + (3, 3))
+        for idx in np.ndindex(batch):
+            assert np.array_equal(stacked[idx], np.kron(a[idx], b[idx]))
+
 
 def bell_state_2x3():
     psi = np.zeros(6, dtype=complex)

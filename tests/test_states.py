@@ -196,3 +196,68 @@ class TestVisibilityXY:
             v_xy = st.visibility_xy(out, self.grid()).v_xy
             assert v_z == pytest.approx(1 - 2 * (2 * p_xy), abs=1e-12)
             assert v_xy == pytest.approx(1 - 2 * (p_xy + p_z), abs=1e-12)
+
+
+class TestTwoByTwoMeasuredThroughEmbedding:
+    # A 2x2 state is measured as embed_2x3(rho, 1.0) under the lossless
+    # POVM, whose E, L and X blocks are 1, 1 and 1/2 times the qubit
+    # projectors |E><E|, |L><L| and |+><+|: the ratios are the same.
+    grid = np.linspace(0.0, 2.0 * math.pi, 24)
+    qubit = {
+        "E": np.diag([1.0, 0.0]).astype(complex),
+        "L": np.diag([0.0, 1.0]).astype(complex),
+        "X": 0.5 * np.ones((2, 2), dtype=complex),
+    }
+
+    def states(self):
+        bell = st.hybrid_bell_state()
+        yield bell
+        yield st.depolarize(bell, st.DepolarizationParams(0.03, 0.01, 0.08))
+        rng = np.random.default_rng(24)
+        for _ in range(8):
+            yield q.DensityMatrix(random_density_matrix(rng, 4), 2, 2)
+
+    def qubit_visibility_z(self, rho):
+        h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        n = {
+            a + b: rho.expectation(q.tensor(m_a, self.qubit[b]))
+            for a, m_a in (("H", h), ("V", v))
+            for b in "EL"
+        }
+        v_plus = (n["HE"] - n["VE"]) / (n["HE"] + n["VE"])
+        v_minus = (n["VL"] - n["HL"]) / (n["VL"] + n["HL"])
+        return v_plus, v_minus, 0.5 * (v_plus + v_minus)
+
+    def test_equal_to_embedding(self):
+        for rho in self.states():
+            emb = st.embed_2x3(rho, 1.0)
+            assert st.visibility_z(rho) == pytest.approx(
+                st.visibility_z(emb), abs=1e-15
+            )
+            assert st.visibility_xy(rho, self.grid) == pytest.approx(
+                st.visibility_xy(emb, self.grid), abs=1e-15
+            )
+
+    def test_agree_with_qubit_projectors(self):
+        for rho in self.states():
+            assert st.visibility_z(rho) == pytest.approx(
+                self.qubit_visibility_z(rho), abs=1e-15
+            )
+            p_plus, p_minus = st.alice_phase_projectors(self.grid)
+            fits = [
+                st.fit_cosine(self.grid, rho.expectation(q.tensor(p, self.qubit["X"])))
+                for p in (p_plus, p_minus)
+            ]
+            v_plus, v_minus = (amplitude / offset for offset, amplitude, _, _ in fits)
+            res = st.visibility_xy(rho, self.grid)
+            assert (res.v_plus, res.v_minus) == pytest.approx(
+                (v_plus, v_minus), abs=1e-15
+            )
+            assert res.fitted_phase == pytest.approx(fits[0][2], abs=1e-14)
+
+    def test_other_shapes_refused(self):
+        rho = q.DensityMatrix(np.eye(8) / 8, 2, 4)
+        with pytest.raises(ValueError, match="expected a 2x2 or 2x3 state, got 2x4"):
+            st.visibility_z(rho)
+        with pytest.raises(ValueError, match="expected a 2x2 or 2x3 state, got 2x4"):
+            st.visibility_xy(rho, self.grid)
