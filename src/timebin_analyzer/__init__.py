@@ -11,10 +11,10 @@ Subpackages by concern:
   partial transpose, expectation values.
 - :mod:`timebin_analyzer.states`: hybrid entangled state, the
   depolarization channel, and entanglement visibilities.
-- :mod:`timebin_analyzer.measurement`: Alice's projectors and Bob's
-  lossy time-bin POVM.
+- :mod:`timebin_analyzer.measurement`: Alice's projectors along a Bloch
+  vector and Bob's lossy time-bin POVM.
 - :mod:`timebin_analyzer.chsh`: expectation values from counts, drift
-  scans, the two-time expectation surface, and the CHSH parameter.
+  scans along a named Alice axis, the two-time surface, and CHSH.
 - :mod:`timebin_analyzer.verify`: the PPT feasibility program deciding
   whether measured visibilities certify entanglement.
 - :mod:`timebin_analyzer.analysis`: scenario sweeps stitching the

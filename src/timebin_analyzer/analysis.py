@@ -14,7 +14,7 @@ import numpy as np
 from . import chsh as _chsh
 from . import geometry as _geometry
 from . import waveoptics as _waveoptics
-from ._checks import finite_in
+from ._checks import finite_in, integer_in
 
 # Photon collection falls to zero at this angle; a raised-cosine
 # surrogate for the fiber-coupling rolloff.  It scales rates, never
@@ -178,7 +178,7 @@ def stability_series(
     if rate is None:
         e1, e2 = e1_ideal, e2_ideal
     else:
-        rng = np.random.Generator(np.random.PCG64(finite_in("seed", seed, 0)))
+        rng = np.random.Generator(np.random.PCG64(integer_in("seed", seed, 0)))
         ideal = np.column_stack([e1_ideal, e2_ideal])
         # Means ordered (bucket, quadrature, +/-): the draws come in that order.
         mean = rate * bucket / 4.0 * np.stack([1.0 + ideal, 1.0 - ideal], axis=-1)

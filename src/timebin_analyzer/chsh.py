@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import finite_in
-from .measurement import AnalyzerEfficiencies, bob_povm
-from .quantum import DensityMatrix, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tensor
+from ._checks import finite_in, integer_in
+from .measurement import AnalyzerEfficiencies, alice_projectors, bob_povm
+from .quantum import DensityMatrix, tensor
 from .states import as_2x3
 
 
@@ -142,27 +142,23 @@ def bucket_times(duration, bucket, rate=None):
     return np.arange(n) * bucket
 
 
-def alice_setting(axis):
-    """Projector pair for Alice's measurement axis.
+# Alice's named measurement axes as unit Bloch vectors.
+_R = 1.0 / math.sqrt(2.0)
+_ALICE_AXES = {
+    "z+x": (_R, 0.0, _R),
+    "z-x": (-_R, 0.0, _R),
+    "x": (1.0, 0.0, 0.0),
+    "y": (0.0, 1.0, 0.0),
+    "z": (0.0, 0.0, 1.0),
+}
 
-    ``axis`` is 'z+x', 'z-x', 'x', 'y', 'z' or a Bloch 3-vector.
-    """
-    named = {
-        "z+x": (1.0, 0.0, 1.0),
-        "z-x": (-1.0, 0.0, 1.0),
-        "x": (1.0, 0.0, 0.0),
-        "y": (0.0, 1.0, 0.0),
-        "z": (0.0, 0.0, 1.0),
-    }
-    if isinstance(axis, str):
-        if axis not in named:
-            raise ValueError(f"unknown Alice axis {axis!r}")
-        axis = named[axis]
-    vec = np.asarray(axis, dtype=float)
-    norm = finite_in("axis norm", np.linalg.norm(vec), 0, open_lo=True)
-    nx, ny, nz = vec / norm
-    sigma = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-    return 0.5 * (IDENTITY_2 + sigma), 0.5 * (IDENTITY_2 - sigma)
+
+def alice_setting(axis):
+    """Projector pair for Alice's axis 'z+x', 'z-x', 'x', 'y' or 'z'; for any
+    other Bloch vector, see :func:`measurement.alice_projectors`."""
+    if not (isinstance(axis, str) and axis in _ALICE_AXES):
+        raise ValueError(f"unknown Alice axis {axis!r}")
+    return alice_projectors(_ALICE_AXES[axis])
 
 
 DETECTORS = ("+", "-")
@@ -199,7 +195,8 @@ def simulate_drift_scan(
     Expected counts per bucket are rate * bucket * Tr[rho (P_a x M_bin)]
     with the middle-bin element evaluated at the drifted phase phi(t);
     the POVM's loss prefactors apportion the raw pair flux ``rate``.
-    The phase is sampled at bucket start times.  With ``seed`` set, each
+    ``alice_axis`` is a name that :func:`alice_setting` takes.  The phase
+    is sampled at bucket start times.  With an integer ``seed``, each
     trace is an independent Poisson draw from a deterministic generator;
     with ``seed=None`` the expected counts are returned (noiseless mode).
 
@@ -235,7 +232,7 @@ def simulate_drift_scan(
     if seed is None:
         counts = lam
     else:
-        rng = np.random.Generator(np.random.PCG64(finite_in("seed", seed, 0)))
+        rng = np.random.Generator(np.random.PCG64(integer_in("seed", seed, 0)))
         counts = {key: rng.poisson(lam[key]).astype(float) for key in sorted(lam)}
 
     return DriftTrace(times, counts)

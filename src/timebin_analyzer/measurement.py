@@ -1,7 +1,7 @@
 """Measurement operators for the polarization and time-bin analyzers.
 
-Alice measures the polarization qubit with ideal projective elements in
-the horizontal/vertical or diagonal/anti-diagonal basis.  Bob's time-bin
+Alice measures the polarization qubit with ideal projective elements
+(I +/- n.sigma)/2 along a Bloch vector n, e.g. H/V along z.  Bob's time-bin
 analyzer is lossy and has a single output port, so his measurement is a
 POVM on the 3-dimensional space {no photon, E, L}: early-bin, late-bin
 and middle-bin (superposition) detection plus a no-click element that
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite_in
-from .quantum import min_eigenvalue, tensor
+from .quantum import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, min_eigenvalue, tensor
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,20 @@ class AnalyzerEfficiencies:
         finite_in("eta_s", self.eta_s, 0, 1)
 
 
-def alice_povm():
-    """Projective elements {H, V, D, A} for the polarization qubit."""
-    m_h = np.array([[1, 0], [0, 0]], dtype=complex)
-    m_v = np.array([[0, 0], [0, 1]], dtype=complex)
-    m_d = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    m_a = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
-    return {"H": m_h, "V": m_v, "D": m_d, "A": m_a}
+def alice_projectors(bloch):
+    """Alice's projectors (I + n.sigma)/2, (I - n.sigma)/2 for a unit Bloch
+    vector n = ``bloch``, or two (..., 2, 2) stacks for a stack (..., 3).
+    A norm off 1 by more than 1e-12, NaN included, is refused."""
+    n = np.asarray(bloch, dtype=float)
+    if n.shape[-1:] != (3,):
+        raise ValueError(f"bloch must have a last axis of 3, got shape {n.shape}")
+    x, y, z = (n[..., None, None, k] for k in range(3))
+    norm = np.hypot(np.hypot(x, y), z)  # no overflow below the float range
+    off = ~(np.abs(norm - 1.0) <= 1e-12)
+    if off.any():
+        raise ValueError(f"bloch must be unit vectors, got norm {norm[off][0]}")
+    sigma = x * PAULI_X + y * PAULI_Y + z * PAULI_Z
+    return 0.5 * (IDENTITY_2 + sigma), 0.5 * (IDENTITY_2 - sigma)
 
 
 def bob_povm(eff: AnalyzerEfficiencies, relative_phase=0.0):
@@ -64,9 +71,8 @@ def bob_povm(eff: AnalyzerEfficiencies, relative_phase=0.0):
     return {"E": m_e, "L": m_l, "X": m_x, "none": m_none}
 
 
-# Alice's element in the plus and the minus coincidence of v_z+, v_z- and v_xy.
-_ALICE_PLUS = np.stack([alice_povm()[k] for k in "HVD"])
-_ALICE_MINUS = np.stack([alice_povm()[k] for k in "VHA"])
+# Alice's plus | minus elements of v_z+, v_z- and v_xy: H | V, V | H, D | A.
+_ALICE_PLUS, _ALICE_MINUS = alice_projectors([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]])
 
 
 def visibility_pairs(bob):

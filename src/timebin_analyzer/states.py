@@ -3,9 +3,9 @@
 The reference entangled state pairs horizontal polarization with the
 early time bin, (|H,E> + |V,L>)/sqrt(2), and every construction in this
 package follows that pairing.  Visibilities are measured on the lossy
-analyzer's 2x3 space: a 2x2 state is measured through its embedding
-``embed_2x3(rho, 1.0)``, by default under the lossless POVM
-``bob_povm(AnalyzerEfficiencies(1, 1))``.
+analyzer's 2x3 space, with Alice's ``measurement.alice_projectors``: a
+2x2 state is measured through its embedding ``embed_2x3(rho, 1.0)``, by
+default under the lossless POVM ``bob_povm(AnalyzerEfficiencies(1, 1))``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import finite_in
-from .measurement import AnalyzerEfficiencies, bob_povm, visibility_pairs
+from .measurement import (
+    AnalyzerEfficiencies,
+    alice_projectors,
+    bob_povm,
+    visibility_pairs,
+)
 from .quantum import (
     DensityMatrix,
     IDENTITY_2,
@@ -144,21 +149,13 @@ def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
     return ZVisibilityResult(v_plus, v_minus, 0.5 * (v_plus + v_minus))
 
 
-def alice_phase_projectors(phi):
-    """Equatorial projector pair (|H> +/- e^{i phi}|V>)/sqrt(2) outcomes.
-
-    For an array of phases each projector is a stack ``phi.shape + (2, 2)``.
-    """
-    phi = np.asarray(phi, dtype=float)[..., None, None]
-    sigma = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
-    return 0.5 * (IDENTITY_2 + sigma), 0.5 * (IDENTITY_2 - sigma)
-
-
 def fit_cosine(phases, values):
     """Least-squares fit of A + B cos(phi - phi0) on a phase grid.
 
     The model is linear in (1, cos phi, sin phi), so the fit is closed
-    form.  Returns (offset, amplitude, phi0, rms_residual).
+    form.  Returns (offset, amplitude, phi0, rms_residual), phi0 in (-pi,
+    pi] as :func:`geometry.phase` wraps; a phase of pi may read a few ulp
+    inside either end, so compare fitted phases modulo 2*pi.
     """
     phases = np.asarray(phases, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -167,6 +164,8 @@ def fit_cosine(phases, values):
     offset, c, s = coef
     amplitude = math.hypot(c, s)
     phi0 = math.atan2(s, c)
+    if phi0 == -math.pi:
+        phi0 = math.pi
     residual = float(np.sqrt(np.mean((design @ coef - values) ** 2)))
     return float(offset), float(amplitude), float(phi0), residual
 
@@ -177,19 +176,23 @@ def visibility_xy(rho: DensityMatrix, phase_grid, bob_x=None) -> XYVisibilityRes
     Coincidence rates with Bob's middle-bin element are evaluated on the
     phase grid, fitted with A + B cos(phi - phi0), and the visibility is
     |B|/A per output branch; the average and the fitted phase of the
-    plus branch are also returned.  The grid must span at least 2*pi
-    with at least 8 points.
+    plus branch are also returned, with Alice along (cos phi, sin phi, 0).
+    The grid must be finite and span at least 2*pi with at least 8 points.
     """
     phases = np.asarray(phase_grid, dtype=float)
-    if phases.size < 8 or phases.max() - phases.min() < 2.0 * math.pi - 1e-9:
+    # Python floats: inf - inf is NaN without a numpy RuntimeWarning.
+    span = float(phases.max()) - float(phases.min()) if phases.size else 0.0
+    if phases.size < 8 or not 2.0 * math.pi - 1e-9 <= span < math.inf:
         raise FitDegenerateError(
-            "phase grid must span at least 2*pi with at least 8 points"
+            "phase_grid must be finite and span at least 2*pi with at least "
+            f"8 points, got {phases.size} points spanning {span}"
         )
     rho = as_2x3(rho)
     if bob_x is None:
         bob_x = bob_povm(_LOSSLESS)["X"]
 
-    projectors = np.stack(alice_phase_projectors(phases))
+    bloch = np.stack([np.cos(phases), np.sin(phases), np.zeros_like(phases)], -1)
+    projectors = np.stack(alice_projectors(bloch))
     rate_plus, rate_minus = rho.expectation(tensor(projectors, bob_x))
 
     a_plus, b_plus, phi0, _ = fit_cosine(phases, rate_plus)

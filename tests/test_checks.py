@@ -11,7 +11,11 @@ from hypothesis import strategies as hst
 from timebin_analyzer import analysis, chsh, geometry, verify, waveoptics
 from timebin_analyzer import states as st
 from timebin_analyzer._checks import finite_in, integer_in
-from timebin_analyzer.measurement import AnalyzerEfficiencies, bob_povm
+from timebin_analyzer.measurement import (
+    AnalyzerEfficiencies,
+    alice_projectors,
+    bob_povm,
+)
 
 from oracles import propagate
 
@@ -191,8 +195,24 @@ GUARDED = {
         "seed",
         below(0.0),
     ),
-    "alice_setting": (
-        lambda v: chsh.alice_setting([v, 0.0, 0.0]), "axis norm", hst.just(0.0)
+    "simulate_drift_scan.seed_integer": (
+        lambda v: chsh.simulate_drift_scan(
+            st.hybrid_bell_state(), EFF, DRIFT, rate=100.0, duration=2.0, seed=v
+        ),
+        "seed",
+        NON_INTEGER,
+    ),
+    "alice_projectors": (
+        lambda v: alice_projectors([v, 0.0, 0.0]),
+        "bloch",
+        hst.floats(allow_nan=False).filter(lambda v: abs(abs(v) - 1.0) > 1e-12),
+    ),
+    "visibility_xy.phase_grid": (
+        lambda v: st.visibility_xy(
+            st.hybrid_bell_state(), np.append(np.linspace(0.0, 2.0 * math.pi, 24), v)
+        ),
+        "phase_grid",
+        FINITE,
     ),
     "build_constraints.v_z": (
         lambda v: verify.build_constraints(v, 0.3, EFF), "v_z", SIGNED
@@ -236,6 +256,9 @@ GUARDED = {
     "stability_series.bucket": (lambda v: stability(bucket=v), "bucket", POSITIVE),
     "stability_series.rate": (lambda v: stability(rate=v), "rate", POSITIVE),
     "stability_series.seed": (lambda v: stability(seed=v), "seed", below(0.0)),
+    "stability_series.seed_integer": (
+        lambda v: stability(seed=v), "seed", NON_INTEGER
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as hst
 from timebin_analyzer import chsh
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
-from timebin_analyzer.measurement import AnalyzerEfficiencies
+from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_projectors
 
 from oracles import (
     drift_scan_rates_loop,
@@ -137,7 +138,7 @@ class TestChshS:
             axes = rng.normal(size=(4, 3))
             ops = []
             for vec in axes:
-                p_plus, p_minus = chsh.alice_setting(vec)
+                p_plus, p_minus = alice_projectors(vec / np.linalg.norm(vec))
                 ops.append(p_plus - p_minus)
             e = [
                 rho.expectation(q.tensor(ops[0], ops[2])),
@@ -146,6 +147,30 @@ class TestChshS:
                 rho.expectation(q.tensor(ops[1], ops[3])),
             ]
             assert chsh.chsh_s(*e) <= 2.0 * math.sqrt(2.0) + 1e-9
+
+
+class TestAliceSetting:
+    # SHA-256 of np.stack(alice_setting(axis)), the (2, 2, 2) complex pair.
+    DIGESTS = {
+        "z+x": "feddfd9abe067f3034bf7ff1006231b57bb3452fbc3a66334b1287ca6b1d9c5e",
+        "z-x": "0f06c274cfcd0d7de208b4fe37e93d0d66a77f820d9d659ec48b65a682a4c8f0",
+        "x": "3ad74086573029aa06dd9100275fed6bc490bdb640f1bff0fac915302cc9a352",
+        "y": "61162a1c369cecd105ab8f6fba59f6780860a75938e2937a4514a8c4814b072d",
+        "z": "f46960f0b1794020151ebc9a019dc44ac3fb47bb2bc99da662405fe08e05a9b2",
+    }
+
+    @pytest.mark.parametrize("axis", DIGESTS)
+    def test_named_pair_digest(self, axis):
+        pair = np.stack(chsh.alice_setting(axis))
+        assert pair.shape == (2, 2, 2)
+        assert hashlib.sha256(pair.tobytes()).hexdigest() == self.DIGESTS[axis]
+
+    @pytest.mark.parametrize(
+        "axis", ["w", "Z", "", [1.0, 0.0, 0.0], np.array([0.0, 0.0, 1.0]), None]
+    )
+    def test_names_only(self, axis):
+        with pytest.raises(ValueError, match="^unknown Alice axis"):
+            chsh.alice_setting(axis)
 
 
 class TestSTheo:

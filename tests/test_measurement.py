@@ -1,10 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from timebin_analyzer import quantum as q
 from timebin_analyzer.measurement import (
     AnalyzerEfficiencies,
-    alice_povm,
+    alice_projectors,
     bob_povm,
     validate_povm,
     visibility_pairs,
@@ -13,24 +16,105 @@ from timebin_analyzer.measurement import (
 from oracles import jacobi_eigvalsh
 
 
+def hvda():
+    """H, V, D and A as the projector pairs along +z and +x."""
+    (m_h, m_d), (m_v, m_a) = alice_projectors([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    return {"H": m_h, "V": m_v, "D": m_d, "A": m_a}
+
+
 class TestAlicePovm:
     def test_completeness_both_bases(self):
-        m = alice_povm()
+        m = hvda()
         assert np.array_equal(m["H"] + m["V"], np.eye(2))
         assert np.max(np.abs(m["D"] + m["A"] - np.eye(2))) < 1e-15
 
     def test_diagonal_element_entries(self):
-        assert np.max(np.abs(alice_povm()["D"] - 0.5)) < 1e-15
+        assert np.max(np.abs(hvda()["D"] - 0.5)) < 1e-15
 
     def test_orthogonal_projectors(self):
-        m = alice_povm()
+        m = hvda()
         assert np.max(np.abs(m["D"] @ m["A"])) < 1e-15
         assert np.max(np.abs(m["H"] @ m["V"])) < 1e-15
 
     def test_validates(self):
-        m = alice_povm()
+        m = hvda()
         assert validate_povm({"H": m["H"], "V": m["V"]}).ok
         assert validate_povm({"D": m["D"], "A": m["A"]}).ok
+
+
+class TestAliceProjectors:
+    def test_literal_basis_matrices(self):
+        # +z gives H | V, -z gives V | H, +x gives D | A and -x gives A | D,
+        # bit for bit, signed zeros included.
+        m_h = np.array([[1, 0], [0, 0]], dtype=complex)
+        m_v = np.array([[0, 0], [0, 1]], dtype=complex)
+        m_d = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
+        m_a = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
+        cases = {
+            (0.0, 0.0, 1.0): (m_h, m_v),
+            (0.0, 0.0, -1.0): (m_v, m_h),
+            (1.0, 0.0, 0.0): (m_d, m_a),
+            (-1.0, 0.0, 0.0): (m_a, m_d),
+        }
+        for bloch, pair in cases.items():
+            for got, want in zip(alice_projectors(bloch), pair):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_equatorial_stack_digest(self):
+        # The 24-point stack of states.visibility_xy, pinned to its bytes.
+        phi = np.linspace(0.0, 2.0 * math.pi, 24)
+        bloch = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], -1)
+        stack = np.stack(alice_projectors(bloch))
+        assert stack.shape == (2, 24, 2, 2)
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == (
+            "d9080298cb3e602cddce4a3f6ca3fb973e3623d12b147748ba35925ae374b36e"
+        )
+
+    def test_stack_equals_each_vector(self):
+        rng = np.random.default_rng(25)
+        bloch = rng.normal(size=(4, 5, 3))
+        bloch /= np.linalg.norm(bloch, axis=-1, keepdims=True)
+        plus, minus = alice_projectors(bloch)
+        assert plus.shape == minus.shape == (4, 5, 2, 2)
+        for idx in np.ndindex(4, 5):
+            one_plus, one_minus = alice_projectors(bloch[idx])
+            assert np.array_equal(plus[idx], one_plus)
+            assert np.array_equal(minus[idx], one_minus)
+
+    def test_projective_pair_along_bloch_vector(self):
+        rng = np.random.default_rng(26)
+        for n in rng.normal(size=(20, 3)):
+            n /= np.linalg.norm(n)
+            plus, minus = alice_projectors(n)
+            assert np.max(np.abs(plus + minus - np.eye(2))) < 1e-15
+            assert np.max(np.abs(plus @ minus)) < 1e-15
+            assert np.max(np.abs(plus @ plus - plus)) < 1e-15
+            sigma = n[0] * q.PAULI_X + n[1] * q.PAULI_Y + n[2] * q.PAULI_Z
+            assert np.trace(plus @ sigma).real == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bloch", [[1.0, 0.0], np.zeros((4, 2)), 1.0, []])
+    def test_last_axis_other_than_three_refused(self, bloch):
+        with pytest.raises(ValueError, match=r"^bloch must have a last axis of 3"):
+            alice_projectors(bloch)
+
+    @pytest.mark.parametrize(
+        "bloch",
+        [
+            [1.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0],
+            [1.0 + 2e-12, 0.0, 0.0],
+            [math.nan, 0.0, 0.0],
+            [[0.0, 0.0, 1.0], [0.0, math.nan, 1.0]],
+            [math.inf, 0.0, 0.0],
+        ],
+    )
+    def test_non_unit_or_nan_refused(self, bloch):
+        with pytest.raises(ValueError, match=r"^bloch must be unit vectors, got norm"):
+            alice_projectors(bloch)
+
+    def test_unit_within_tolerance_accepted(self):
+        plus, _ = alice_projectors([1.0 + 5e-13, 0.0, 0.0])
+        assert np.max(np.abs(plus - hvda()["D"])) < 1e-12
 
 
 class TestBobPovm:
@@ -95,7 +179,7 @@ class TestBobPovm:
 class TestVisibilityPairs:
     @pytest.mark.parametrize("eta_l, eta_s, phase", [(1.0, 1.0, 0.0), (0.8, 0.5, 0.7)])
     def test_equal_explicit_tensors(self, eta_l, eta_s, phase):
-        alice = alice_povm()
+        alice = hvda()
         bob = bob_povm(AnalyzerEfficiencies(eta_l, eta_s), relative_phase=phase)
         plus, minus = visibility_pairs(bob)
         assert plus.shape == minus.shape == (3, 6, 6)

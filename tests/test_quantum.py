@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from timebin_analyzer import quantum as q
-from timebin_analyzer import states as st
 from timebin_analyzer import verify
-from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_povm
+from timebin_analyzer.measurement import (
+    AnalyzerEfficiencies,
+    alice_projectors,
+    bob_povm,
+)
 
 from oracles import (
     basis_traces,
@@ -17,6 +20,11 @@ from oracles import (
     random_density_matrix,
     symmetric_basis,
 )
+
+
+# Alice's H (Bloch vector +z) and Bob's lossless early-bin element.
+M_H = alice_projectors([0.0, 0.0, 1.0])[0]
+M_E = bob_povm(AnalyzerEfficiencies(1, 1))["E"]
 
 
 def random_hermitian(rng, dim):
@@ -29,7 +37,7 @@ class TestTensor:
         assert np.array_equal(q.tensor(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_single_entry_product(self):
-        m = q.tensor(alice_povm()["H"], bob_povm(AnalyzerEfficiencies(1, 1))["E"])
+        m = q.tensor(M_H, M_E)
         expected = np.zeros((6, 6))
         expected[1, 1] = 0.25
         assert np.max(np.abs(m - expected)) < 1e-15
@@ -62,7 +70,9 @@ class TestTensor:
 
     def test_stack_equals_kron_exactly(self):
         # The (24, 2, 2) phase-projector stack of visibility_xy.
-        p_plus, _ = st.alice_phase_projectors(np.linspace(0, 2 * np.pi, 24))
+        phi = np.linspace(0, 2 * np.pi, 24)
+        bloch = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], -1)
+        p_plus, _ = alice_projectors(bloch)
         bob_x = bob_povm(AnalyzerEfficiencies(0.9, 0.8))["X"]
         stacked = q.tensor(p_plus, bob_x)
         assert stacked.shape == (24, 6, 6)
@@ -173,7 +183,7 @@ class TestExpectation:
     def test_lossless_coincidence(self):
         rho = np.zeros((6, 6), dtype=complex)
         rho[1, 1] = 1.0  # |H, E>
-        obs = q.tensor(alice_povm()["H"], bob_povm(AnalyzerEfficiencies(1, 1))["E"])
+        obs = q.tensor(M_H, M_E)
         assert q.expectation(rho, obs) == pytest.approx(0.25)
 
     def test_linearity_over_mixtures(self):

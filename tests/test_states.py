@@ -5,9 +5,20 @@ import pytest
 
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
-from timebin_analyzer.measurement import AnalyzerEfficiencies, bob_povm
+from timebin_analyzer.measurement import (
+    AnalyzerEfficiencies,
+    alice_projectors,
+    bob_povm,
+)
 
 from oracles import embed_2x3_loops, random_density_matrix
+
+
+def equatorial(phi):
+    """Alice's projector pair along the Bloch vector (cos phi, sin phi, 0)."""
+    phi = np.asarray(phi, dtype=float)
+    bloch = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], -1)
+    return alice_projectors(bloch)
 
 
 @pytest.fixture
@@ -176,11 +187,37 @@ class TestVisibilityXY:
             0.7, abs=1e-9
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_refused_without_warning(self, bell, bad):
+        with pytest.raises(st.FitDegenerateError, match="^phase_grid must be finite"):
+            st.visibility_xy(bell, np.full(10, bad))
+
+    def test_fitted_phase_of_pi_reads_plus_pi(self, bell):
+        # p_y + p_z > 1/2 turns the superposition visibility negative: the
+        # fitted phase is pi, read in (-pi, pi] as +pi, not -pi.
+        out = st.depolarize(bell, st.DepolarizationParams(0.0, 0.3, 0.3))
+        res = st.visibility_xy(out, self.grid())
+        assert res.fitted_phase == math.pi
+        assert res.v_xy == pytest.approx(0.2, abs=1e-12)
+
+    def test_fitted_phase_in_half_open_interval(self, bell):
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            p_x, p_y, p_z = rng.uniform(0.0, 1.0 / 3.0, 3)
+            out = st.depolarize(bell, st.DepolarizationParams(p_x, p_y, p_z))
+            phi0 = st.visibility_xy(out, self.grid()).fitted_phase
+            assert -math.pi < phi0 <= math.pi
+            # Zero for a positive superposition visibility, pi for a negative
+            # one, compared modulo 2*pi.
+            expected = 0.0 if p_y + p_z < 0.5 else math.pi
+            assert abs(math.remainder(phi0 - expected, 2 * math.pi)) < 1e-12
+
     def test_exact_sinusoid_residuals(self, bell):
         phases = self.grid(32)
         rates = [
             bell.expectation(
-                q.tensor(st.alice_phase_projectors(phi)[0], 0.5 * (np.eye(2) + q.PAULI_X))
+                q.tensor(equatorial(phi)[0], 0.5 * (np.eye(2) + q.PAULI_X))
             )
             for phi in phases
         ]
@@ -243,7 +280,7 @@ class TestTwoByTwoMeasuredThroughEmbedding:
             assert st.visibility_z(rho) == pytest.approx(
                 self.qubit_visibility_z(rho), abs=1e-15
             )
-            p_plus, p_minus = st.alice_phase_projectors(self.grid)
+            p_plus, p_minus = equatorial(self.grid)
             fits = [
                 st.fit_cosine(self.grid, rho.expectation(q.tensor(p, self.qubit["X"])))
                 for p in (p_plus, p_minus)

@@ -9,7 +9,11 @@ import pytest
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
 from timebin_analyzer import verify
-from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_povm, bob_povm
+from timebin_analyzer.measurement import (
+    AnalyzerEfficiencies,
+    alice_projectors,
+    bob_povm,
+)
 
 import solver_sweep
 from oracles import (
@@ -156,7 +160,8 @@ def test_complex_constraint_operator_refused():
     # refuses it instead of dropping the imaginary part.
     cs = verify.build_constraints(0.9, 0.3, EFF)
     mid = bob_povm(EFF, relative_phase=0.3)["X"]
-    operators = [*cs.operators[:3], q.tensor(alice_povm()["D"], mid), *cs.operators[4:]]
+    m_d, _ = alice_projectors([1.0, 0.0, 0.0])
+    operators = [*cs.operators[:3], q.tensor(m_d, mid), *cs.operators[4:]]
     with pytest.raises(ValueError, match="real"):
         dataclasses.replace(cs, operators=operators)
 
