@@ -3,9 +3,10 @@
 The reference entangled state pairs horizontal polarization with the
 early time bin, (|H,E> + |V,L>)/sqrt(2), and every construction in this
 package follows that pairing.  Visibilities are measured on the lossy
-analyzer's 2x3 space, with Alice's ``measurement.alice_projectors``: a
-2x2 state is measured through its embedding ``embed_2x3(rho, 1.0)``, by
-default under the lossless POVM ``bob_povm(AnalyzerEfficiencies(1, 1))``.
+analyzer's 2x3 space, v_z with ``measurement.visibility_pairs`` and v_xy
+from Alice's I, sigma_x and sigma_y: a 2x2 state is measured through its
+embedding ``embed_2x3(rho, 1.0)``, by default under the lossless POVM
+``bob_povm(AnalyzerEfficiencies(1, 1))``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from ._checks import finite_in
 from .measurement import (
     AnalyzerEfficiencies,
-    alice_projectors,
     bob_povm,
     visibility_pairs,
 )
@@ -38,7 +38,7 @@ class ZeroCoincidenceError(ValueError):
 
 
 class FitDegenerateError(ValueError):
-    """Sinusoidal fit is ill-posed (insufficient grid or no signal)."""
+    """The phase grid is refused, or the fringe offset is not positive."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,6 @@ class ZVisibilityResult(NamedTuple):
 
 
 class XYVisibilityResult(NamedTuple):
-    v_plus: float
-    v_minus: float
     v_xy: float
     fitted_phase: float
 
@@ -127,6 +125,9 @@ def as_2x3(rho: DensityMatrix) -> DensityMatrix:
 
 
 _LOSSLESS = AnalyzerEfficiencies(1.0, 1.0)
+# Alice's I/2, sigma_x/2 and sigma_y/2: the offset and the two quadratures
+# of the equatorial fringe.
+_ALICE_EQUATORIAL = 0.5 * np.stack([IDENTITY_2, PAULI_X, PAULI_Y])
 
 
 def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
@@ -149,35 +150,16 @@ def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
     return ZVisibilityResult(v_plus, v_minus, 0.5 * (v_plus + v_minus))
 
 
-def fit_cosine(phases, values):
-    """Least-squares fit of A + B cos(phi - phi0) on a phase grid.
-
-    The model is linear in (1, cos phi, sin phi), so the fit is closed
-    form.  Returns (offset, amplitude, phi0, rms_residual), phi0 in (-pi,
-    pi] as :func:`geometry.phase` wraps; a phase of pi may read a few ulp
-    inside either end, so compare fitted phases modulo 2*pi.
-    """
-    phases = np.asarray(phases, dtype=float)
-    values = np.asarray(values, dtype=float)
-    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    offset, c, s = coef
-    amplitude = math.hypot(c, s)
-    phi0 = math.atan2(s, c)
-    if phi0 == -math.pi:
-        phi0 = math.pi
-    residual = float(np.sqrt(np.mean((design @ coef - values) ** 2)))
-    return float(offset), float(amplitude), float(phi0), residual
-
-
 def visibility_xy(rho: DensityMatrix, phase_grid, bob_x=None) -> XYVisibilityResult:
-    """Superposition-basis visibility from a scan of Alice's phase.
+    """Superposition-basis visibility of the fringe as Alice's phase is scanned.
 
-    Coincidence rates with Bob's middle-bin element are evaluated on the
-    phase grid, fitted with A + B cos(phi - phi0), and the visibility is
-    |B|/A per output branch; the average and the fitted phase of the
-    plus branch are also returned, with Alice along (cos phi, sin phi, 0).
-    The grid must be finite and span at least 2*pi with at least 8 points.
+    With Alice along (cos phi, sin phi, 0), each branch's coincidence rate
+    with Bob's middle-bin element is exactly d +- (c cos phi + s sin phi),
+    where d, c and s are the expectations of I/2, sigma_x/2 and sigma_y/2
+    tensored with ``bob_x``.  So the visibility is hypot(c, s)/d in both
+    branches and the fringe phase is atan2(s, c), in (-pi, pi].  The grid
+    is only checked: it must be finite and span at least 2*pi with at
+    least 8 points, and the result does not depend on it.
     """
     phases = np.asarray(phase_grid, dtype=float)
     # Python floats: inf - inf is NaN without a numpy RuntimeWarning.
@@ -190,15 +172,10 @@ def visibility_xy(rho: DensityMatrix, phase_grid, bob_x=None) -> XYVisibilityRes
     rho = as_2x3(rho)
     if bob_x is None:
         bob_x = bob_povm(_LOSSLESS)["X"]
-
-    bloch = np.stack([np.cos(phases), np.sin(phases), np.zeros_like(phases)], -1)
-    projectors = np.stack(alice_projectors(bloch))
-    rate_plus, rate_minus = rho.expectation(tensor(projectors, bob_x))
-
-    a_plus, b_plus, phi0, _ = fit_cosine(phases, rate_plus)
-    a_minus, b_minus, _, _ = fit_cosine(phases, rate_minus)
-    if a_plus <= 0 or a_minus <= 0:
+    d, c, s = map(float, rho.expectation(tensor(_ALICE_EQUATORIAL, bob_x)))
+    if d <= 0:
         raise FitDegenerateError("fitted offset is not positive")
-    v_plus = b_plus / a_plus
-    v_minus = b_minus / a_minus
-    return XYVisibilityResult(v_plus, v_minus, 0.5 * (v_plus + v_minus), phi0)
+    phi0 = math.atan2(s, c)
+    if phi0 == -math.pi:
+        phi0 = math.pi
+    return XYVisibilityResult(math.hypot(c, s) / d, phi0)

@@ -25,17 +25,19 @@ primal-dual interior-point method on this LMI (Vandenberghe & Boyd, SIAM
 Rev. 38, 1996), with the HKM direction (Helmberg, Rendl, Vanderbei &
 Wolkowicz, SIAM J. Optim. 6, 1996) and Mehrotra's predictor-corrector
 (SIAM J. Optim. 2, 1992).  It keeps a primal point S = (rho - t*I,
-rho^Gamma - t*I) > 0 and a dual-feasible Z = (Z_1, Z_2) > 0 at every
-iterate and stops when the duality gap Tr(S Z) is at most MAX_GAP = 1e-8.
+rho^Gamma - t*I) > 0 and a dual Z = (Z_1, Z_2) > 0 at every iterate and
+stops when the duality gap Tr(S Z) is at most MAX_GAP = 1e-8.
 
 The margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
 point decides the verdict: infeasible when it is < -tol.  Soundness: the
-returned point is strictly inside both cones, so margin > t, and weak
-duality with the dual-feasible Z gives t* <= t + Tr(S Z) <= t + 1e-8, t*
-the optimum.  A PPT state meeting the constraints has t* >= 0, so for tol
->= 1e-8 an infeasible verdict proves that no such state exists; for a
-smaller tol the band that verdict is proved for is 1e-8, not tol.  For
-2x3 the PPT test is exact, so an infeasible program certifies
+returned point is strictly inside both cones, so margin > t.  Weak
+duality gives t* <= t + Tr(S Z) <= t + 1e-8, t* the optimum, only as far
+as Z meets the dual equality A^T Z = c; in floating point the final Z
+drifts off it (ROADMAP item 1 measures the residual and proposes a
+checkable certificate).  Up to that residual, a PPT state meeting the
+constraints has t* >= 0, so for tol >= 1e-8 an infeasible verdict shows
+that no such state exists; for a smaller tol the band is 1e-8, not tol.
+For 2x3 the PPT test is exact, so an infeasible program certifies
 entanglement.
 """
 
@@ -82,11 +84,6 @@ class ConstraintSet:
 
     operators: list
     targets: list
-    labels: list
-    eff: AnalyzerEfficiencies
-    v_z: float
-    v_xy: float
-    qubit_mass: float
 
     def __post_init__(self):
         operators = np.array(self.operators)
@@ -99,12 +96,6 @@ class ConstraintSet:
             raise NonConvergenceError(
                 "constraints are inconsistent", {"residual": residual}
             )
-
-    def residuals(self, rho):
-        return {
-            label: float(np.trace(rho @ op).real - b)
-            for label, op, b in zip(self.labels, self.operators, self.targets)
-        }
 
 
 @dataclass
@@ -131,7 +122,8 @@ def build_constraints(
     The three visibility constraints are the homogeneous forms
     Tr[rho (D_k - v S_k)] = 0 with D/S the coincidence difference/sum
     operators, both z-conditionals sharing v_z.  Trace one and the
-    detected-sector mass complete the set.
+    detected-sector mass complete the set, in the order trace, v_z+, v_z-,
+    v_xy, mass.
     """
     finite_in("v_z", v_z, -1, 1)
     finite_in("v_xy", v_xy, -1, 1)
@@ -139,17 +131,7 @@ def build_constraints(
     plus, minus = visibility_pairs(bob_povm(eff))
     v = np.array([v_z, v_z, v_xy], dtype=float)[:, None, None]
     operators = [np.eye(6), *((plus - minus) - v * (plus + minus)), _QUBIT_SECTOR]
-    targets = [1.0, 0.0, 0.0, 0.0, float(qubit_mass)]
-    labels = ["trace", "vis_plus_z", "vis_minus_z", "vis_xy", "qubit_mass"]
-    cs = ConstraintSet(
-        operators=operators,
-        targets=targets,
-        labels=labels,
-        eff=eff,
-        v_z=float(v_z),
-        v_xy=float(v_xy),
-        qubit_mass=float(qubit_mass),
-    )
+    cs = ConstraintSet(operators, [1.0, 0.0, 0.0, 0.0, float(qubit_mass)])
     rank = int(np.sum(cs.singular_values > 1e-10))
     if rank < len(operators):
         warnings.warn(

@@ -15,7 +15,8 @@ either from an argsort of every radial frequency or from a cell-by-cell
 loop over rings, a field is propagated with that full-grid kernel, shifted
 and tilted in its own spectrum and overlapped with another in real space,
 the relay is traced lens by lens, a field is normalized by a copying
-division, and the Gaussian is evaluated on the full N x N meshgrid.
+division, the Gaussian is evaluated on the full N x N meshgrid, and the
+superposition fringe is fitted by least squares on a phase grid.
 """
 
 import math
@@ -184,6 +185,25 @@ def embed_2x3_loops(rho22, arrival_prob):
         for a2 in range(2):
             out[3 * a, 3 * a2] += (1.0 - arrival_prob) * alice[a, a2]
     return out
+
+
+def fit_cosine(phases, values):
+    """Least-squares fit of A + B cos(phi - phi0) on a phase grid.
+
+    The model is linear in (1, cos phi, sin phi).  Returns (offset,
+    amplitude, phi0, rms_residual), phi0 in (-pi, pi]; a phase of pi may
+    read a few ulp inside either end, so compare fitted phases modulo 2*pi.
+    """
+    phases = np.asarray(phases, dtype=float)
+    values = np.asarray(values, dtype=float)
+    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    offset, c, s = coef
+    phi0 = math.atan2(s, c)
+    if phi0 == -math.pi:
+        phi0 = math.pi
+    residual = float(np.sqrt(np.mean((design @ coef - values) ** 2)))
+    return float(offset), math.hypot(c, s), phi0, residual
 
 
 def fit_period(times, values):

@@ -61,7 +61,7 @@ class TestAliceProjectors:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_equatorial_stack_digest(self):
-        # The 24-point stack of states.visibility_xy, pinned to its bytes.
+        # A 24-point equatorial phase scan, pinned to its bytes.
         phi = np.linspace(0.0, 2.0 * math.pi, 24)
         bloch = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], -1)
         stack = np.stack(alice_projectors(bloch))

@@ -69,7 +69,7 @@ class TestTensor:
                 assert np.array_equal(q.tensor(a, b), np.kron(a, b))
 
     def test_stack_equals_kron_exactly(self):
-        # The (24, 2, 2) phase-projector stack of visibility_xy.
+        # A (24, 2, 2) stack of equatorial phase projectors.
         phi = np.linspace(0, 2 * np.pi, 24)
         bloch = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], -1)
         p_plus, _ = alice_projectors(bloch)

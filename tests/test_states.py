@@ -11,7 +11,7 @@ from timebin_analyzer.measurement import (
     bob_povm,
 )
 
-from oracles import embed_2x3_loops, random_density_matrix
+from oracles import embed_2x3_loops, fit_cosine, random_density_matrix
 
 
 def equatorial(phi):
@@ -172,7 +172,7 @@ class TestVisibilityXY:
         base = st.visibility_xy(noisy, self.grid())
         shifted = st.visibility_xy(noisy, self.grid() + 1.234)
         assert shifted.v_xy == pytest.approx(base.v_xy, abs=1e-10)
-        assert shifted.v_plus == pytest.approx(base.v_plus, abs=1e-10)
+        assert shifted.fitted_phase == pytest.approx(base.fitted_phase, abs=1e-10)
 
     def test_analyzer_phase_moves_fitted_phase_only(self, noisy):
         emb = st.embed_2x3(noisy, 1.0)
@@ -221,7 +221,7 @@ class TestVisibilityXY:
             )
             for phi in phases
         ]
-        offset, amp, _, resid = st.fit_cosine(phases, rates)
+        offset, amp, _, resid = fit_cosine(phases, rates)
         assert resid <= 1e-10
         assert amp / offset == pytest.approx(1.0, abs=1e-10)
 
@@ -233,6 +233,30 @@ class TestVisibilityXY:
             v_xy = st.visibility_xy(out, self.grid()).v_xy
             assert v_z == pytest.approx(1 - 2 * (2 * p_xy), abs=1e-12)
             assert v_xy == pytest.approx(1 - 2 * (p_xy + p_z), abs=1e-12)
+
+    def test_equals_least_squares_fringe_fit(self):
+        # Random 2x3 states, efficiencies and analyzer phases: the closed
+        # form is the least-squares fit of each branch's fringe on a grid.
+        rng = np.random.default_rng(26)
+        p_plus, p_minus = equatorial(self.grid())
+        for _ in range(100):
+            rho = q.DensityMatrix(random_density_matrix(rng, 6), 2, 3)
+            eff = AnalyzerEfficiencies(*rng.uniform(0.1, 1.0, 2))
+            bob_x = bob_povm(eff, relative_phase=rng.uniform(-4.0, 4.0))["X"]
+            res = st.visibility_xy(rho, self.grid(), bob_x=bob_x)
+            fits = [
+                fit_cosine(self.grid(), rho.expectation(q.tensor(p, bob_x)))
+                for p in (p_plus, p_minus)
+            ]
+            for offset, amplitude, _, _ in fits:
+                assert res.v_xy == pytest.approx(amplitude / offset, abs=1e-15)
+            assert -math.pi < res.fitted_phase <= math.pi
+            dphi = math.remainder(res.fitted_phase - fits[0][2], 2 * math.pi)
+            assert abs(dphi) < 1e-14
+
+    def test_no_photon_at_bob_refused(self, bell):
+        with pytest.raises(st.FitDegenerateError, match="offset is not positive"):
+            st.visibility_xy(st.embed_2x3(bell, 0.0), self.grid())
 
 
 class TestTwoByTwoMeasuredThroughEmbedding:
@@ -282,14 +306,12 @@ class TestTwoByTwoMeasuredThroughEmbedding:
             )
             p_plus, p_minus = equatorial(self.grid)
             fits = [
-                st.fit_cosine(self.grid, rho.expectation(q.tensor(p, self.qubit["X"])))
+                fit_cosine(self.grid, rho.expectation(q.tensor(p, self.qubit["X"])))
                 for p in (p_plus, p_minus)
             ]
-            v_plus, v_minus = (amplitude / offset for offset, amplitude, _, _ in fits)
             res = st.visibility_xy(rho, self.grid)
-            assert (res.v_plus, res.v_minus) == pytest.approx(
-                (v_plus, v_minus), abs=1e-15
-            )
+            for offset, amplitude, _, _ in fits:
+                assert res.v_xy == pytest.approx(amplitude / offset, abs=1e-15)
             assert res.fitted_phase == pytest.approx(fits[0][2], abs=1e-14)
 
     def test_other_shapes_refused(self):
