@@ -95,7 +95,10 @@ def _unit_power(grid, extent, wavelength) -> ScalarField:
 # (about 50 MB at 1024^2); a side twice as large would need four times that.
 # Relay-off sweeps also keep one kernel quadrant per (grid_n, cell,
 # wavelength, delta_l0), for at most _KERNEL_CACHE_SIZE of them: up to
-# 4 x 16.8 MB at 2048^2, 4 x 1.06 MB at 512^2.
+# 4 x 16.8 MB at 2048^2, 4 x 1.06 MB at 512^2.  They keep one ring table per
+# grid_n, for as many: the ring index of each quadrant cell, 8.4 MB at
+# 2048^2 and 0.53 MB at 512^2, plus the sorted distinct ring keys, 2.5 MB
+# and 0.18 MB.
 MAX_GRID_N = 2048
 _KERNEL_CACHE_SIZE = 4
 
@@ -243,11 +246,37 @@ def _fold(power):
 
 def _folded_power(spec):
     """|spec|^2 folded over columns (N x (N//2+1)) and over both axes
-    ((N//2+1)^2, indexed by the folded (kx, ky))."""
-    power = np.abs(spec)
-    power *= power
-    rows = _fold(power)
-    return rows, _fold(rows.T).T
+    ((N//2+1)^2, indexed by the folded (kx, ky)).
+
+    The columns are squared and folded straight from the spectrum: columns
+    0..N//2 squared, plus the squares of columns N-1..N//2+1 added into
+    columns 1..N-N//2-1, the same sums as :func:`_fold` of |spec|^2 without
+    the N^2 power array.  A power past the float range reads inf, which the
+    callers refuse by name, instead of warning of the overflow."""
+    n = spec.shape[-1]
+    h = n // 2
+    with np.errstate(over="ignore"):
+        rows = np.abs(spec[:, : h + 1])
+        rows *= rows
+        tail = np.abs(spec[:, :h:-1])
+        tail *= tail
+        rows[:, 1 : n - h] += tail
+        # The transposed fold leaves the quadrant in F order, which fixes the
+        # summation order of the sweep's power sums.
+        return rows, _fold(rows.T).T
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _ring_table(n):
+    """Rings of the (N//2+1)^2 quadrant of folded indices of an N-point
+    grid: the sorted distinct keys kx^2 + ky^2 and, for every cell in
+    row-major order, the index of its key.  Both arrays are shared between
+    calls and read-only."""
+    m2 = np.arange(n // 2 + 1) ** 2
+    keys, ids = np.unique(np.add.outer(m2, m2).ravel(), return_inverse=True)
+    ids = ids.ravel()
+    keys.flags.writeable = ids.flags.writeable = False
+    return keys, ids
 
 
 def _signal_bandwidth(field: ScalarField, quadrant):
@@ -263,19 +292,29 @@ def _signal_bandwidth(field: ScalarField, quadrant):
     every cell by radius instead breaks ties between equal radii
     arbitrarily and rounds the cumulative sum cell by cell, which can move
     the answer by an ulp or, rarely, to the adjacent ring.
+
+    The rings depend on N alone and come from :func:`_ring_table`.  Each
+    ring's power is summed over its cells in row-major order, and the
+    cumulative sum runs over the keys present, so it skips only integers
+    that no ring has, which would add exact zeros.  The crossing ring's
+    cells are found per row: row kx holds the cell ky = sqrt(ring - kx^2)
+    when that root is an integer no larger than N//2; the float root is
+    exact, since ring is far below 2^52.
     """
     f = _folded_frequencies(field.n, field.cell)
-    m2 = np.arange(f.size) ** 2
-    keys = m2[:, None] + m2[None, :]
-    cum = np.cumsum(np.bincount(keys.ravel(), weights=quadrant.ravel()))
+    keys, ids = _ring_table(field.n)
+    cum = np.cumsum(np.bincount(ids, weights=quadrant.ravel(), minlength=keys.size))
     total = cum[-1]
     if not total < math.inf:
         raise ValueError(f"field must carry finite power, got {total}")
     if total <= 0:
         return 0.0
-    ring = min(int(np.searchsorted(cum, (1.0 - 1e-12) * total)), cum.size - 1)
-    i, j = np.nonzero(keys == ring)
-    return float(np.max(np.hypot(f[i], f[j])))
+    ring = int(keys[min(int(np.searchsorted(cum, (1.0 - 1e-12) * total)), keys.size - 1)])
+    i = np.arange(min(math.isqrt(ring) + 1, f.size))
+    rest = ring - i * i
+    j = np.rint(np.sqrt(rest)).astype(int)
+    on_ring = (j * j == rest) & (j < f.size)
+    return float(np.max(np.hypot(f[i[on_ring]], f[j[on_ring]])))
 
 
 def _check_alias(field: ScalarField, quadrant, distance):
@@ -376,8 +415,12 @@ def aoi_visibility_scan(field, geom, alphas, relay):
         return np.empty(alphas.shape)
     if relay:
         _geometry._check_alpha(alphas)
-        p = field.power()
+        # The power only decides the refusal, so one pass over the grid does,
+        # without the |E| array of field.power(); the message reports power().
+        p = float(np.vdot(field.grid, field.grid).real) * field.cell**2
         if not 0 < p < math.inf:
+            with np.errstate(over="ignore"):
+                p = field.power()
             raise ValueError(f"field must carry nonzero finite power, got {p}")
         return np.full(alphas.shape, geom.v0, dtype=float)
     rows, quadrant = _folded_power(np.fft.fft2(field.grid))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -258,6 +259,63 @@ class TestNonFiniteField:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="finite power"):
                 w.aoi_visibility_scan(field, geom, [0.0], relay)
+
+    @staticmethod
+    def gaussian_with(value):
+        grid = w.make_gaussian(1e-3, grid_n=64).grid
+        grid[32, 32] = value
+        return grid
+
+    # Grids whose power() is 0, NaN or inf; an |E| of 1e-170 squares to 0, one
+    # of 1e155 past the float range.
+    REFUSED = {
+        "zero": lambda: np.zeros((64, 64), dtype=complex),
+        "one-nan-cell": lambda: TestNonFiniteField.gaussian_with(math.nan),
+        "one-inf-cell": lambda: TestNonFiniteField.gaussian_with(math.inf),
+        "one-minus-inf-cell": lambda: TestNonFiniteField.gaussian_with(-math.inf),
+        "underflow": lambda: np.full((64, 64), 1e-170 + 0j),
+        "overflow": lambda: np.full((64, 64), 1e155 + 0j),
+    }
+    # Constant grids of tiny and huge but finite, nonzero power.
+    SCORED = {
+        "tiny": lambda: np.full((64, 64), 1e-150 + 0j),
+        "huge": lambda: np.full((64, 64), 1e150 + 0j),
+    }
+
+    @pytest.mark.parametrize("relay", [True, False], ids=["relay-on", "relay-off"])
+    @pytest.mark.parametrize("kind", list(REFUSED))
+    def test_refused_by_name_without_warnings(self, kind, geom, relay):
+        field = w.ScalarField(self.REFUSED[kind](), 0.01, 776e-9)
+        with np.errstate(over="ignore"):
+            assert not 0 < field.power() < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite power"):
+                w.aoi_visibility_scan(field, geom, [0.0], relay)
+
+    @pytest.mark.parametrize("relay", [True, False], ids=["relay-on", "relay-off"])
+    @pytest.mark.parametrize("kind", list(SCORED))
+    def test_positive_finite_power_is_scored(self, kind, geom, relay):
+        field = w.ScalarField(self.SCORED[kind](), 0.01, 776e-9)
+        assert 0 < field.power() < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = w.aoi_visibility_scan(field, geom, [0.0, 1e-3], relay)
+        assert np.all(np.isfinite(scan)) and scan[0] == pytest.approx(geom.v0)
+
+    def test_relay_on_check_allocates_no_grid(self, geom):
+        # The relay-on refusal reads the power in one pass; field.power()
+        # would allocate the 2 MB |E| array of this grid.
+        field = w.make_speckle(30, seed=7, grid_n=512)
+        alphas = np.linspace(0.0, 2e-3, 9)
+        w.aoi_visibility_scan(field, geom, alphas, True)
+        tracemalloc.start()
+        try:
+            w.aoi_visibility_scan(field, geom, alphas, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3
 
 
 @pytest.mark.parametrize("bad_cell", [None, math.nan, math.inf],
@@ -672,7 +730,8 @@ class TestKernelCache:
         else:
             field = w.make_speckle(30, 5, grid_n=grid_n)
         w._angular_spectrum_quadrant.cache_clear()
-        for _ in range(2):  # cold, then from the cached quadrant
+        w._ring_table.cache_clear()
+        for _ in range(2):  # cold, then from the cached quadrant and rings
             out = w.aoi_visibility_scan(field, geom, self.ALPHAS, False)
             assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
@@ -684,6 +743,24 @@ class TestKernelCache:
         assert not quadrant.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             quadrant[0, 0] = 0.0
+
+    def test_one_read_only_ring_table_per_grid(self, geom):
+        w._ring_table.cache_clear()
+        for field in (w.make_speckle(30, 5, grid_n=256), w.make_speckle(10, 1, grid_n=256)):
+            w.aoi_visibility_scan(field, geom, [0.0, 1e-3], False)
+        info = w._ring_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        keys, ids = w._ring_table(256)
+        assert w._ring_table(256)[1] is ids
+        assert w._ring_table(128)[1] is not ids
+        for table in (keys, ids):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        # Sorted distinct keys, and each cell's key kx^2 + ky^2 by index.
+        m2 = np.arange(129) ** 2
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(keys[ids], np.add.outer(m2, m2).ravel())
 
     @pytest.mark.parametrize(
         "other, distance",
@@ -700,9 +777,14 @@ class TestKernelCache:
 
     def test_cache_is_bounded(self, geom):
         w._angular_spectrum_quadrant.cache_clear()
+        w._ring_table.cache_clear()
         for grid_n in (64, 128, 256):
             for sigma in (SIGMA, 2.0 * SIGMA):
                 field = w.make_gaussian(sigma, grid_n=grid_n)
                 w.aoi_visibility_scan(field, geom, [0.0, 1e-4], False)
         info = w._angular_spectrum_quadrant.cache_info()
         assert info.misses == 6 and info.currsize <= 4
+        rings = w._ring_table.cache_info()
+        assert (rings.misses, rings.hits) == (3, 3)
+        for cache in (info, rings):
+            assert cache.maxsize == w._KERNEL_CACHE_SIZE
