@@ -57,12 +57,16 @@ except ImportError:
 
 if plt is not None:
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-    for det, b in ((d, bn) for d in chsh.DETECTORS for bn in chsh.BINS):
-        ax1.plot(trace.times, trace.counts[(det, b)], label=f"{det} {b}")
+    for det, bins in zip(chsh.DETECTORS, trace.counts):
+        for b, series in zip(chsh.BINS, bins):
+            ax1.plot(trace.times, series, label=f"{det} {b}")
     ax1.set_xlabel("time [s]")
     ax1.set_ylabel("expected counts per bucket")
     ax1.legend(fontsize=7)
-    dense, _ = chsh.expectation_surface(trace)
+    # The surface's E column, row by row, as an n x n image.
+    _, blocks = chsh.surface_to_rows(trace)
+    dense = np.concatenate([block[:, 2] for block in blocks])
+    dense = dense.reshape(trace.n_buckets, trace.n_buckets)
     im = ax2.imshow(
         dense, origin="lower", cmap="RdBu_r", vmin=-1, vmax=1,
         extent=[0, duration, 0, duration],

@@ -36,7 +36,8 @@ class FieldSpec:
             # The fringe-formula sigma is twice the intensity std.  The grid
             # is checked here so that a refusal reports the sigma given.
             std = _geometry.intensity_std_from_sigma(geom.sigma)
-            extent = 16.0 * std
+            with np.errstate(over="ignore"):  # an infinite extent is refused below
+                extent = 16.0 * std
             _waveoptics._require_power_of_two(self.grid_n)
             _waveoptics._require_normal_cell_area(
                 "sigma", geom.sigma, extent, self.grid_n
@@ -134,8 +135,7 @@ def expectation_vs_aoi(
         e_vals = np.full(alphas.shape, v_xy * math.cos(fixed_phase))
     else:
         unwrapped = _geometry.phase(geom, alphas).unwrapped
-        envelope = _geometry.visibility(geom, alphas) / geom.v0
-        e_vals = envelope * v_xy * np.cos(unwrapped)
+        e_vals = _geometry._envelope(geom, alphas) * v_xy * np.cos(unwrapped)
     rate = throughput_vs_aoi(alphas)
     rows = np.column_stack([alphas, e_vals, rate])
     return Curve(

@@ -8,11 +8,13 @@ computational-basis outcomes and the middle-bin counts at two times
 providing the two orientations of the superposition basis.  The maximum
 over the two-time surface recovers the full correlation.
 
-One private function writes the cell expression; every surface reader
-evaluates it on the cells it needs.  ``max_expectation_surface`` finds
-the maximum in O(n) memory without building the surface,
-``surface_to_rows`` streams it for CSV export in blocks of whole rows,
-and ``expectation_surface`` builds the dense n x n surface for plots.
+A scan's counts are one (2, 3, n) float array, indexed by detector
+(``DETECTORS``), time bin (``BINS``) and bucket.  One private function
+writes the surface's cell expression, and the two surface readers
+evaluate it on the cells they need, in O(n) memory:
+``max_expectation_surface`` finds the maximum without building the
+surface, and ``surface_to_rows`` streams it in blocks of whole rows for
+CSV export and plots.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class DriftModel:
 MAX_PAIRS_PER_BUCKET = 1e18
 
 # Most buckets in one scan, duration / bucket.  A drift scan takes about
-# 144 bytes per bucket at its peak when seeded (80 noiseless), so 14.4 MB
+# 136 bytes per bucket at its peak when seeded (80 noiseless), so 13.6 MB
 # at this cap.
 MAX_BUCKETS = 100_000
 
@@ -167,17 +169,22 @@ BINS = ("early", "mid", "late")
 
 @dataclass
 class DriftTrace:
-    """Coincidence series of one drift scan: the six (detector, bin) traces."""
+    """Coincidence series of one drift scan.
+
+    ``counts[k, b]`` is the series of detector ``DETECTORS[k]`` in bin
+    ``BINS[b]``, one value per bucket: a float array of shape (2, 3, n).
+    """
 
     times: np.ndarray
-    counts: dict
+    counts: np.ndarray
 
     @property
     def n_buckets(self):
         return self.times.size
 
     def middle_series(self):
-        return self.counts[("+", "mid")], self.counts[("-", "mid")]
+        """The (2, n) middle-bin series, '+' detector first."""
+        return self.counts[:, BINS.index("mid")]
 
 
 def simulate_drift_scan(
@@ -218,23 +225,18 @@ def simulate_drift_scan(
     alice = np.stack(alice_setting(alice_axis))
     # P_a x B for every (detector, Bob operator) pair.
     ops = tensor(alice[:, None], bob)
-    early, late, d, c, s = (rate * bucket * rho.expectation(ops)).T
+    early, late, d, c, s = (rate * bucket * rho.expectation(ops)).T[..., None]
     phi = drift.phase(times)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    # One trace per (detector, bin): np.full spreads a static bin's value
-    # over the scan; the middle bin follows the drifted phase.
-    lam = {}
-    for k, det in enumerate(DETECTORS):
-        lam[(det, "early")] = np.full(times.size, early[k])
-        lam[(det, "mid")] = d[k] + c[k] * cos_phi + s[k] * sin_phi
-        lam[(det, "late")] = np.full(times.size, late[k])
-
+    mid = d + c * np.cos(phi) + s * np.sin(phi)
     if seed is None:
-        counts = lam
-    else:
-        rng = np.random.Generator(np.random.PCG64(integer_in("seed", seed, 0)))
-        counts = {key: rng.poisson(lam[key]).astype(float) for key in sorted(lam)}
-
+        # The static bins' means spread over the scan, in BINS order.
+        counts = np.stack(np.broadcast_arrays(early, mid, late), axis=1)
+        return DriftTrace(times, counts)
+    rng = np.random.Generator(np.random.PCG64(integer_in("seed", seed, 0)))
+    # One draw in C order over (detector, early/late/mid, bucket), the order
+    # the seeded goldens pin, written over its means in BINS order.
+    counts = np.stack(np.broadcast_arrays(early, late, mid), axis=1)
+    counts[:, [0, 2, 1]] = rng.poisson(counts)
     return DriftTrace(times, counts)
 
 
@@ -272,21 +274,13 @@ def _cells(n_plus, n_minus, i, j):
     return values, defined
 
 
-def expectation_surface(trace: DriftTrace):
-    """Two-time expectation surface of the middle-bin coincidences.
+def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
+    """Largest |E(t1, t2)| of the two-time surface in O(n) memory.
 
     E(t1, t2) pairs the '+' orientation of the superposition basis at t1
     with the '-' orientation at t2 (where the drifted phase has moved),
-    so E(t1,t2) = (N+(t1) + N-(t2) - N-(t1) - N+(t2)) / (total).  Returns
-    ``(surface, defined)``, two n x n arrays; cells whose four counts
-    vanish are undefined and hold NaN.
-    """
-    idx = np.arange(trace.n_buckets)
-    return _cells(*trace.middle_series(), idx[:, None], idx[None, :])
-
-
-def max_expectation_surface(trace: DriftTrace) -> SurfaceResult:
-    """Largest |E(t1, t2)| of ``expectation_surface`` in O(n) memory.
+    so E(t1,t2) = (N+(t1) + N-(t2) - N-(t1) - N+(t2)) / (total); cells
+    whose four counts vanish are undefined.
 
     Returns the cell and value the dense surface gives: largest |E|,
     first row-major index on ties, undefined cells excluded.  With
@@ -347,11 +341,10 @@ def z_expectation(trace: DriftTrace) -> float:
 
     '+' outcome of the time-bin qubit is the early bin, '-' the late bin.
     """
-    n_pp = float(np.sum(trace.counts[("+", "early")]))
-    n_mm = float(np.sum(trace.counts[("-", "late")]))
-    n_pm = float(np.sum(trace.counts[("+", "late")]))
-    n_mp = float(np.sum(trace.counts[("-", "early")]))
-    return expectation_from_counts(n_pp, n_mm, n_pm, n_mp)
+    (plus_early, _, plus_late), (minus_early, _, minus_late) = (
+        trace.counts.sum(axis=2).tolist()
+    )
+    return expectation_from_counts(plus_early, minus_late, plus_late, minus_early)
 
 
 class ChshEstimate(NamedTuple):
@@ -371,8 +364,7 @@ def _surface_term(trace: DriftTrace, split: bool):
     """
     if not split:
         return max_expectation_surface(trace).value_at_argmax
-    even = _subtrace(trace, slice(0, None, 2))
-    res = max_expectation_surface(even)
+    res = max_expectation_surface(DriftTrace(trace.times[::2], trace.counts[..., ::2]))
     i_sel, j_sel = res.argmax
     sign = 1.0 if res.value_at_argmax >= 0 else -1.0
     n = trace.n_buckets
@@ -381,10 +373,6 @@ def _surface_term(trace: DriftTrace, split: bool):
     n_plus, n_minus = trace.middle_series()
     value = expectation_from_counts(n_plus[i], n_minus[j], n_minus[i], n_plus[j])
     return sign * value
-
-
-def _subtrace(trace: DriftTrace, sel) -> DriftTrace:
-    return DriftTrace(trace.times[sel], {k: c[sel] for k, c in trace.counts.items()})
 
 
 def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> ChshEstimate:
@@ -405,8 +393,8 @@ def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> Chs
 
 
 def surface_to_rows(trace: DriftTrace):
-    """Header and row blocks (t1, t2, E, defined) of ``expectation_surface``
-    for CSV export.
+    """Header and row blocks (t1, t2, E, defined) of the two-time surface
+    (see :func:`max_expectation_surface`) for CSV export.
 
     The rows come from a generator of float arrays, one row per cell,
     each block holding whole t1 rows of about ``_EXPORT_BLOCK_CELLS``

@@ -301,12 +301,13 @@ def cmd_phase_sensitivity(settings):
     geom = _geometry_from(settings)
     step = 1e-9
     # A slope that overflows comes with a phase that overflows, which
-    # geometry.phase refuses below, naming the settings.
-    with np.errstate(over="ignore"):
+    # geometry.phase refuses below, naming the settings; a slope that
+    # underflows to 0 gives an infinite pi-shift angle, refused next.
+    with np.errstate(over="ignore", divide="ignore"):
         d1 = (
             geometry.path_difference(geom, step) - geometry.path_difference(geom, -step)
         ) / (2 * step)
-    aoi_per_pi = geom.wavelength / (2.0 * abs(d1))
+        aoi_per_pi = geom.wavelength / (2.0 * abs(d1))
     if not aoi_per_pi < geometry.ALPHA_LIMIT:
         raise ValueError(
             f"wavelength and delta_l0 must be such that the pi-shift angle "
@@ -362,14 +363,6 @@ def cmd_chsh_scan(settings):
             f"surface export, rounded to whole buckets, got duration {duration} s "
             f"and bucket {bucket} s"
         )
-    traces = {}
-    for idx, axis in enumerate(("z+x", "z-x")):
-        scan_seed = None if seed is None else seed + idx
-        traces[axis] = chsh.simulate_drift_scan(
-            rho, eff, drift, alice_axis=axis, rate=rate, duration=duration,
-            bucket=bucket, seed=scan_seed,
-        )
-    est = chsh.estimate_chsh(traces["z+x"], traces["z-x"], split=seed is not None)
     base_params = {
         "operation": "chsh_scan",
         "p_xy": params.p_x,
@@ -385,24 +378,32 @@ def cmd_chsh_scan(settings):
         "seed": seed,
     }
     keys = [(det, b) for det in chsh.DETECTORS for b in chsh.BINS]
+    traces = []
     files = []
-    for axis, tag in (("z+x", "a1"), ("z-x", "a2")):
-        tr = traces[axis]
+    for idx, axis in enumerate(("z+x", "z-x")):
+        tr = chsh.simulate_drift_scan(
+            rho, eff, drift, alice_axis=axis, rate=rate, duration=duration,
+            bucket=bucket, seed=None if seed is None else seed + idx,
+        )
+        traces.append(tr)
+        series = tr.counts.reshape(len(keys), -1)
+        tag = f"a{idx + 1}"
         axis_params = {**base_params, "alice_axis": axis}
         plot = None if tag == "a2" else (
-            [(f"{det} {b}", tr.times, tr.counts[(det, b)]) for det, b in keys],
+            [(f"{det} {b}", tr.times, ys) for (det, b), ys in zip(keys, series)],
             "drift-scan coincidences (setting z+x)", "time [s]", "counts per bucket",
         )
         files += [
             _File(
                 f"chsh_trace_{tag}.csv",
                 ["time_s"] + [f"{det}{b}" for det, b in keys],
-                np.column_stack([tr.times] + [tr.counts[key] for key in keys]),
+                np.column_stack([tr.times, series.T]),
                 axis_params,
                 plot,
             ),
             _File(f"chsh_surface_{tag}.csv", *chsh.surface_to_rows(tr), axis_params),
         ]
+    est = chsh.estimate_chsh(*traces, split=seed is not None)
     summary_rows = [
         ["S", est.s],
         ["E_A1_B1", est.e11],

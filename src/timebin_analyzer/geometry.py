@@ -105,10 +105,18 @@ def visibility(geom: InterferometerGeometry, alpha):
 
     V(alpha) = v0 * exp(-(delta_l0 tan(alpha) / (sqrt(2) sigma (1+tan(alpha))))^2)
     """
+    return geom.v0 * _envelope(geom, alpha)
+
+
+def _envelope(geom: InterferometerGeometry, alpha):
+    """The visibility over v0, exp(-arg^2), for every v0 including 0."""
     alpha = _check_alpha(alpha)
     t = np.tan(alpha)
-    arg = geom.delta_l0 * t / (math.sqrt(2.0) * geom.sigma * (1.0 + t))
-    return geom.v0 * np.exp(-(arg**2))
+    # An offset that dwarfs sigma sends arg, or its square, past the float
+    # range: the envelope's limit there is 0, which exp(-inf) gives.
+    with np.errstate(over="ignore", divide="ignore"):
+        arg = geom.delta_l0 * t / (math.sqrt(2.0) * geom.sigma * (1.0 + t))
+        return np.exp(-(arg**2))
 
 
 def phase(geom: InterferometerGeometry, alpha) -> PhaseResult:
@@ -152,6 +160,10 @@ def relay_single_pass(focal_length):
     minus the identity; the round trip (squared) is the identity.
     """
     f = float(finite_in("focal_length", focal_length, 0, open_lo=True))
+    if not math.isfinite(2 * f) or not math.isfinite(1 / f):
+        raise ValueError(
+            f"focal_length must be such that 2f and 1/f are finite, got {f}"
+        )
     m = free_space(f) @ thin_lens(f) @ free_space(2 * f) @ thin_lens(f) @ free_space(f)
     return m
 

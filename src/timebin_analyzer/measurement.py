@@ -89,11 +89,8 @@ def visibility_pairs(bob):
 
 @dataclass
 class PovmDiagnostics:
-    """Per-element margins from :func:`validate_povm`."""
+    """Verdict of :func:`validate_povm`, with each failed check described."""
 
-    min_eigenvalues: dict
-    below_identity_margins: dict
-    completeness_residual: float
     ok: bool
     failures: list
 
@@ -107,25 +104,20 @@ def validate_povm(elements, tol=1e-12):
     """Check positivity, boundedness by identity, and completeness.
 
     ``elements`` is a mapping of labels to operators.  Returns a
-    :class:`PovmDiagnostics` with per-element margins; ``ok`` is False
-    when any element has an eigenvalue below ``-tol``, exceeds the
-    identity by more than ``tol``, or the elements do not sum to the
-    identity within ``tol``.
+    :class:`PovmDiagnostics`; ``ok`` is False when any element has an
+    eigenvalue below ``-tol``, exceeds the identity by more than ``tol``,
+    or the elements do not sum to the identity within ``tol``.
     """
     labels = list(elements)
     dim = np.asarray(elements[labels[0]]).shape[0]
     eye = np.eye(dim, dtype=complex)
 
-    min_eigs = {}
-    below_identity = {}
     failures = []
     total = np.zeros((dim, dim), dtype=complex)
     for label in labels:
         m = np.asarray(elements[label], dtype=complex)
         lo = min_eigenvalue(m)
         hi = min_eigenvalue(eye - m)
-        min_eigs[label] = lo
-        below_identity[label] = hi
         if lo < -tol:
             failures.append(f"element {label} not PSD (min eigenvalue {lo:.3e})")
         if hi < -tol:
@@ -136,10 +128,4 @@ def validate_povm(elements, tol=1e-12):
     residual = float(np.max(np.abs(total - eye)))
     if residual > tol:
         failures.append(f"elements do not sum to identity (residual {residual:.3e})")
-    return PovmDiagnostics(
-        min_eigenvalues=min_eigs,
-        below_identity_margins=below_identity,
-        completeness_residual=residual,
-        ok=not failures,
-        failures=failures,
-    )
+    return PovmDiagnostics(ok=not failures, failures=failures)

@@ -321,7 +321,8 @@ def drift_scan_rates_loop(rho, projectors, eta_l, eta_s, phases, scale):
 
     ``rho`` is a 6x6 (2x3) state, ``projectors`` Alice's (+, -) pair,
     ``phases`` the analyzer phase of each bucket and ``scale`` the pairs
-    per bucket.  Returns the six series keyed by (detector, bin), as
+    per bucket.  Returns the six series as a (2, 3, n) array indexed by
+    detector ('+', '-'), bin (early, mid, late) and bucket, as
     ``DriftTrace.counts`` holds them in noiseless mode.
     """
 
@@ -331,17 +332,16 @@ def drift_scan_rates_loop(rho, projectors, eta_l, eta_s, phases, scale):
     rho = np.asarray(rho, dtype=complex)
     m_e = 0.25 * np.diag([0.0, eta_s, 0.0]).astype(complex)
     m_l = 0.25 * np.diag([0.0, 0.0, eta_l]).astype(complex)
-    bins = ("early", "mid", "late")
-    rates = {(det, b): np.empty(len(phases)) for det in "+-" for b in bins}
+    rates = np.empty((2, 3, len(phases)))
     for k, phi in enumerate(phases):
         cross = np.sqrt(eta_l * eta_s) * np.exp(1j * phi)
         m_x = 0.25 * np.array(
             [[0.0, 0.0, 0.0], [0.0, eta_l, cross], [0.0, np.conj(cross), eta_s]],
             dtype=complex,
         )
-        for det, proj in zip("+-", projectors):
-            for b, op in (("early", m_e), ("mid", m_x), ("late", m_l)):
-                rates[(det, b)][k] = scale * np.trace(rho @ kron(proj, op)).real
+        for det, proj in enumerate(projectors):
+            for b, op in enumerate((m_e, m_x, m_l)):
+                rates[det, b, k] = scale * np.trace(rho @ kron(proj, op)).real
     return rates
 
 

@@ -22,6 +22,10 @@ from oracles import (
 
 EFF = AnalyzerEfficiencies(0.9, 0.9)
 
+# Indices into DriftTrace.counts, (detector, bin, bucket).
+DET = {det: k for k, det in enumerate(chsh.DETECTORS)}
+BIN = {b: k for k, b in enumerate(chsh.BINS)}
+
 
 @pytest.fixture
 def noisy():
@@ -266,8 +270,7 @@ class TestSimulateDriftScan:
         trace = chsh.simulate_drift_scan(
             bell, EFF, still, alice_axis="x", duration=10.0, seed=None
         )
-        for key, series in trace.counts.items():
-            assert np.ptp(series) <= 1e-12, key
+        assert np.all(np.ptp(trace.counts, axis=2) <= 1e-12)
 
     def test_linear_drift_period_fit(self, noisy):
         duration = 60.0
@@ -275,7 +278,7 @@ class TestSimulateDriftScan:
             noisy, EFF, drift_2pi(duration), alice_axis="x", duration=duration,
             seed=None,
         )
-        n_plus = trace.counts[("+", "mid")]
+        n_plus = trace.counts[DET["+"], BIN["mid"]]
         period = fit_period(trace.times, n_plus)
         assert period == pytest.approx(duration, rel=0.02)
 
@@ -291,18 +294,18 @@ class TestSimulateDriftScan:
         kappa = 0.804 / math.sqrt(2.0)
         for det, sign in (("+", 1.0), ("-", -1.0)):
             expected = rate * bucket * 0.9 / 8.0 * (1.0 + sign * kappa * np.cos(phases))
-            assert np.max(np.abs(trace.counts[(det, "mid")] - expected)) < 1e-10
+            series = trace.counts[DET[det], BIN["mid"]]
+            assert np.max(np.abs(series - expected)) < 1e-10
         for det, bob_key, p in (("+", "early", 0.952), ("-", "late", 0.952)):
             expected = rate * bucket * 0.9 / 4.0 * (1 + p / math.sqrt(2.0)) / 4.0
-            series = trace.counts[(det, bob_key)]
+            series = trace.counts[DET[det], BIN[bob_key]]
             assert np.max(np.abs(series - expected)) < 1e-10
 
     def test_seed_determinism(self, noisy):
         kwargs = dict(alice_axis="z+x", duration=10.0, seed=42)
         t1 = chsh.simulate_drift_scan(noisy, EFF, drift_2pi(10.0), **kwargs)
         t2 = chsh.simulate_drift_scan(noisy, EFF, drift_2pi(10.0), **kwargs)
-        for key in t1.counts:
-            assert np.array_equal(t1.counts[key], t2.counts[key])
+        assert np.array_equal(t1.counts, t2.counts)
 
     def test_validation(self, noisy):
         with pytest.raises(ValueError):
@@ -338,13 +341,44 @@ class TestSimulateDriftScan:
             six.matrix, chsh.alice_setting(axis), *etas, drift.phase(trace.times),
             scale,
         )
-        assert trace.counts.keys() == expected.keys()
-        for key, series in expected.items():
-            if key[1] == "mid":
-                error = np.max(np.abs(trace.counts[key] - series))
-                assert error <= 2 * np.finfo(float).eps * scale, key
-            else:
-                assert np.array_equal(trace.counts[key], series), key
+        assert trace.counts.shape == expected.shape == (2, 3, n)
+        mid = BIN["mid"]
+        error = np.max(np.abs(trace.counts[:, mid] - expected[:, mid]))
+        assert error <= 2 * np.finfo(float).eps * scale
+        static = [BIN["early"], BIN["late"]]
+        assert np.array_equal(trace.counts[:, static], expected[:, static])
+
+    def test_counts_layout(self, noisy):
+        # counts[k, b] is detector DETECTORS[k] in bin BINS[b], as the
+        # per-bucket oracle lays out its series.
+        assert chsh.DETECTORS == ("+", "-")
+        assert chsh.BINS == ("early", "mid", "late")
+        drift = drift_2pi(20.0)
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift, alice_axis="z+x", duration=20.0, seed=None
+        )
+        assert trace.counts.shape == (2, 3, trace.n_buckets)
+        assert trace.counts.dtype == np.float64 and trace.counts.flags.c_contiguous
+        assert np.array_equal(trace.middle_series(), trace.counts[:, BIN["mid"]])
+        expected = drift_scan_rates_loop(
+            st.embed_2x3(noisy, 1.0).matrix, chsh.alice_setting("z+x"), 0.9, 0.9,
+            drift.phase(trace.times), 500.0,
+        )
+        assert np.max(np.abs(trace.counts - expected)) < 1e-10
+
+    def test_seeded_draw_order(self, noisy):
+        # One generator draws each detector's early, late and then middle
+        # series from the noiseless means.
+        kwargs = dict(alice_axis="z+x", duration=20.0)
+        means = chsh.simulate_drift_scan(noisy, EFF, drift_2pi(20.0), **kwargs).counts
+        trace = chsh.simulate_drift_scan(noisy, EFF, drift_2pi(20.0), seed=7, **kwargs)
+        rng = np.random.Generator(np.random.PCG64(7))
+        expected = np.empty_like(means)
+        for k in DET.values():
+            for b in ("early", "late", "mid"):
+                expected[k, BIN[b]] = rng.poisson(means[k, BIN[b]])
+        assert np.array_equal(trace.counts, expected)
+        assert trace.counts.flags.c_contiguous
 
 
 class TestMaxExpectationSurface:
@@ -376,7 +410,7 @@ class TestMaxExpectationSurface:
     def test_matches_dense(self, noisy, n, kind, phase0, etas, axis, embedded):
         _, _, trace = grid_scan(noisy, n, kind, phase0, etas, axis, embedded)
         assert_matches_dense(trace)
-        assert_matches_dense(chsh._subtrace(trace, slice(0, None, 2)))
+        assert_matches_dense(chsh.DriftTrace(trace.times[::2], trace.counts[..., ::2]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_with_undefined_cells(self, noisy, seed):
@@ -402,8 +436,7 @@ class TestMaxExpectationSurface:
         trace = chsh.simulate_drift_scan(
             noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
         )
-        for det in chsh.DETECTORS:
-            trace.counts[(det, "mid")][:] = 0.0
+        trace.counts[:, BIN["mid"]] = 0.0
         with pytest.raises(chsh.ZeroDenominatorError):
             max_expectation_surface_dense(*trace.middle_series())
         with pytest.raises(chsh.ZeroDenominatorError):
@@ -423,48 +456,6 @@ class TestMaxExpectationSurface:
             tracemalloc.stop()
         assert trace.n_buckets == 20_000
         assert peak < 16e6
-
-
-class TestExpectationSurface:
-    def test_undefined_cells_excluded(self, noisy):
-        trace = chsh.simulate_drift_scan(
-            noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
-        )
-        trace.counts[("+", "mid")][0] = 0.0
-        trace.counts[("-", "mid")][0] = 0.0
-        surface, defined = chsh.expectation_surface(trace)
-        assert not defined[0, 0]
-        assert math.isnan(surface[0, 0])
-
-    @pytest.mark.parametrize(
-        "seed, rate, zeroed",
-        [(None, 1000.0, None), (5, 1000.0, None), (2, 3.0, None),
-         (None, 1000.0, slice(3, 7)), (None, 1000.0, slice(None))],
-        ids=["noiseless", "seeded", "sparse", "zeroed_buckets", "all_zeroed"],
-    )
-    def test_matches_dense_bits(self, noisy, seed, rate, zeroed):
-        trace = chsh.simulate_drift_scan(
-            noisy, EFF, drift_2pi(60.0), alice_axis="z+x", rate=rate,
-            duration=60.0, seed=seed,
-        )
-        if zeroed is not None:
-            for det in chsh.DETECTORS:
-                trace.counts[(det, "mid")][zeroed] = 0.0
-        surface, defined = chsh.expectation_surface(trace)
-        expected, expected_defined = expectation_surface_dense(*trace.middle_series())
-        assert surface.dtype == expected.dtype and surface.shape == expected.shape
-        assert np.array_equal(surface.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(defined, expected_defined)
-        assert np.array_equal(np.isnan(surface), ~defined)
-        if zeroed is not None or rate < 10:
-            assert not defined.all()
-
-    def test_antisymmetry(self, noisy):
-        trace = chsh.simulate_drift_scan(
-            noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
-        )
-        surface, _ = chsh.expectation_surface(trace)
-        assert np.allclose(surface, -surface.T, atol=1e-12, equal_nan=True)
 
 
 class TestZExpectation:
@@ -513,18 +504,35 @@ class TestEstimateChsh:
         assert all(size % n == 0 for size in sizes)
 
     @pytest.mark.parametrize(
-        "n, block_cells, n_blocks",
-        [(1, None, 1), (40, None, 1), (240, None, 15), (40, 30, 40), (41, 100, 21)],
+        "n, block_cells, n_blocks, seed, rate, zeroed",
+        [
+            pytest.param(1, None, 1, 4, 3.0, None, id="1-None-1"),
+            pytest.param(40, None, 1, 4, 3.0, None, id="40-None-1"),
+            pytest.param(240, None, 15, 4, 3.0, None, id="240-None-15"),
+            pytest.param(40, 30, 40, 4, 3.0, None, id="40-30-40"),
+            pytest.param(41, 100, 21, 4, 3.0, None, id="41-100-21"),
+            # 120 buckets give 4 blocks of 34 rows but the last.
+            pytest.param(120, None, 4, None, 1000.0, None, id="noiseless"),
+            pytest.param(120, None, 4, 5, 1000.0, None, id="seeded"),
+            pytest.param(120, None, 4, 2, 3.0, None, id="sparse"),
+            pytest.param(120, None, 4, None, 1000.0, slice(0, 1), id="undefined_cell"),
+            pytest.param(120, None, 4, None, 1000.0, slice(3, 7), id="zeroed_buckets"),
+            pytest.param(120, None, 4, None, 1000.0, slice(None), id="all_zeroed"),
+        ],
     )
-    def test_surface_rows_match_dense(self, noisy, monkeypatch, n, block_cells, n_blocks):
+    def test_surface_rows_match_dense(
+        self, noisy, monkeypatch, n, block_cells, n_blocks, seed, rate, zeroed
+    ):
         # At the default block size 240 buckets give 15 blocks of 17 rows but
         # the last, which has 2; a block smaller than a row holds one row.
         if block_cells is not None:
             monkeypatch.setattr(chsh, "_EXPORT_BLOCK_CELLS", block_cells)
         trace = chsh.simulate_drift_scan(
-            noisy, EFF, drift_2pi(60.0), alice_axis="z+x", rate=3.0,
-            duration=n * 0.5, seed=4,
+            noisy, EFF, drift_2pi(60.0), alice_axis="z+x", rate=rate,
+            duration=n * 0.5, seed=seed,
         )
+        if zeroed is not None:
+            trace.counts[:, BIN["mid"], zeroed] = 0.0
         _, blocks = chsh.surface_to_rows(trace)
         blocks = list(blocks)
         rows_per_block = max(1, chsh._EXPORT_BLOCK_CELLS // n)
@@ -537,3 +545,11 @@ class TestEstimateChsh:
         ])
         got = np.concatenate(blocks)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # Undefined cells hold NaN, and only they; E(t2, t1) = -E(t1, t2).
+        values = got[:, 2].reshape(n, n)
+        assert np.array_equal(np.isnan(values), ~defined)
+        assert np.allclose(values, -values.T, atol=1e-12, equal_nan=True)
+        if zeroed is not None:
+            assert np.isnan(values[zeroed, zeroed]).all()
+        if zeroed is not None or rate < 10:
+            assert not defined.all()

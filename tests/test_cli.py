@@ -273,6 +273,14 @@ class TestVisibilityScan:
                  "wavelength and delta_l0"),
                 (["phase-sensitivity", "--delta-l0", "1e-9m"],
                  "wavelength and delta_l0"),
+                (["phase-sensitivity", "--delta-l0", "1e-320m"],
+                 "wavelength and delta_l0", "got wavelength 7.76"),
+                (["relay-check", "--focal-length", "1e308m"], "focal_length",
+                 "got 1e+308"),
+                (["relay-check", "--focal-length", "4e-309m"], "focal_length",
+                 "got 4e-309"),
+                (["visibility-scan", "--sigma", "1e308m"], "sigma",
+                 "got sigma 1e+308 m and extent inf m"),
                 # Sizes past their caps are refused before any allocation.
                 (["visibility-scan", "--grid-n", "4096"], "grid_n"),
                 (["visibility-scan", "--grid-n", str(2**62)], "grid_n"),
@@ -636,12 +644,45 @@ class TestExpectationAoi:
             "expectation-aoi", "--relay", "on", "--alpha-steps", "41",
             "--out-dir", str(tmp_path),
         ]) == 0
-        lines = [
-            l for l in (tmp_path / "expectation_aoi.csv").read_text().splitlines()
-            if not l.startswith("#")
-        ]
-        values = [float(l.split(",")[1]) for l in lines[1:]]
+        values = [float(row[1]) for row in csv_rows(tmp_path / "expectation_aoi.csv")]
         assert max(values) - min(values) <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_relay_off_zero_v0(self, tmp_path):
+        # E carries the envelope V(alpha)/v0, which v0 = 0 leaves defined:
+        # the rows are the default v0's.
+        argv = ["expectation-aoi", "--relay", "off", "--alpha-steps", "41"]
+        assert run([*argv, "--out-dir", str(tmp_path / "default")]) == 0
+        assert run([*argv, "--v0", "0", "--out-dir", str(tmp_path / "zero")]) == 0
+        default, zero = (
+            csv_rows(tmp_path / key / "expectation_aoi.csv")
+            for key in ("default", "zero")
+        )
+        assert zero == default
+        assert not np.isnan(np.array(zero, dtype=float)).any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_relay_off_beam_narrow_against_offset(self, tmp_path):
+        # With sigma 1e-320 m the output rays part by far more than the beam
+        # width at every tilt, so E is 0; at normal incidence they overlap.
+        argv = ["expectation-aoi", "--relay", "off", "--alpha-steps", "41"]
+        assert run([*argv, "--out-dir", str(tmp_path / "default")]) == 0
+        narrow = ["--sigma", "1e-320m", "--out-dir", str(tmp_path / "narrow")]
+        assert run([*argv, *narrow]) == 0
+        default, narrow = (
+            np.array(csv_rows(tmp_path / key / "expectation_aoi.csv"), dtype=float)
+            for key in ("default", "narrow")
+        )
+        tilted = narrow[:, 0] != 0.0
+        assert 0 < tilted.sum() < len(narrow)
+        assert np.array_equal(narrow[tilted, 1], np.zeros(tilted.sum()))
+        assert np.array_equal(narrow[~tilted, 1], default[~tilted, 1])
+
+
+def csv_rows(path):
+    """The data rows of a CSV the CLI wrote, as lists of cell strings."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
 
 
 class TestUsageErrors:
