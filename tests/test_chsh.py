@@ -503,6 +503,15 @@ class TestEstimateChsh:
         assert sum(sizes) == n**2
         assert all(size % n == 0 for size in sizes)
 
+    def test_surface_rows_antisymmetry(self, noisy):
+        trace = chsh.simulate_drift_scan(
+            noisy, EFF, drift_2pi(10.0), alice_axis="x", duration=10.0, seed=None
+        )
+        _, blocks = chsh.surface_to_rows(trace)
+        n = trace.n_buckets
+        surface = np.concatenate(list(blocks))[:, 2].reshape(n, n)
+        assert np.allclose(surface, -surface.T, atol=1e-12, equal_nan=True)
+
     @pytest.mark.parametrize(
         "n, block_cells, n_blocks, seed, rate, zeroed",
         [
