@@ -19,6 +19,7 @@ CSV export and plots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,6 +130,8 @@ def bucket_times(duration, bucket, rate=None):
     for name, value in (("rate", rate), ("duration", duration), ("bucket", bucket)):
         if value is not None:
             finite_in(name, value, 0, open_lo=True)
+        elif name != "rate":
+            raise ValueError(f"{name} must be > 0, got None")
     if rate is not None and rate * bucket > MAX_PAIRS_PER_BUCKET:
         raise ValueError(
             f"rate * bucket must be <= {MAX_PAIRS_PER_BUCKET:g} pairs per bucket, "
@@ -155,16 +158,47 @@ _ALICE_AXES = {
 }
 
 
+def _axis_name(axis):
+    """``axis`` if it names one of Alice's axes, else raise ValueError."""
+    if not (isinstance(axis, str) and axis in _ALICE_AXES):
+        raise ValueError(f"unknown Alice axis {axis!r}")
+    return axis
+
+
 def alice_setting(axis):
     """Projector pair for Alice's axis 'z+x', 'z-x', 'x', 'y' or 'z'; for any
     other Bloch vector, see :func:`measurement.alice_projectors`."""
-    if not (isinstance(axis, str) and axis in _ALICE_AXES):
-        raise ValueError(f"unknown Alice axis {axis!r}")
-    return alice_projectors(_ALICE_AXES[axis])
+    return alice_projectors(_ALICE_AXES[_axis_name(axis)])
+
+
+# Settings (eta_l, eta_s, Alice's axis) whose scan operators are kept: at
+# most this many complex (2, 5, 6, 6) stacks of 5.8 kB, 92 kB in all.  Keys
+# are typed: bob_povm computes in the efficiencies' own type, so float32
+# 0.75 and float 0.75, which compare equal, give different operators.
+_OPERATOR_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE, typed=True)
+def _scan_operators(eta_l, eta_s, axis):
+    """P_a x B for Alice's projectors P_a of the named ``axis`` and Bob's
+    E, L and the three parts of X (see :func:`simulate_drift_scan`), as one
+    read-only (2, 5, 6, 6) stack shared by the scans of one setting."""
+    povm = bob_povm(AnalyzerEfficiencies(eta_l, eta_s))
+    diag = np.diag(np.diag(povm["X"]))
+    cross = povm["X"] - diag
+    bob = np.stack(
+        [povm["E"], povm["L"], diag, cross, 1j * (np.triu(cross) - np.tril(cross))]
+    )
+    alice = np.stack(alice_setting(axis))
+    ops = tensor(alice[:, None], bob)
+    ops.flags.writeable = False
+    return ops
 
 
 DETECTORS = ("+", "-")
 BINS = ("early", "mid", "late")
+# The BINS index of each bin a seeded scan draws, in the order it draws them.
+_DRAWN_BINS = tuple(BINS.index(b) for b in ("early", "late", "mid"))
 
 
 @dataclass
@@ -211,32 +245,37 @@ def simulate_drift_scan(
     X_c + sin(phi) X_s, with D the diagonal of X(0), X_c its off-diagonal
     pair and X_s = i (upper - lower) of that pair.  So every trace is a
     fixed combination of ten static expectations Tr[rho (P_a x B)], and a
-    scan takes O(n) memory and time with no per-bucket operator.
+    scan takes O(n) memory and time with no per-bucket operator.  The
+    operators P_a x B of a setting (eta_l, eta_s, ``alice_axis``) are
+    built once and kept read-only, one complex (2, 5, 6, 6) stack of
+    5.8 kB per setting for at most ``_OPERATOR_CACHE_SIZE`` (16) settings,
+    so a scan computes only its ten expectations, the drifted phase and,
+    seeded, one Poisson draw.
     """
+    if rate is None:
+        raise ValueError("rate must be > 0, got None (seed=None is the noiseless scan)")
     times = bucket_times(duration, bucket, rate)
     rho = as_2x3(rho)
-
-    povm = bob_povm(eff)
-    diag = np.diag(np.diag(povm["X"]))
-    cross = povm["X"] - diag
-    bob = np.stack(
-        [povm["E"], povm["L"], diag, cross, 1j * (np.triu(cross) - np.tril(cross))]
-    )
-    alice = np.stack(alice_setting(alice_axis))
-    # P_a x B for every (detector, Bob operator) pair.
-    ops = tensor(alice[:, None], bob)
+    ops = _scan_operators(eff.eta_l, eff.eta_s, _axis_name(alice_axis))
     early, late, d, c, s = (rate * bucket * rho.expectation(ops)).T[..., None]
     phi = drift.phase(times)
-    mid = d + c * np.cos(phi) + s * np.sin(phi)
+    # The means in BINS order or, seeded, in the order of the one draw: C
+    # order over (detector, early/late/mid, bucket), which the seeded
+    # goldens pin.
+    counts = np.empty((len(DETECTORS), len(BINS), times.size))
+    early_at, late_at, mid_at = _DRAWN_BINS if seed is None else range(3)
+    counts[:, early_at] = early
+    counts[:, late_at] = late
+    mid = counts[:, mid_at]
+    np.multiply(c, np.cos(phi), out=mid)
+    mid += d
+    mid += s * np.sin(phi)
     if seed is None:
-        # The static bins' means spread over the scan, in BINS order.
-        counts = np.stack(np.broadcast_arrays(early, mid, late), axis=1)
         return DriftTrace(times, counts)
     rng = np.random.Generator(np.random.PCG64(integer_in("seed", seed, 0)))
-    # One draw in C order over (detector, early/late/mid, bucket), the order
-    # the seeded goldens pin, written over its means in BINS order.
-    counts = np.stack(np.broadcast_arrays(early, late, mid), axis=1)
-    counts[:, [0, 2, 1]] = rng.poisson(counts)
+    draws = rng.poisson(counts)
+    for slot, b in enumerate(_DRAWN_BINS):  # written over the means
+        counts[:, b] = draws[:, slot]
     return DriftTrace(times, counts)
 
 
@@ -389,7 +428,8 @@ def estimate_chsh(trace_a1: DriftTrace, trace_a2: DriftTrace, split=True) -> Chs
     e21 = z_expectation(trace_a2)
     e12 = -abs(_surface_term(trace_a1, split))
     e22 = abs(_surface_term(trace_a2, split))
-    return ChshEstimate(chsh_s(e11, e12, e21, e22), e11, e12, e21, e22)
+    values = (chsh_s(e11, e12, e21, e22), e11, e12, e21, e22)
+    return ChshEstimate(*map(float, values))  # split terms are np.float64
 
 
 def surface_to_rows(trace: DriftTrace):

@@ -4,13 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
-from timebin_analyzer import chsh
+from timebin_analyzer import analysis, chsh
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
-from timebin_analyzer.measurement import AnalyzerEfficiencies, alice_projectors
+from timebin_analyzer.measurement import (
+    AnalyzerEfficiencies,
+    alice_projectors,
+    bob_povm,
+)
 
 from oracles import (
     drift_scan_rates_loop,
@@ -256,11 +260,26 @@ class TestDriftModel:
 
 
 class TestBucketTimes:
+    @pytest.mark.filterwarnings("error")
     @given(name=hst.sampled_from(["rate", "duration", "bucket"]), value=NOT_POSITIVE)
+    @example(name="duration", value=None)
+    @example(name="bucket", value=None)
     def test_rejects_bad_value(self, name, value):
         args = {"duration": 10.0, "bucket": 0.5, "rate": 1000.0, name: value}
         with pytest.raises(ValueError, match=name):
             chsh.bucket_times(**args)
+
+    # A scan's noiseless mode is seed=None, so it refuses rate=None too.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["rate", "duration", "bucket"])
+    def test_scan_refuses_none(self, noisy, name):
+        with pytest.raises(ValueError, match=f"^{name} must be > 0, got None"):
+            chsh.simulate_drift_scan(noisy, EFF, chsh.DriftModel(), **{name: None})
+
+    @pytest.mark.filterwarnings("error")
+    def test_stability_series_refuses_none_duration(self):
+        with pytest.raises(ValueError, match="^duration must be > 0, got None"):
+            analysis.stability_series(0.8, chsh.DriftModel(), None, 1.0)
 
 
 class TestSimulateDriftScan:
@@ -381,6 +400,101 @@ class TestSimulateDriftScan:
         assert trace.counts.flags.c_contiguous
 
 
+def scan_operators_uncached(eta_l, eta_s, axis):
+    """P_a x B for Bob's E, L, D, X_c and X_s (see simulate_drift_scan),
+    each pair tensored on its own."""
+    povm = bob_povm(AnalyzerEfficiencies(eta_l, eta_s))
+    diag = np.diag(np.diag(povm["X"]))
+    cross = povm["X"] - diag
+    bob = [povm["E"], povm["L"], diag, cross, 1j * (np.triu(cross) - np.tril(cross))]
+    return np.array([[q.tensor(p, b) for b in bob] for p in chsh.alice_setting(axis)])
+
+
+class TestOperatorCache:
+    ETAS = [(0.9, 0.9), (0.8, 0.5), (1.0, 1.0)]
+
+    # SHA-256 of times and counts of a 120-bucket scan of the noisy state,
+    # computed before the scans shared their operators between calls.
+    @pytest.mark.parametrize(
+        "seed, axis, etas, rate, digest",
+        [
+            (None, "z+x", (0.9, 0.9), 1000.0, "fdf0c96f0dfeaa3984089043d0ace2f62e91df7323fe478f4b940ad9ac169eaa"),
+            (11, "z-x", (0.8, 0.5), 1000.0, "a5bcf237b2d55d262c01ad0df6779244be502f590373b6921cd2212853a47779"),
+            (4, "y", (0.5, 0.8), 3.0, "a08025fd2cd8fabc83d5e09735d5c5814b8c5d4d8a4f63c4be9d29879090d9a0"),
+        ],
+        ids=["noiseless", "seeded", "sparse"],
+    )
+    def test_scan_bits_pinned_cold_and_warm(
+        self, noisy, seed, axis, etas, rate, digest
+    ):
+        chsh._scan_operators.cache_clear()
+        for _ in range(2):  # cold, then from the cached operators
+            trace = chsh.simulate_drift_scan(
+                noisy, AnalyzerEfficiencies(*etas), drift_2pi(60.0), alice_axis=axis,
+                rate=rate, duration=60.0, seed=seed,
+            )
+            data = trace.times.tobytes() + trace.counts.tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+        info = chsh._scan_operators.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("etas", ETAS, ids=["0.9-0.9", "0.8-0.5", "1-1"])
+    @pytest.mark.parametrize("axis", ["z+x", "z-x", "x", "y", "z"])
+    def test_read_only_and_equal_to_uncached(self, etas, axis):
+        ops = chsh._scan_operators(*etas, axis)
+        assert ops.shape == (2, 5, 6, 6) and ops.dtype == complex
+        assert ops.nbytes == 5760
+        assert np.array_equal(
+            ops.view(np.uint64), scan_operators_uncached(*etas, axis).view(np.uint64)
+        )
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ops[0, 0, 0, 0] = 0.0
+
+    def test_distinct_settings_distinct_entries(self, noisy):
+        chsh._scan_operators.cache_clear()
+        settings = [(etas, axis) for etas in self.ETAS for axis in ("z+x", "z-x")]
+        for _ in range(2):
+            for etas, axis in settings:
+                chsh.simulate_drift_scan(
+                    noisy, AnalyzerEfficiencies(*etas), chsh.DriftModel(),
+                    alice_axis=axis, duration=5.0, seed=1,
+                )
+        info = chsh._scan_operators.cache_info()
+        assert (info.misses, info.hits) == (len(settings), len(settings))
+        stacks = {id(chsh._scan_operators(*etas, axis)) for etas, axis in settings}
+        assert len(stacks) == len(settings)
+        assert chsh._scan_operators(0.8, 0.5, "x") is not chsh._scan_operators(
+            0.5, 0.8, "x"
+        )
+        # Equal keys of another type compute in that type.
+        f32 = np.float32(0.75), np.float32(0.5)
+        ops = chsh._scan_operators(*f32, "x")
+        assert ops is not chsh._scan_operators(0.75, 0.5, "x")
+        assert ops.tobytes() == scan_operators_uncached(*f32, "x").tobytes()
+        assert ops.tobytes() != scan_operators_uncached(0.75, 0.5, "x").tobytes()
+
+    def test_cache_is_bounded(self, noisy):
+        chsh._scan_operators.cache_clear()
+        for eta in np.linspace(0.5, 1.0, 4):
+            for axis in ("z+x", "z-x", "x", "y", "z"):
+                chsh.simulate_drift_scan(
+                    noisy, AnalyzerEfficiencies(eta, 0.9), chsh.DriftModel(),
+                    alice_axis=axis, duration=5.0,
+                )
+        info = chsh._scan_operators.cache_info()
+        assert info.misses == 20
+        assert info.maxsize == chsh._OPERATOR_CACHE_SIZE == 16
+        assert info.currsize == 16
+
+    @pytest.mark.parametrize("axis", [["z+x"], None, "q"])
+    def test_unknown_axis_refused_before_lookup(self, noisy, axis):
+        chsh._scan_operators.cache_clear()
+        with pytest.raises(ValueError, match="^unknown Alice axis"):
+            chsh.simulate_drift_scan(noisy, EFF, chsh.DriftModel(), alice_axis=axis)
+        assert chsh._scan_operators.cache_info().currsize == 0
+
+
 class TestMaxExpectationSurface:
     def test_perfect_visibility_full_period(self):
         bell = st.hybrid_bell_state()
@@ -493,6 +607,11 @@ class TestEstimateChsh:
             values.append(chsh.estimate_chsh(t1, t2, split=True).s)
         mean = float(np.mean(values))
         assert mean == pytest.approx(chsh.s_theo(0.952, 0.804), abs=0.08)
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_fields_are_floats(self, noisy, split):
+        est = chsh.estimate_chsh(*self.scans(noisy, 3, duration=20.0), split=split)
+        assert [type(v) for v in est] == [float] * 5
 
     def test_surface_rows_export(self, noisy):
         t1, _ = self.scans(noisy, None, duration=5.0)
