@@ -399,7 +399,9 @@ def _surface_term(trace: DriftTrace, split: bool):
 
     With ``split`` the argmax is selected on the even-index buckets and
     the value is re-evaluated on the adjacent odd buckets, which removes
-    the selection bias of taking a maximum over noisy cells.
+    the selection bias of taking a maximum over noisy cells.  Raises
+    :class:`ZeroDenominatorError` when those four odd-bucket counts are
+    all zero.
     """
     if not split:
         return max_expectation_surface(trace).value_at_argmax
@@ -410,7 +412,14 @@ def _surface_term(trace: DriftTrace, split: bool):
     i = min(2 * i_sel + 1, n - 1)
     j = min(2 * j_sel + 1, n - 1)
     n_plus, n_minus = trace.middle_series()
-    value = expectation_from_counts(n_plus[i], n_minus[j], n_minus[i], n_plus[j])
+    try:
+        value = expectation_from_counts(n_plus[i], n_minus[j], n_minus[i], n_plus[j])
+    except ZeroDenominatorError:
+        raise ZeroDenominatorError(
+            "the split CHSH estimate found no middle-bin count in the odd "
+            "buckets next to its chosen surface cell; raise rate or bucket "
+            "for more counts per bucket"
+        ) from None
     return sign * value
 
 

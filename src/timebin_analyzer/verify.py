@@ -67,6 +67,13 @@ MIN_RESOLUTION = 2.0**-53
 # Projector onto Bob's detected (one-photon) subspace, in {none, E, L}.
 _QUBIT_SECTOR = np.kron(np.eye(2), np.diag([0.0, 1.0, 1.0]))
 
+# Row k is (B_k, B_k^Gamma) flattened, B_k the k-th basis matrix of
+# vec_symmetric: x @ _BLOCKS holds the blocks (rho, rho^Gamma) of rho(x).
+_BASIS = unvec_symmetric(np.eye(21))
+_BLOCKS = np.stack([_BASIS, partial_transpose(_BASIS)], axis=1).reshape(21, 72)
+_BLOCKS.flags.writeable = False
+del _BASIS
+
 
 class NonConvergenceError(RuntimeError):
     """The feasibility solver could not certify a verdict."""
@@ -144,12 +151,18 @@ def build_constraints(
 
 
 # The solve stops once the duality gap Tr(S Z) is at most MAX_GAP, which
-# bounds the optimum: t* <= t + MAX_GAP.  Solves take about 8 iterations;
-# the cap only ends one that does not converge.
+# bounds the optimum: t* <= t + MAX_GAP.  Solves take about 6 to 7
+# iterations; the cap only ends one that does not converge.
 MAX_GAP = 1e-8
 _ITERATION_CAP = 50
 # Each step goes this fraction of the way to the boundary of the cone.
 _STEP_FRACTION = 0.98
+# The start puts t this far below lambda_min of (rho(x0), rho(x0)^Gamma).
+# With Z = I/12 the first gap is mean(lambda_i - lambda_min) + the offset,
+# so an offset much above that mean (about 0.1) only adds gap to close: at
+# 0.1 the first gap is about 0.2.  Over tests/solver_sweep.py, offsets of
+# 1, 0.5, 0.3, 0.2, 0.05 and 0.03 all took more iterations than 0.1.
+_START_OFFSET = 0.1
 
 
 def _schur_factor(l_inv, r, a):
@@ -188,7 +201,9 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     - t*I > 0 over the affine constraint subspace, in w = (z, t), by a
     feasible primal-dual interior-point method; the verdict is feasible iff
     the margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
-    point is >= -tol.  Deterministic for fixed inputs.  Raises
+    point is >= -tol.  The start is rho at the least-squares point x0 and
+    t = lambda_min - _START_OFFSET, just inside both cones, with the dual
+    Z_1 = Z_2 = I/12.  Deterministic for fixed inputs.  Raises
     :class:`NonConvergenceError` when the iteration cap is reached or a
     factorization fails before the gap reaches ``MAX_GAP``.
     """
@@ -197,22 +212,23 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     _, s, vt = np.linalg.svd(vec_symmetric(np.array(cs.operators)))
     rank = int(np.sum(s > 1e-12 * s[0]))
     null = vt[rank:].T  # columns span the nullspace
-    # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma.
-    basis = np.concatenate([unvec_symmetric(null.T), -np.eye(6)[None]])
-    a = np.stack([basis, partial_transpose(basis)])
-    a_flat = a.transpose(1, 0, 2, 3).reshape(len(basis), 72)
-    x0 = unvec_symmetric(cs.x0)
-    f0 = np.stack([x0, partial_transpose(x0)])
+    # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma;
+    # row k of a_flat is (a[0, k], a[1, k]) flattened.
+    a_flat = np.concatenate([null.T @ _BLOCKS, np.tile(-np.eye(6).ravel(), (1, 2))])
+    k = len(a_flat)
+    # _schur_factor takes the blocks as one C-contiguous (2, k, 6, 6) stack.
+    a = np.ascontiguousarray(a_flat.reshape(k, 2, 6, 6).transpose(1, 0, 2, 3))
+    f0 = (cs.x0 @ _BLOCKS).reshape(2, 6, 6)
     # The dual: Z_b > 0 with sum_b Tr(a[b, k] Z_b) = c_k, c = -e_t.  Every
     # null-basis matrix has trace 0, so Z_1 = Z_2 = I/12 is feasible.
-    c = np.zeros(len(basis))
+    c = np.zeros(k)
     c[-1] = -1.0
 
     def blocks(dw):
         return np.dot(dw, a_flat).reshape(2, 6, 6)
 
-    w = np.zeros(len(basis))
-    w[-1] = min_eigenvalue(f0).min() - 1.0
+    w = np.zeros(k)
+    w[-1] = min_eigenvalue(f0).min() - _START_OFFSET
     s_mat = f0 + blocks(w)
     z = np.stack([np.eye(6), np.eye(6)]) / 12.0
     iterations = 0
@@ -256,15 +272,15 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         z = z + step_z * dz
         iterations += 1
 
-    rho = unvec_symmetric(cs.x0 + null @ w[:-1])
-    margin = min(map(float, min_eigenvalue(np.stack([rho, partial_transpose(rho)]))))
+    rho_blocks = ((cs.x0 + null @ w[:-1]) @ _BLOCKS).reshape(2, 6, 6)
+    margin = min(map(float, min_eigenvalue(rho_blocks)))
     feasible = margin >= -tol
     return FeasibilityReport(
         feasible=feasible,
         margin=margin,
         iterations=iterations,
         gap=gap,
-        witness=rho if feasible else None,
+        witness=rho_blocks[0].copy() if feasible else None,
     )
 
 

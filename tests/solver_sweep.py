@@ -11,9 +11,11 @@ verdict and no threshold::
 
 With no argument it prints one JSON document.  With two documents it
 prints whether they are identical, the verdict flips, the threshold
-moves, the largest |margin difference| and the iteration totals of each
-side.  A solver change meant to be bit-identical must show
-``"identical": true``.  pytest does not collect this file.
+moves, the largest |margin difference|, the iteration totals and the
+largest single-solve iteration count of each side, and how many solves
+took more iterations on the new side than on the old.  A solver change
+meant to be bit-identical must show ``"identical": true``.  pytest does
+not collect this file.
 
 The points (efficiencies (0.9, 0.9) unless drawn):
   - the paper point (0.952, 0.804), (0.9, 0.3), (1, 1/1024) and
@@ -97,17 +99,26 @@ def compare(old, new):
             moves.append(label)
 
     def iterations(doc):
-        return {
+        totals = {
             part: sum(entry.get("iterations", 0) for entry in doc[part].values())
             for part in ("solves", "scans")
         }
+        totals["largest_solve"] = max(
+            entry.get("iterations", 0) for entry in doc["solves"].values()
+        )
+        return totals
 
+    slower = sum(
+        new["solves"][label].get("iterations", 0) > a.get("iterations", 0)
+        for label, a in old["solves"].items()
+    )
     return {
         "identical": old == new,
         "verdict_flips": flips,
         "threshold_moves": moves,
         "largest_margin_difference": worst,
         "iterations": {"old": iterations(old), "new": iterations(new)},
+        "solves_with_more_iterations": slower,
     }
 
 

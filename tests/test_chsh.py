@@ -583,13 +583,13 @@ class TestZExpectation:
 
 
 class TestEstimateChsh:
-    def scans(self, noisy, seed, duration=60.0):
+    def scans(self, noisy, seed, duration=60.0, rate=1000.0):
         traces = []
         for idx, axis in enumerate(("z+x", "z-x")):
             traces.append(
                 chsh.simulate_drift_scan(
                     noisy, EFF, drift_2pi(duration), alice_axis=axis,
-                    duration=duration,
+                    rate=rate, duration=duration,
                     seed=None if seed is None else seed + idx,
                 )
             )
@@ -612,6 +612,15 @@ class TestEstimateChsh:
     def test_fields_are_floats(self, noisy, split):
         est = chsh.estimate_chsh(*self.scans(noisy, 3, duration=20.0), split=split)
         assert [type(v) for v in est] == [float] * 5
+
+    def test_split_names_rate_when_odd_cell_is_empty(self, noisy):
+        # The scans of `chsh-scan --rate 3 --seed 0`: the odd buckets next
+        # to the cell chosen on the even ones hold no middle-bin count,
+        # while the full surface has defined cells.
+        t1, t2 = self.scans(noisy, 0, duration=120.0, rate=3.0)
+        with pytest.raises(chsh.ZeroDenominatorError, match="rate"):
+            chsh.estimate_chsh(t1, t2, split=True)
+        assert math.isfinite(chsh.estimate_chsh(t1, t2, split=False).s)
 
     def test_surface_rows_export(self, noisy):
         t1, _ = self.scans(noisy, None, duration=5.0)

@@ -346,6 +346,14 @@ class TestChshScan:
         ):
             assert (tmp_path / name).exists()
 
+    def test_empty_split_cell_names_rate(self, tmp_path, capsys):
+        # At 3 pairs/s the split estimate's odd-bucket cell holds no count;
+        # the exit-2 message names the setting to change.
+        assert run(["chsh-scan", "--rate", "3", "--seed", "0",
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "raise rate or bucket" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_memory_bounded(self, tmp_path):
         # 480 buckets: each dense surface array would hold 230 400 cells
         # (1.8 MB), and each surface file is 6.1 MB of text.

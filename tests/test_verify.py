@@ -220,11 +220,14 @@ def test_operators_stored_real():
 def test_solver_sweep_matches_reference():
     # The verdicts, margins and thresholds of tests/solver_sweep.py, recorded
     # with the log-det barrier solver that the primal-dual one replaced: a
-    # solver change that moves a verdict or a threshold fails here.
+    # solver change that moves a verdict or a threshold fails here.  The
+    # iteration totals pin the start near the cone: from t = lambda_min - 1
+    # the solves took 2016 iterations and the scans 1528.
     reference = json.loads(
         Path(__file__).with_name("data").joinpath("solver_sweep_reference.json")
         .read_text()
     )
+    solve_iterations = 0
     for label, v_z, v_xy, eta_l, eta_s in solver_sweep.points():
         cs = verify.build_constraints(v_z, v_xy, AnalyzerEfficiencies(eta_l, eta_s))
         report = verify.sdp_feasible(cs)
@@ -232,14 +235,19 @@ def test_solver_sweep_matches_reference():
         assert report.verdict == expected["verdict"], label
         assert abs(report.margin - float(expected["margin"])) <= 5e-8, label
         assert report.gap <= 1e-8, label
+        solve_iterations += report.iterations
+    assert solve_iterations <= 1800
     paper = verify.sdp_feasible(verify.build_constraints(0.952, 0.804, EFF))
     assert paper.iterations <= 12
+    scan_iterations = 0
     for eta_l, eta_s in solver_sweep.SCAN_EFFICIENCIES:
         points = verify.boundary_scan(
             solver_sweep.GRID, AnalyzerEfficiencies(eta_l, eta_s)
         )
         thresholds = {repr(p.v_z): repr(p.threshold) for p in points}
         assert thresholds == reference["scans"][f"eff {eta_l} {eta_s}"]["thresholds"]
+        scan_iterations += sum(p.iterations for p in points)
+    assert scan_iterations <= 1350
 
 
 class TestAlternatingProjections:
