@@ -32,7 +32,7 @@ The margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
 point decides the verdict: infeasible when it is < -tol.  Soundness: the
 returned point is strictly inside both cones, so margin > t.  Weak
 duality gives t* <= t + Tr(S Z) <= t + 1e-8, t* the optimum, up to the
-final dual residual ||A^T Z - c||, which is at most 2.3e-11 over
+final dual residual ||A^T Z - c||, which is at most 2.2e-11 over
 tests/solver_sweep.py.  So a PPT state meeting the constraints has
 t* >= 0, and for tol >= 1e-8 an infeasible verdict shows that no such
 state exists; for a smaller tol the band is 1e-8, not tol.  For 2x3 the
@@ -83,25 +83,23 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class ConstraintSet:
-    """Affine constraints Tr(rho C_k) = b_k, with their least-squares solution
-    ``x0`` in real symmetric coordinates and the ``rank`` of the constraint
-    rows (singular values above 1e-12 times the largest), found on construction."""
+    """Affine constraints Tr(rho C_k) = b_k: real, finite ``operators``
+    (stored as float) and one finite target each, else ValueError naming
+    the field.  :func:`sdp_feasible` decides rank and consistency."""
 
     operators: list
     targets: list
 
     def __post_init__(self):
         operators = np.array(self.operators)
-        rows = vec_symmetric(operators)  # refuses a complex operator
+        if np.any(np.imag(operators)) or not np.all(np.isfinite(operators)):
+            raise ValueError("operators must be real and finite")
+        targets = np.asarray(self.targets, dtype=float)
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("targets must be finite")
+        if targets.shape != (len(operators),):
+            raise ValueError(f"targets must be one per operator, got {targets.size}")
         self.operators = [np.array(op, dtype=float) for op in operators.real]
-        b = np.asarray(self.targets, dtype=float)
-        self.x0, _, _, s = np.linalg.lstsq(rows, b, rcond=None)
-        self.rank = int(np.sum(s > 1e-12 * s[0]))
-        residual = float(np.max(np.abs(rows @ self.x0 - b)))
-        if residual > 1e-9:
-            raise NonConvergenceError(
-                "constraints are inconsistent", {"residual": residual}
-            )
 
 
 @dataclass
@@ -138,15 +136,7 @@ def build_constraints(
     plus, minus = visibility_pairs(bob_povm(eff))
     v = np.array([v_z, v_z, v_xy], dtype=float)[:, None, None]
     operators = [np.eye(6), *((plus - minus) - v * (plus + minus)), _QUBIT_SECTOR]
-    cs = ConstraintSet(operators, [1.0, 0.0, 0.0, 0.0, float(qubit_mass)])
-    if cs.rank < len(operators):
-        warnings.warn(
-            f"constraints are rank deficient (rank {cs.rank} of {len(operators)}); "
-            "the analyzer efficiencies may be degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return cs
+    return ConstraintSet(operators, [1.0, 0.0, 0.0, 0.0, float(qubit_mass)])
 
 
 # The solve stops once the duality gap Tr(S Z) is at most MAX_GAP, which
@@ -200,23 +190,41 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     - t*I > 0 over the affine constraint subspace, in w = (z, t), by a
     feasible primal-dual interior-point method; the verdict is feasible iff
     the margin min(lambda_min(rho), lambda_min(rho^Gamma)) at the returned
-    point is >= -tol.  The start is rho at the least-squares point x0 and
-    t = lambda_min - _START_OFFSET, just inside both cones, with the dual
-    Z_1 = Z_2 = I/12.  Deterministic for fixed inputs.  Raises
-    :class:`NonConvergenceError` when the iteration cap is reached or a
-    factorization fails before the gap reaches ``MAX_GAP``.
+    point is >= -tol.  The start is rho at the minimum-norm point x0 of the
+    scaled rows, t = lambda_min - _START_OFFSET and Z_1 = Z_2 = I/12.  Warns
+    RuntimeWarning when the rows are rank deficient.  Deterministic.  Raises
+    :class:`NonConvergenceError` when the constraints are inconsistent, or
+    when the cap is reached or a factorization fails before ``MAX_GAP``.
     """
     finite_in("tol", tol, 0, open_lo=True)
-    # The null basis (2.7 kB) is not kept on cs: callers hold many constraint sets.
-    _, _, vt = np.linalg.svd(vec_symmetric(np.array(cs.operators)))
-    null = vt[cs.rank:].T  # columns span the nullspace
+    # Formed per solve, not kept on cs: callers hold many sets.  Dividing by
+    # each row's largest |entry| (no 2-norm underflow) makes rank scale-free.
+    rows = vec_symmetric(np.array(cs.operators))
+    scale = np.abs(rows).max(axis=1)
+    scale[scale == 0] = 1.0
+    rows /= scale[:, None]
+    b = np.asarray(cs.targets, dtype=float) / scale
+    u, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    x0 = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])  # the minimum-norm point
+    residual = float(np.max(np.abs(rows @ x0 - b)))
+    if residual > 1e-9:
+        raise NonConvergenceError("constraints are inconsistent", {"residual": residual})
+    if rank < len(rows):
+        warnings.warn(
+            f"constraints are rank deficient (rank {rank} of {len(rows)}); "
+            "the analyzer efficiencies may be degenerate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    null = vt[rank:].T  # columns span the nullspace
     # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma;
     # row k of a_flat is (a[0, k], a[1, k]) flattened.
     a_flat = np.concatenate([null.T @ _BLOCKS, np.tile(-np.eye(6).ravel(), (1, 2))])
     k = len(a_flat)
     # _schur_factor takes the blocks as one C-contiguous (2, k, 6, 6) stack.
     a = np.ascontiguousarray(a_flat.reshape(k, 2, 6, 6).transpose(1, 0, 2, 3))
-    f0 = (cs.x0 @ _BLOCKS).reshape(2, 6, 6)
+    f0 = (x0 @ _BLOCKS).reshape(2, 6, 6)
     # The dual: Z_b > 0 with sum_b Tr(a[b, k] Z_b) = c_k, c = -e_t.  Every
     # null-basis matrix has trace 0, so Z_1 = Z_2 = I/12 is feasible.
     c = np.zeros(k)
@@ -271,7 +279,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
         z = z + step_z * dz
         iterations += 1
 
-    rho_blocks = ((cs.x0 + null @ w[:-1]) @ _BLOCKS).reshape(2, 6, 6)
+    rho_blocks = ((x0 + null @ w[:-1]) @ _BLOCKS).reshape(2, 6, 6)
     margin = min(map(float, min_eigenvalue(rho_blocks)))
     feasible = margin >= -tol
     return FeasibilityReport(

@@ -214,6 +214,18 @@ GUARDED = {
         "phase_grid",
         FINITE,
     ),
+    "ConstraintSet.operators": (
+        lambda v: verify.ConstraintSet(
+            [*CS.operators[:4], np.full((6, 6), v)], CS.targets
+        ),
+        "operators",
+        hst.just(1j),  # a complex operator
+    ),
+    "ConstraintSet.targets": (
+        lambda v: verify.ConstraintSet(CS.operators, [*CS.targets[:4], v]),
+        "targets",
+        FINITE,
+    ),
     "build_constraints.v_z": (
         lambda v: verify.build_constraints(v, 0.3, EFF), "v_z", SIGNED
     ),

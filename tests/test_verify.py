@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from timebin_analyzer import quantum as q
 from timebin_analyzer import states as st
@@ -66,18 +68,26 @@ class TestBuildConstraints:
                     assert abs(op[j, i]) < 1e-15
 
     def test_rank_deficiency_warning(self):
+        cs = verify.build_constraints(0.5, 0.5, AnalyzerEfficiencies(0.0, 0.0))
         with pytest.warns(RuntimeWarning):
-            verify.build_constraints(0.5, 0.5, AnalyzerEfficiencies(0.0, 0.0))
+            verify.sdp_feasible(cs)
 
     @pytest.mark.parametrize(
         "eta, verdict",
-        [(0.0, "FEASIBLE"), (4e-12, "FEASIBLE"), (1e-11, "INFEASIBLE")],
+        [
+            (0.0, "FEASIBLE"),
+            (1e-100, "INFEASIBLE"),
+            (1e-13, "INFEASIBLE"),
+            (4e-12, "INFEASIBLE"),
+            (1e-11, "INFEASIBLE"),
+        ],
     )
     def test_rank_warning_names_rank_the_solve_uses(self, monkeypatch, eta, verdict):
         # The solve keeps 21 coordinates less the rank, plus t, so its Schur
         # matrix is k x k with rank 22 - k; the one warning, if any, must
-        # name that rank.  At 1e-11 the paper point keeps all five rows and
-        # is certified with no warning at all.
+        # name that rank.  The rows are scaled before the rank is counted,
+        # so at any eta > 0 the paper point keeps all five rows and is
+        # certified with no warning at all.
         sizes = set()
         factor = verify._schur_factor
 
@@ -199,6 +209,38 @@ def test_complex_constraint_operator_refused():
     operators = [*cs.operators[:3], q.tensor(m_d, mid), *cs.operators[4:]]
     with pytest.raises(ValueError, match="real"):
         dataclasses.replace(cs, operators=operators)
+
+
+def test_targets_one_per_operator():
+    cs = verify.build_constraints(0.9, 0.3, EFF)
+    with pytest.raises(ValueError, match="^targets must be one per operator"):
+        dataclasses.replace(cs, targets=cs.targets[:-1])
+
+
+def test_inconsistent_constraints_refused():
+    cs = verify.ConstraintSet([np.eye(6), np.eye(6)], [1.0, 2.0])
+    with pytest.raises(verify.NonConvergenceError, match="inconsistent"):
+        verify.sdp_feasible(cs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    point=hst.sampled_from([(0.952, 0.804), (0.9, 0.3), (0.952, 0.3066)]),
+    exponents=hst.lists(
+        hst.floats(min_value=-100, max_value=100), min_size=3, max_size=3
+    ),
+)
+def test_verdict_independent_of_row_scale(point, exponents):
+    # A visibility row Tr[rho (D - v S)] = 0 states the same constraint at
+    # any nonzero scale, so scaling its operator moves neither the verdict
+    # nor the margin.
+    cs = verify.build_constraints(*point, EFF)
+    scaled = [op * 10.0**u for op, u in zip(cs.operators[1:4], exponents)]
+    operators = [cs.operators[0], *scaled, cs.operators[4]]
+    report = verify.sdp_feasible(cs)
+    other = verify.sdp_feasible(dataclasses.replace(cs, operators=operators))
+    assert other.verdict == report.verdict
+    assert abs(other.margin - report.margin) <= 1e-9
 
 
 def test_newton_system_is_17_by_17(monkeypatch):
