@@ -60,7 +60,8 @@ def bob_povm(eff: AnalyzerEfficiencies, relative_phase=0.0):
     """
     finite_in("relative_phase", relative_phase)
     eta_l, eta_s = eff.eta_l, eff.eta_s
-    cross = np.sqrt(eta_l * eta_s) * np.exp(1j * relative_phase)
+    # Two roots: the root of eta_l * eta_s is 0 once the product underflows.
+    cross = np.sqrt(eta_l) * np.sqrt(eta_s) * np.exp(1j * relative_phase)
     elements = np.zeros((3, 3, 3), dtype=complex)
     m_e, m_l, m_x = elements
     m_e[1, 1] = m_x[2, 2] = eta_s

@@ -414,11 +414,12 @@ class TestOperatorCache:
     ETAS = [(0.9, 0.9), (0.8, 0.5), (1.0, 1.0)]
 
     # SHA-256 of times and counts of a 120-bucket scan of the noisy state,
-    # computed before the scans shared their operators between calls.
+    # computed before the scans shared their operators between calls (the
+    # noiseless one again since X's coherence is sqrt(eta_l) * sqrt(eta_s)).
     @pytest.mark.parametrize(
         "seed, axis, etas, rate, digest",
         [
-            (None, "z+x", (0.9, 0.9), 1000.0, "fdf0c96f0dfeaa3984089043d0ace2f62e91df7323fe478f4b940ad9ac169eaa"),
+            (None, "z+x", (0.9, 0.9), 1000.0, "5f36d1a92b513979ea1455d513486f0d547ca4effffab9b10b61e5277abd83df"),
             (11, "z-x", (0.8, 0.5), 1000.0, "a5bcf237b2d55d262c01ad0df6779244be502f590373b6921cd2212853a47779"),
             (4, "y", (0.5, 0.8), 3.0, "a08025fd2cd8fabc83d5e09735d5c5814b8c5d4d8a4f63c4be9d29879090d9a0"),
         ],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from timebin_analyzer import cli, verify
+from timebin_analyzer import cli, svg, verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
 
@@ -78,13 +78,20 @@ class TestRelayCheck:
         residual = float(text.splitlines()[-2].split(",")[-1])
         assert residual < 1e-12
 
-    def test_large_residual_writes_csv_and_exits_2(self, tmp_path, capsys):
-        # At f = 1e9 m the round trip rounds to a residual of 2.4e-7.
-        assert run(["relay-check", "--focal-length", "1e9m",
-                    "--out-dir", str(tmp_path)]) == 2
-        assert "residual 2.384e-07" in capsys.readouterr().out
+    @pytest.mark.parametrize("f", [1e-300, 1e-7, 0.1, 1e7, 1e9, 1e300])
+    def test_reports_residual_and_exits_0(self, tmp_path, capsys, f):
+        # The b entry is in metres and c in 1/metres, so the residual scales
+        # with f and 1/f; it is reported, not judged.
+        assert run(["relay-check", "--focal-length", f"{f!r}m",
+                    "--out-dir", str(tmp_path)]) == 0
         text = (tmp_path / "relay_check.csv").read_text()
-        assert float(text.splitlines()[-2].split(",")[-1]) >= 1e-9
+        a, b, c, d, residual = map(float, text.splitlines()[-2].split(",")[1:])
+        assert f"residual {residual:.3e}" in capsys.readouterr().out
+        assert max(abs(a - 1), abs(b) / f, abs(c) * f, abs(d - 1)) < 1e-15
+        if f == 1e9:
+            # The round trip rounds to 2.4e-7 here.
+            assert f"{residual:.3e}" == "2.384e-07"
+            assert residual >= 1e-9
 
 
 class TestNptVerify:
@@ -402,9 +409,9 @@ CHSH_SCAN_20S = ["chsh-scan", "--duration", "20s", "--drift-period", "20s"]
             "chsh_trace_a2.csv": "chsh_scan_noiseless_trace_a2.csv",
             "chsh_summary.csv": "chsh_scan_noiseless_summary.csv",
             "chsh_surface_a1.csv":
-                "5bc6c97a421c03c39f66710ccb45e253d4df360f0a60a8b99baa2d6bfc5ac371",
+                "e5b4d18febb61c004e4f3a72f377a3652b1737d126bfad502188921cba21df16",
             "chsh_surface_a2.csv":
-                "f6166d5ad101bca843697225fdfef2b5d63e2610dd278203721593f0784e2932",
+                "5dd3dbaccc1c4e9d78a1f3c99974d5e42c2764128e08a066254d6274431ff9bb",
         }),
         (["stability", "--seed", "3", "--duration", "600s", "--bucket", "10s"],
          {"stability.csv": "stability_seed3.csv"}),
@@ -487,6 +494,16 @@ class TestNptBoundary:
             "npt_boundary.csv",
             "npt_boundary.svg",
         ]
+
+
+def test_line_plot_at_float_range_limits(tmp_path):
+    # The 5 % padding of a range from -1e308 to 1e308 overflows to inf, so
+    # the y axis has no finite tick step; the plot is still written.
+    path = tmp_path / "plot.svg"
+    svg.line_plot(path, [("huge", [0.0, 1.0], [-1e308, 1e308])], "t", "x", "y")
+    text = path.read_text()
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+    assert "<polyline" in text
 
 
 class TestImport:
@@ -585,6 +602,14 @@ class TestConfigPrecedence:
         out = tmp_path / "out"
         assert run(["stability", "--config", str(path), "--out-dir", str(out)]) == 2
         assert f"error: {where} a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsupported_schema_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema": 2}))
+        out = tmp_path / "out"
+        assert run(["relay-check", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unsupported config schema 2\n"
         assert not out.exists()
 
     def test_fractional_integer_rejected(self, tmp_path, capsys):

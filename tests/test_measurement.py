@@ -204,6 +204,13 @@ class TestValidatePovm:
         assert not diag.ok
         assert any("identity" in f for f in diag.failures)
 
+    def test_detects_element_above_identity(self):
+        diag = validate_povm({"E": 2 * np.eye(3), "none": -np.eye(3)})
+        assert str(diag) == (
+            "POVM invalid: element E exceeds identity (margin -1.000e+00); "
+            "element none not PSD (min eigenvalue -1.000e+00)"
+        )
+
     def test_reports_margins(self):
         povm = bob_povm(AnalyzerEfficiencies(1.0, 1.0))
         diag = validate_povm(povm)

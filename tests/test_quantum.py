@@ -238,6 +238,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             q.DensityMatrix(m, 2, 3).validate()
 
+    def test_rejects_shape_off_dims(self):
+        with pytest.raises(q.DimensionMismatchError, match="does not match dims"):
+            q.DensityMatrix(np.eye(4), 2, 3)
+
+    def test_rejects_non_hermitian(self):
+        m = bell_state_2x3()
+        m[0, 1] += 0.1
+        with pytest.raises(q.NotHermitianError):
+            q.DensityMatrix(m, 2, 3).validate()
+
     def test_marginals(self):
         rng = np.random.default_rng(18)
         rho_a = random_density_matrix(rng, 2)
@@ -314,6 +324,10 @@ class TestHermitianBasis:
             assert np.array_equal(
                 q.unvec_symmetric(x), np.tensordot(x, basis, axes=1)
             )
+
+    def test_vec_rejects_complex(self):
+        with pytest.raises(ValueError, match="needs a real matrix"):
+            q.vec_symmetric(1j * np.eye(3))
 
     def test_unvec_rejects_bad_length(self):
         with pytest.raises(q.DimensionMismatchError):

@@ -124,6 +124,20 @@ class TestDepolarize:
             st.DepolarizationParams(-0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rho: st.embed_2x3(rho, 1.0), "embed_2x3"),
+        (lambda rho: st.depolarize(rho, st.DepolarizationParams(0.0, 0.0, 0.0)),
+         "depolarize"),
+    ],
+    ids=["embed_2x3", "depolarize"],
+)
+def test_needs_2x2_state(bell, call, name):
+    with pytest.raises(ValueError, match=f"^{name} expects a 2x2-qubit"):
+        call(st.embed_2x3(bell, 1.0))
+
+
 class TestVisibilityZ:
     def test_ideal_state(self, bell):
         res = st.visibility_z(bell)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 import warnings
 from pathlib import Path
@@ -105,6 +106,17 @@ class TestBuildConstraints:
         messages = [str(w.message) for w in caught]
         assert len(messages) == (22 - k < 5)
         assert all(f"rank {22 - k} of 5" in m for m in messages)
+
+    def test_coherence_survives_tiny_efficiencies(self):
+        # sqrt(eta_l * eta_s) underflows to 0 at 1e-200 each; the middle-bin
+        # coherence, and with it the margin, must not.
+        tiny = AnalyzerEfficiencies(1e-200, 1e-200)
+        assert bob_povm(tiny)["X"][1, 2] != 0
+        margins = [
+            verify.sdp_feasible(verify.build_constraints(0.952, 0.804, eff)).margin
+            for eff in (tiny, EFF)
+        ]
+        assert abs(margins[0] - margins[1]) <= 1e-9
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -379,7 +391,39 @@ class TestPptOracle:
         assert min_eig == pytest.approx(-0.5, abs=1e-10)
 
 
+def fake_report(margin, tol=verify.DEFAULT_TOL):
+    return verify.FeasibilityReport(
+        feasible=margin >= -tol, margin=margin, iterations=1, gap=0.0,
+        dual_residual=0.0, witness=None,
+    )
+
+
 class TestBoundaryScan:
+    def test_infeasible_start_is_a_solver_fault(self, monkeypatch):
+        # v_xy = 0 is always PPT-feasible; a solver that says otherwise is
+        # reported as not converged rather than scanned.
+        monkeypatch.setattr(verify, "sdp_feasible", lambda cs, tol: fake_report(-1.0))
+        with pytest.raises(verify.NonConvergenceError,
+                           match="^v_xy = 0 must be feasible at v_z = 0.9; margin -1.0$"):
+            verify.boundary_scan([0.9], EFF)
+
+    def test_midpoint_safeguard_bounds_solves(self, monkeypatch):
+        # A margin that jumps from +1 to just below -tol at v_xy = 0.3 keeps
+        # regula falsi next to the infeasible end; the midpoint steps keep the
+        # scan within twice the solves of bisection on the 2^-20 grid.
+        tol, n = verify.DEFAULT_TOL, 2**20
+        solves = []
+
+        def step(v_xy, tol):
+            solves.append(v_xy)
+            return fake_report(1.0 if v_xy < 0.3 else -tol * (1 + 1e-9), tol)
+
+        monkeypatch.setattr(verify, "build_constraints", lambda v_z, v_xy, *a: v_xy)
+        monkeypatch.setattr(verify, "sdp_feasible", step)
+        (point,) = verify.boundary_scan([0.9], EFF, tol, resolution=1.0 / n)
+        assert point.threshold == math.ceil(0.3 * n) / n
+        assert len(solves) <= 2 * (20 + 2)
+
     def test_measured_point_above_bound(self):
         points = verify.boundary_scan([0.952], EFF)
         assert points[0].bracketed

@@ -105,6 +105,12 @@ class TestMakeGaussian:
                 with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
                     w.ScalarField(np.ones((64, 64)), **values)
 
+    @pytest.mark.parametrize("shape", [(64, 128), (32, 32)])
+    def test_grid_square_and_at_least_64(self, shape):
+        with pytest.raises(ValueError, match=r"^grid must be square with N >= 64, "
+                           rf"got \({shape[0]}, {shape[1]}\)$"):
+            w.ScalarField(np.ones(shape), 0.01, 776e-9)
+
     @pytest.mark.parametrize("name", ["extent", "wavelength"])
     def test_infinite_rejected(self, name):
         values = {"extent": 0.01, "wavelength": 776e-9, name: math.inf}
