@@ -1,6 +1,6 @@
 """Angle-tolerant time-bin qubit analyzer simulation toolkit.
 
-Subpackages by concern:
+Modules by concern:
 
 - :mod:`timebin_analyzer.geometry`: closed-form ray model of the
   unbalanced Michelson analyzer and the relay ABCD identity.

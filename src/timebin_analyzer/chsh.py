@@ -29,11 +29,7 @@ import numpy as np
 from ._checks import finite_in, integer_in
 from .measurement import AnalyzerEfficiencies, alice_projectors, bob_povm
 from .quantum import DensityMatrix, tensor
-from .states import as_2x3
-
-
-class ZeroDenominatorError(ValueError):
-    """All four coincidence counts vanished."""
+from .states import ZeroDenominatorError, as_2x3
 
 
 def expectation_from_counts(n_pp, n_mm, n_pm, n_mp):

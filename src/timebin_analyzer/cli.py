@@ -271,20 +271,16 @@ def cmd_visibility_scan(settings):
 def cmd_relay_check(settings):
     f = settings["focal_length"]
     m = geometry.relay_matrix(f)
-    residual = float(np.max(np.abs(m - np.eye(2))))
     det = float(np.linalg.det(m))
-    single = geometry.relay_single_pass(f)
+    # The round trip should be I and the single pass -I.
     rows = [
-        ["round_trip", m[0, 0], m[0, 1], m[1, 0], m[1, 1], residual],
-        [
-            "single_pass",
-            single[0, 0],
-            single[0, 1],
-            single[1, 0],
-            single[1, 1],
-            float(np.max(np.abs(single + np.eye(2)))),
-        ],
+        [stage, *matrix.ravel(), np.max(np.abs(matrix - target))]
+        for stage, matrix, target in (
+            ("round_trip", m, np.eye(2)),
+            ("single_pass", geometry.relay_single_pass(f), -np.eye(2)),
+        )
     ]
+    residual = rows[0][-1]
     file = _File(
         "relay_check.csv",
         ["stage", "a", "b", "c", "d", "identity_residual"],

@@ -2,9 +2,10 @@
 
 Closed-form expressions for the angle-dependent path difference, the
 lateral offset between the two output rays, the output fringe
-visibility, the phase sensitivity to the angle of incidence, and the
-ABCD ray-transfer matrix of the relay-lens system that symmetrizes the
-two arms.
+visibility, the interferometer phase, and the ABCD ray-transfer matrix
+of the relay-lens system that symmetrizes the two arms.  The phase
+sensitivity to the angle of incidence has no closed form here: callers
+take it as a central difference of :func:`path_difference`.
 
 Width convention: ``sigma`` in :class:`InterferometerGeometry` is the
 width parameter of the fringe formulas, where the incoming beam envelope

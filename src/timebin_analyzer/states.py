@@ -33,8 +33,9 @@ from .quantum import (
 )
 
 
-class ZeroCoincidenceError(ValueError):
-    """A coincidence denominator vanished."""
+class ZeroDenominatorError(ValueError):
+    """A coincidence denominator vanished: raised by :func:`visibility_z`
+    and by the :mod:`~timebin_analyzer.chsh` estimates."""
 
 
 class FitDegenerateError(ValueError):
@@ -143,7 +144,7 @@ def visibility_z(rho: DensityMatrix, bob=None) -> ZVisibilityResult:
     n_plus, n_minus = rho.expectation(np.stack([plus[:2], minus[:2]]))
     denom = n_plus + n_minus
     if np.any(denom <= 0):
-        raise ZeroCoincidenceError(
+        raise ZeroDenominatorError(
             f"coincidence denominators vanished (early {denom[0]}, late {denom[1]})"
         )
     v_plus, v_minus = map(float, (n_plus - n_minus) / denom)

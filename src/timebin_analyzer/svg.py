@@ -3,26 +3,29 @@
 from __future__ import annotations
 
 import math
+import sys
 
 _PALETTE = ("#1b7837", "#2166ac", "#b2182b", "#762a83", "#e08214", "#35978f")
+_WIDTH, _HEIGHT = 720, 440
+# Most tick intervals on an axis.
+_TICKS = 5
 
 
-def _ticks(lo, hi, n=5):
-    if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
+def _ticks(lo, hi):
+    """At most _TICKS + 1 round values in [lo, hi]: the integer multiples
+    of a step of 1, 2 or 5 times a power of ten, one within 1e-12 of the
+    span above ``hi`` read as ``hi``.  A range that is not finite, or
+    narrower than twice the smallest normal float, has the one tick ``lo``.
+    The span is taken in halves, which stay finite and are exact for
+    normal floats."""
+    half = 0.5 * hi - 0.5 * lo
+    if not sys.float_info.min <= half < math.inf:
         return [lo]
-    span = hi - lo
-    step = 10 ** math.floor(math.log10(span / n))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(round(t, 12))
-        t += step
-    return ticks
+    step = 10.0 ** math.floor(math.log10(half / _TICKS * 2))
+    step *= next((m for m in (1, 2, 5) if half / (step * m) <= _TICKS / 2), 10)
+    first = math.ceil(lo / step)
+    multiples = (k * step for k in range(first, first + _TICKS + 1))
+    return [min(max(t, lo), hi) for t in multiples if 0.5 * t <= 0.5 * hi + 1e-12 * half]
 
 
 def _range(values):
@@ -33,28 +36,33 @@ def _range(values):
     return lo, hi if hi > lo else lo + 1.0
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", size=(720, 440)):
+def line_plot(path, series, title, xlabel, ylabel):
     """Write an SVG polyline plot.
 
     ``series`` is a list of (label, xs, ys) triples.  Not a plotting
     library: fixed layout, one axes box, automatic ranges and ticks;
     non-finite points are left out.
     """
-    width, height = size
+    width, height = _WIDTH, _HEIGHT
     margin_l, margin_r, margin_t, margin_b = 70, 20, 34, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
     x_lo, x_hi = _range(x for _, xs, _ in series for x in xs)
     y_lo, y_hi = _range(y for _, _, ys in series for y in ys)
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    # The padded y range is clamped to the float range, but a span can still
+    # pass it, so positions are taken in halves, as in _ticks.
+    pad = 0.1 * (0.5 * y_hi - 0.5 * y_lo)  # 5 % of the span
+    big = sys.float_info.max
+    y_lo, y_hi = max(y_lo - pad, -big), min(y_hi + pad, big)
+    x_half, x_span = 0.5 * x_lo, 0.5 * x_hi - 0.5 * x_lo
+    y_half, y_span = 0.5 * y_lo, 0.5 * y_hi - 0.5 * y_lo
 
     def px(x):
-        return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return margin_l + (0.5 * x - x_half) / x_span * plot_w
 
     def py(y):
-        return margin_t + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        return margin_t + (1.0 - (0.5 * y - y_half) / y_span) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -62,12 +70,9 @@ def line_plot(path, series, title="", xlabel="", ylabel="", size=(720, 440)):
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
     for t in _ticks(x_lo, x_hi):
         x = px(t)
         parts.append(
@@ -87,16 +92,12 @@ def line_plot(path, series, title="", xlabel="", ylabel="", size=(720, 440)):
         parts.append(
             f'<text x="{margin_l - 8}" y="{y + 4:.1f}" text-anchor="end">{t:g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{ylabel}</text>'
-        )
+    parts += [
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{ylabel}</text>',
+    ]
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(

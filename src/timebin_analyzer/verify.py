@@ -84,22 +84,24 @@ class NonConvergenceError(RuntimeError):
 @dataclass
 class ConstraintSet:
     """Affine constraints Tr(rho C_k) = b_k: real, finite ``operators``
-    (stored as float) and one finite target each, else ValueError naming
-    the field.  :func:`sdp_feasible` decides rank and consistency."""
+    and one finite target each, else ValueError naming the field.  Both
+    are stored as the float arrays that check them, the operators as one
+    (m, 6, 6) stack.  :func:`sdp_feasible` decides rank and consistency."""
 
-    operators: list
-    targets: list
+    operators: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
         operators = np.array(self.operators)
         if np.any(np.imag(operators)) or not np.all(np.isfinite(operators)):
             raise ValueError("operators must be real and finite")
-        targets = np.asarray(self.targets, dtype=float)
+        targets = np.array(self.targets, dtype=float)
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets must be finite")
         if targets.shape != (len(operators),):
             raise ValueError(f"targets must be one per operator, got {targets.size}")
-        self.operators = [np.array(op, dtype=float) for op in operators.real]
+        self.operators = np.array(operators.real, dtype=float)
+        self.targets = targets
 
 
 @dataclass
@@ -199,11 +201,11 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     finite_in("tol", tol, 0, open_lo=True)
     # Formed per solve, not kept on cs: callers hold many sets.  Dividing by
     # each row's largest |entry| (no 2-norm underflow) makes rank scale-free.
-    rows = vec_symmetric(np.array(cs.operators))
+    rows = vec_symmetric(cs.operators)
     scale = np.abs(rows).max(axis=1)
     scale[scale == 0] = 1.0
     rows /= scale[:, None]
-    b = np.asarray(cs.targets, dtype=float) / scale
+    b = cs.targets / scale
     u, s, vt = np.linalg.svd(rows)
     rank = int(np.sum(s > 1e-12 * s[0]))
     x0 = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])  # the minimum-norm point
@@ -304,7 +306,11 @@ class BoundaryPoint:
     threshold: float
     margin: float
     iterations: int
-    bracketed: bool
+
+    @property
+    def bracketed(self) -> bool:
+        """False when even v_xy = 1 is feasible: the threshold is then inf."""
+        return math.isfinite(self.threshold)
 
 
 def boundary_scan(
@@ -349,7 +355,7 @@ def boundary_scan(
         iterations += report_hi.iterations
         if report_hi.feasible:
             points.append(
-                BoundaryPoint(float(v_z), math.inf, report_hi.margin, iterations, False)
+                BoundaryPoint(float(v_z), math.inf, report_hi.margin, iterations)
             )
             continue
         # Grid indices: lo is feasible and hi infeasible throughout.
@@ -376,7 +382,7 @@ def boundary_scan(
                     f_lo /= 2
                 hi, f_hi, moved = k, report.margin + tol, "hi"
                 margin_hi = report.margin
-        points.append(BoundaryPoint(float(v_z), hi / n, margin_hi, iterations, True))
+        points.append(BoundaryPoint(float(v_z), hi / n, margin_hi, iterations))
     return points
 
 

@@ -354,18 +354,14 @@ def _check_alias(field: ScalarField, quadrant, distance):
         )
 
 
-def _kernel_quadrant(field: ScalarField, distance):
-    """Angular-spectrum kernel exp(2 pi i d sqrt(1/lambda^2 - fx^2 - fy^2)) on
-    the (N//2+1)^2 quadrant of folded FFT indices; evanescent components
-    decay instead.  The array is shared between calls and read-only."""
-    return _angular_spectrum_quadrant(field.n, field.cell, field.wavelength, distance)
-
-
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _angular_spectrum_quadrant(n, cell, wavelength, distance):
-    """The kernel quadrant of :func:`_kernel_quadrant`, kept for the last few
-    grids so that its exp of phases near 2 pi d / lambda is paid once per
-    grid: sweeps repeat the same few grids."""
+def _kernel_quadrant(n, cell, wavelength, distance):
+    """Angular-spectrum kernel exp(2 pi i d sqrt(1/lambda^2 - fx^2 - fy^2)) on
+    the (N//2+1)^2 quadrant of folded FFT indices of an N-point grid of
+    ``cell`` spacing; evanescent components decay instead.  The array is
+    shared between calls and read-only, kept for the last few grids so
+    that its exp of phases near 2 pi d / lambda is paid once per grid:
+    sweeps repeat the same few grids."""
     f = _folded_frequencies(n, cell)
     arg = 1.0 / wavelength**2 - f[:, None] ** 2 - f[None, :] ** 2
     quadrant = 2j * math.pi * distance * np.sqrt(np.maximum(arg, 0.0))
@@ -427,7 +423,7 @@ def aoi_visibility_scan(field, geom, alphas, relay):
     _check_alias(field, quadrant, geom.delta_l0)
     delta = _geometry.lateral_offset(geom, alphas)
     _check_shift(field, np.max(np.abs(delta)))
-    kernel = _kernel_quadrant(field, geom.delta_l0)
+    kernel = _kernel_quadrant(field.n, field.cell, field.wavelength, geom.delta_l0)
     # Row i reads kernel row min(i, N - i): i itself up to N//2, then
     # N - N//2 - 1 down to 1.
     n, h = field.n, field.n // 2

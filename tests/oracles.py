@@ -142,7 +142,7 @@ def boundary_scan_bisect(
         iterations = report_lo.iterations + report_hi.iterations
         if report_hi.feasible:
             points.append(verify.BoundaryPoint(
-                float(v_z), math.inf, report_hi.margin, iterations, False))
+                float(v_z), math.inf, report_hi.margin, iterations))
             continue
         lo, hi = 0.0, 1.0
         margin_hi = report_hi.margin
@@ -154,7 +154,7 @@ def boundary_scan_bisect(
                 lo = mid
             else:
                 hi, margin_hi = mid, report.margin
-        points.append(verify.BoundaryPoint(float(v_z), hi, margin_hi, iterations, True))
+        points.append(verify.BoundaryPoint(float(v_z), hi, margin_hi, iterations))
     return points
 
 
@@ -307,7 +307,7 @@ def alternating_projections(cs, iterations=4000, gap_tol=1e-6):
             break
     rho = np.tensordot(x, basis, axes=1)
     residual = max(
-        abs(float(np.trace(rho @ op).real) - t)
+        abs(float(np.trace(rho @ op).real) - float(t))
         for op, t in zip(cs.operators, cs.targets)
     )
     feasible = (

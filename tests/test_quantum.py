@@ -308,7 +308,7 @@ class TestHermitianBasis:
         basis = symmetric_basis(6)
         eff = AnalyzerEfficiencies(0.9, 0.9)
         matrices = [random_hermitian(rng, 6).real for _ in range(20)]
-        matrices += verify.build_constraints(0.952, 0.804, eff).operators
+        matrices += list(verify.build_constraints(0.952, 0.804, eff).operators)
         # A matrix symmetric only to rounding: both triangles count.
         matrices.append(rng.normal(size=(6, 6)))
         for m in matrices:

@@ -295,8 +295,8 @@ def test_dispatches_per_iteration(monkeypatch, v_z, v_xy):
 
 def test_operators_stored_real():
     cs = verify.build_constraints(0.952, 0.804, EFF)
-    assert isinstance(cs.operators, list)
-    assert {op.dtype for op in cs.operators} == {np.dtype(float)}
+    assert isinstance(cs.operators, np.ndarray)
+    assert (cs.operators.shape, cs.operators.dtype) == ((5, 6, 6), np.dtype(float))
 
 
 def test_solver_sweep_matches_reference():

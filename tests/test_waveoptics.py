@@ -470,7 +470,8 @@ class TestKernelAndBandwidth:
         # Cells finer than lambda/2 put part of the grid past 1/lambda.
         assert (extent < 776e-9 * n / 2) == bool(np.any(np.abs(dense) < 0.5))
         k = np.minimum(np.arange(n), n - np.arange(n))
-        kernel = w._kernel_quadrant(field, distance).take(k, axis=0).take(k, axis=1)
+        quadrant = w._kernel_quadrant(field.n, field.cell, field.wavelength, distance)
+        kernel = quadrant.take(k, axis=0).take(k, axis=1)
         assert kernel.shape == (n, n)
         assert np.array_equal(kernel.view(np.uint64), dense.view(np.uint64))
 
@@ -735,7 +736,7 @@ class TestKernelCache:
             field = w.make_gaussian(SIGMA, grid_n=grid_n)
         else:
             field = w.make_speckle(30, 5, grid_n=grid_n)
-        w._angular_spectrum_quadrant.cache_clear()
+        w._kernel_quadrant.cache_clear()
         w._ring_table.cache_clear()
         for _ in range(2):  # cold, then from the cached quadrant and rings
             out = w.aoi_visibility_scan(field, geom, self.ALPHAS, False)
@@ -744,8 +745,8 @@ class TestKernelCache:
     def test_one_read_only_quadrant_per_grid(self):
         a = w.make_speckle(30, 5, grid_n=256)
         b = w.make_speckle(10, 1, grid_n=256)
-        quadrant = w._kernel_quadrant(a, 0.6)
-        assert w._kernel_quadrant(b, 0.6) is quadrant
+        quadrant = w._kernel_quadrant(a.n, a.cell, a.wavelength, 0.6)
+        assert w._kernel_quadrant(b.n, b.cell, b.wavelength, 0.6) is quadrant
         assert not quadrant.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             quadrant[0, 0] = 0.0
@@ -778,17 +779,19 @@ class TestKernelCache:
         ],
     )
     def test_distinct_grids_distinct_quadrants(self, other, distance):
-        quadrant = w._kernel_quadrant(w.make_speckle(10, 1, grid_n=256), 0.6)
-        assert w._kernel_quadrant(w.make_speckle(10, 1, **other), distance) is not quadrant
+        a = w.make_speckle(10, 1, grid_n=256)
+        b = w.make_speckle(10, 1, **other)
+        quadrant = w._kernel_quadrant(a.n, a.cell, a.wavelength, 0.6)
+        assert w._kernel_quadrant(b.n, b.cell, b.wavelength, distance) is not quadrant
 
     def test_cache_is_bounded(self, geom):
-        w._angular_spectrum_quadrant.cache_clear()
+        w._kernel_quadrant.cache_clear()
         w._ring_table.cache_clear()
         for grid_n in (64, 128, 256):
             for sigma in (SIGMA, 2.0 * SIGMA):
                 field = w.make_gaussian(sigma, grid_n=grid_n)
                 w.aoi_visibility_scan(field, geom, [0.0, 1e-4], False)
-        info = w._angular_spectrum_quadrant.cache_info()
+        info = w._kernel_quadrant.cache_info()
         assert info.misses == 6 and info.currsize <= 4
         rings = w._ring_table.cache_info()
         assert (rings.misses, rings.hits) == (3, 3)
