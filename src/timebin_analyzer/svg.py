@@ -12,12 +12,13 @@ _TICKS = 5
 
 
 def _ticks(lo, hi):
-    """At most _TICKS + 1 round values in [lo, hi]: the integer multiples
-    of a step of 1, 2 or 5 times a power of ten, one within 1e-12 of the
-    span above ``hi`` read as ``hi``.  A range that is not finite, or
-    narrower than twice the smallest normal float, has the one tick ``lo``.
-    The span is taken in halves, which stay finite and are exact for
-    normal floats."""
+    """At most _TICKS + 1 distinct round values in [lo, hi]: the integer
+    multiples of a step of 1, 2 or 5 times a power of ten, one within 1e-12
+    of the span above ``hi`` read as ``hi``.  On a range a few ulps wide
+    several multiples round to one float, which is kept once.  A range that
+    is not finite, or narrower than twice the smallest normal float, has
+    the one tick ``lo``.  The span is taken in halves, which stay finite
+    and are exact for normal floats."""
     half = 0.5 * hi - 0.5 * lo
     if not sys.float_info.min <= half < math.inf:
         return [lo]
@@ -25,15 +26,21 @@ def _ticks(lo, hi):
     step *= next((m for m in (1, 2, 5) if half / (step * m) <= _TICKS / 2), 10)
     first = math.ceil(lo / step)
     multiples = (k * step for k in range(first, first + _TICKS + 1))
-    return [min(max(t, lo), hi) for t in multiples if 0.5 * t <= 0.5 * hi + 1e-12 * half]
+    kept = (t for t in multiples if 0.5 * t <= 0.5 * hi + 1e-12 * half)
+    return list(dict.fromkeys(min(max(t, lo), hi) for t in kept))
 
 
 def _range(values):
-    """(lo, hi) of the finite ``values``, widened to a unit range when they
-    hold one value or none (a plot of no finite point is its axes box)."""
+    """(lo, hi) of the finite ``values``, widened when they hold one value
+    or none (a plot of no finite point is its axes box): to a unit range,
+    or to the next float up where lo + 1 rounds back to lo (|lo| >= 2**53),
+    or down at the largest float."""
     finite = [v for v in values if math.isfinite(v)]
     lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
-    return lo, hi if hi > lo else lo + 1.0
+    if hi > lo:
+        return lo, hi
+    hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    return (lo, hi) if hi < math.inf else (math.nextafter(lo, -math.inf), lo)
 
 
 def line_plot(path, series, title, xlabel, ylabel):

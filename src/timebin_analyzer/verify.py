@@ -37,6 +37,14 @@ tests/solver_sweep.py.  So a PPT state meeting the constraints has
 t* >= 0, and for tol >= 1e-8 an infeasible verdict shows that no such
 state exists; for a smaller tol the band is 1e-8, not tol.  For 2x3 the
 PPT test is exact, so an infeasible program certifies entanglement.
+
+The solve calls the LAPACK gufuncs of numpy.linalg's own wrappers
+(``numpy.linalg._umath_linalg``, numpy >= 2.1) directly, through
+``_lapack``, under the wrappers' error state, so a failed factorization
+still raises LinAlgError.  At 6x6 a wrapper's per-call type and shape
+bookkeeping costs more than the LAPACK call: a 7-iteration solve made 795
+C-level calls through the wrappers and makes 323 without them, with
+bit-identical iterates.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from ._checks import finite_in
 from .measurement import AnalyzerEfficiencies, bob_povm, visibility_pairs
@@ -71,6 +80,13 @@ _BASIS = unvec_symmetric(np.eye(21))
 _BLOCKS = np.stack([_BASIS, partial_transpose(_BASIS)], axis=1).reshape(21, 72)
 _BLOCKS.flags.writeable = False
 del _BASIS
+# The t row of the constraint frame: dS_b/dt = -I in both blocks.
+_T_ROW = np.tile(-np.eye(6).ravel(), (1, 2))
+# The dual start Z_1 = Z_2 = I/12.
+_Z0 = np.stack([np.eye(6), np.eye(6)]) / 12.0
+# Upper triangle of the largest Schur matrix, 21 coordinates plus t.
+_UPPER = np.triu(np.ones((22, 22), dtype=bool))
+_T_ROW.flags.writeable = _Z0.flags.writeable = _UPPER.flags.writeable = False
 
 
 class NonConvergenceError(RuntimeError):
@@ -156,6 +172,31 @@ _STEP_FRACTION = 0.98
 _START_OFFSET = 0.1
 
 
+def _raise_linalg_error(err, flag):
+    raise LinAlgError("LAPACK reported a failed factorization")
+
+
+def _lapack(kernel, a):
+    """``kernel(a)`` for one of the LAPACK gufuncs of numpy.linalg's own
+    wrappers (``cholesky_lo``, ``inv``, ``qr_r_raw``, ``eigvalsh_lo``,
+    ``svd_f``) on a float or complex (..., m, n) stack.
+
+    The error state is the wrappers' own: a LAPACK failure sets the invalid
+    flag, which raises LinAlgError, and over/divide/under are ignored.  The
+    wrappers' per-call type and shape bookkeeping is skipped, so ``a`` must
+    already be float64 or complex128.  ``qr_r_raw`` returns tau and
+    overwrites ``a`` with R on and above the diagonal.
+    """
+    with np.errstate(
+        call=_raise_linalg_error,
+        invalid="call",
+        over="ignore",
+        divide="ignore",
+        under="ignore",
+    ):
+        return kernel(a)
+
+
 def _schur_factor(l_inv, r, a):
     """Upper-triangular U with U^T U = H, H_kl = sum_b Tr(A_bk S_b^-1 A_bl Z_b)
     for the blocks b and coordinates k, l, given l_inv[b] = L_b^-1 for
@@ -167,22 +208,30 @@ def _schur_factor(l_inv, r, a):
     (6 of 3800 random solves) and this QR does not.
     """
     k = a.shape[1]
-    m = (l_inv[:, None] @ a @ r[:, None]).transpose(1, 0, 2, 3).reshape(k, 72)
-    return np.linalg.qr(m.T, mode="r")
+    m = (l_inv[:, None] @ a @ r[:, None]).transpose(1, 0, 2, 3).reshape(k, 72).T
+    _lapack(_umath_linalg.qr_r_raw, m)  # leaves R on and above m's diagonal
+    return np.where(_UPPER[:k, :k], m[:k], 0.0)
 
 
-def _steps(l_inv, ds, dz):
-    """(primal, dual) steps: _STEP_FRACTION of the largest step along ``ds``
-    that keeps S_1, S_2 positive definite and along ``dz`` for Z_1, Z_2,
-    each capped at 1.  l_inv stacks L^-1 of S = L L^T then of Z; each step
-    reads off lambda_min(L^-1 d L^-T) over its two blocks."""
-    d = np.concatenate([ds, dz])
-    low = np.linalg.eigvalsh(l_inv @ d @ l_inv.transpose(0, 2, 1)).reshape(2, -1)
+def _steps(l_inv, d):
+    """(primal, dual) steps along the stacked direction ``d`` = (dS_1, dS_2,
+    dZ_1, dZ_2): _STEP_FRACTION of the largest step that keeps S_1, S_2
+    positive definite and of the largest that keeps Z_1, Z_2 so, each capped
+    at 1.  l_inv stacks L^-1 of S = L L^T then of Z; each step reads off
+    lambda_min(L^-1 d L^-T) over its two blocks."""
+    m = l_inv @ d @ l_inv.transpose(0, 2, 1)
+    low = _lapack(_umath_linalg.eigvalsh_lo, m).reshape(2, -1)
     return [min(1.0, -_STEP_FRACTION / x) if x < 0 else 1.0 for x in low.min(axis=1)]
 
 
 def _sym(m):
     return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _min_eigenvalues(blocks):
+    """lambda_min of each block, through the complex eigensolver that
+    :func:`~timebin_analyzer.quantum.min_eigenvalue` uses."""
+    return _lapack(_umath_linalg.eigvalsh_lo, blocks.astype(complex))[:, 0]
 
 
 def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
@@ -206,7 +255,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     scale[scale == 0] = 1.0
     rows /= scale[:, None]
     b = cs.targets / scale
-    u, s, vt = np.linalg.svd(rows)
+    u, s, vt = _lapack(_umath_linalg.svd_f, rows)
     rank = int(np.sum(s > 1e-12 * s[0]))
     x0 = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])  # the minimum-norm point
     residual = float(np.max(np.abs(rows @ x0 - b)))
@@ -222,7 +271,7 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     null = vt[rank:].T  # columns span the nullspace
     # S_b(w) = f0[b] + sum_k w_k a[b, k] for the blocks b = rho, rho^Gamma;
     # row k of a_flat is (a[0, k], a[1, k]) flattened.
-    a_flat = np.concatenate([null.T @ _BLOCKS, np.tile(-np.eye(6).ravel(), (1, 2))])
+    a_flat = np.concatenate([null.T @ _BLOCKS, _T_ROW])
     k = len(a_flat)
     # _schur_factor takes the blocks as one C-contiguous (2, k, 6, 6) stack.
     a = np.ascontiguousarray(a_flat.reshape(k, 2, 6, 6).transpose(1, 0, 2, 3))
@@ -233,12 +282,19 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
     c[-1] = -1.0
 
     def blocks(dw):
-        return np.dot(dw, a_flat).reshape(2, 6, 6)
+        return (dw @ a_flat).reshape(2, 6, 6)
 
     w = np.zeros(k)
-    w[-1] = min_eigenvalue(f0).min() - _START_OFFSET
-    s_mat = f0 + blocks(w)
-    z = np.stack([np.eye(6), np.eye(6)]) / 12.0
+    w[-1] = _min_eigenvalues(f0).min() - _START_OFFSET
+    # The four 6x6 blocks (S_1, S_2, Z_1, Z_2) go through each numpy call
+    # as one stack, and each direction (dS_1, dS_2, dZ_1, dZ_2) is written
+    # into one: at this size a call costs more than its arithmetic, and a
+    # stacked call gives each block the same bits as a call on that block
+    # alone.
+    sz = np.concatenate([f0 + blocks(w), _Z0])
+    s_mat, z = sz[:2], sz[2:]
+    d = np.empty_like(sz)
+    ds, dz = d[:2], d[2:]
     iterations = 0
     # A NaN gap fails the comparison, so it ends in NonConvergenceError.
     while not (gap := float(np.vdot(s_mat, z))) <= MAX_GAP:
@@ -247,42 +303,39 @@ def sdp_feasible(cs: ConstraintSet, tol=DEFAULT_TOL) -> FeasibilityReport:
             raise NonConvergenceError(
                 f"primal-dual solver exhausted {iterations} iterations", diagnostics
             )
-        # The four 6x6 blocks (S_1, S_2, Z_1, Z_2) go through each numpy
-        # call as one stack: at this size a call costs more than its
-        # arithmetic, and a stacked call gives each block the same bits
-        # as a call on that block alone.
         try:
-            r = np.linalg.cholesky(np.concatenate([s_mat, z]))
-            l_inv = np.linalg.inv(r)
+            r = _lapack(_umath_linalg.cholesky_lo, sz)
+            l_inv = _lapack(_umath_linalg.inv, r)
             ls = l_inv[:2]
-            u_inv = np.linalg.inv(_schur_factor(ls, r[2:], a))
-        except np.linalg.LinAlgError:
+            u_inv = _lapack(_umath_linalg.inv, _schur_factor(ls, r[2:], a))
+        except LinAlgError:
             raise NonConvergenceError(
                 "primal-dual system is not positive definite", diagnostics
             ) from None
         s_inv = ls.transpose(0, 2, 1) @ ls
         # Predictor (sigma = 0), then Mehrotra's corrector, each in the HKM
         # direction dZ = sym(sigma mu S^-1 - Z - Z dS S^-1 - ...).  H^-1 v
-        # is U^-1 (U^-T v): a formed H^-1 lets Z drift off A^T Z = c.
-        ds_aff = blocks(u_inv @ (u_inv.T @ -c))
-        dz_aff = -z - _sym(z @ ds_aff @ s_inv)
+        # is U^-1 (U^-T v): a formed H^-1 lets Z drift off A^T Z = c.  With
+        # c = -e_t, U^-T (-c) is the last row of U^-1.
+        ds[:] = blocks(u_inv @ u_inv[-1])
+        dz[:] = -z - _sym(z @ ds @ s_inv)
         mu = gap / 12
-        step_s, step_z = _steps(l_inv, ds_aff, dz_aff)
-        mu_aff = np.vdot(s_mat + step_s * ds_aff, z + step_z * dz_aff) / 12
+        step_s, step_z = _steps(l_inv, d)
+        mu_aff = np.vdot(s_mat + step_s * ds, z + step_z * dz) / 12
         sigma_mu = (mu_aff / mu) ** 3 * mu
-        second = dz_aff @ ds_aff @ s_inv
+        second = dz @ ds @ s_inv
         rhs = sigma_mu * (a_flat @ s_inv.ravel()) - c - a_flat @ second.ravel()
         dw = u_inv @ (u_inv.T @ rhs)
-        ds = blocks(dw)
-        dz = _sym(sigma_mu * s_inv - z - z @ ds @ s_inv - second)
-        step_s, step_z = _steps(l_inv, ds, dz)
+        ds[:] = blocks(dw)
+        dz[:] = _sym(sigma_mu * s_inv - z - z @ ds @ s_inv - second)
+        step_s, step_z = _steps(l_inv, d)
         w = w + step_s * dw
-        s_mat = f0 + blocks(w)
-        z = z + step_z * dz
+        s_mat[:] = f0 + blocks(w)
+        z += step_z * dz
         iterations += 1
 
     rho_blocks = ((x0 + null @ w[:-1]) @ _BLOCKS).reshape(2, 6, 6)
-    margin = min(map(float, min_eigenvalue(rho_blocks)))
+    margin = min(map(float, _min_eigenvalues(rho_blocks)))
     feasible = margin >= -tol
     return FeasibilityReport(
         feasible=feasible,

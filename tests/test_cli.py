@@ -507,8 +507,11 @@ class TestNptBoundary:
         assert result.returncode == 0, result.stderr
         root = ElementTree.parse(tmp_path / "npt_boundary.svg").getroot()
         lines = root.findall("{http://www.w3.org/2000/svg}line")
-        # At most 6 ticks on each axis, and the one legend line.
+        # At most 6 ticks on each axis, and the one legend line; no tick
+        # is drawn twice.
         assert len(lines) <= 13
+        ends = [tuple(line.get(a) for a in ("x1", "y1", "x2", "y2")) for line in lines]
+        assert len(set(ends)) == len(ends)
 
 
 def test_line_plot_at_float_range_limits(tmp_path):
@@ -521,6 +524,14 @@ def test_line_plot_at_float_range_limits(tmp_path):
         text = path.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert "<polyline" in text
+        assert "nan" not in text and "inf" not in text
+    # One point widens to a range of nonzero span, also where v + 1 rounds
+    # back to v.
+    for v in (1e16, -1e16, 1.7e308):
+        path.unlink()
+        svg.line_plot(path, [("one", [v], [v])], "t", "x", "y")
+        text = path.read_text()
+        assert text.rstrip().endswith("</svg>")
         assert "nan" not in text and "inf" not in text
 
 
@@ -546,6 +557,7 @@ def test_ticks_bounded_finite_and_in_range(bounds):
     lo, hi = bounds
     ticks = svg._ticks(lo, hi)
     assert len(ticks) <= 6
+    assert len(set(ticks)) == len(ticks)
     assert all(math.isfinite(t) and lo <= t <= hi for t in ticks)
 
 

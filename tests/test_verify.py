@@ -3,6 +3,7 @@ import json
 import math
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,21 @@ class TestSdpFeasible:
         assert info.value.diagnostics["iterations"] == 5
         assert info.value.diagnostics["gap"] > verify.MAX_GAP
 
+    def test_exit_diagnostic_t_is_the_start(self, monkeypatch):
+        # With no iteration allowed, the reported t is the start: lambda_min
+        # of (rho(x0), rho(x0)^Gamma) less the offset, x0 the minimum-norm
+        # solution of the constraint rows.
+        monkeypatch.setattr(verify, "_ITERATION_CAP", 0)
+        cs = verify.build_constraints(0.952, 0.804, EFF)
+        with pytest.raises(verify.NonConvergenceError, match="0 iterations") as info:
+            verify.sdp_feasible(cs)
+        rows = q.vec_symmetric(cs.operators)
+        x0 = np.linalg.lstsq(rows, cs.targets, rcond=None)[0]
+        rho = q.unvec_symmetric(x0)
+        low = min(np.linalg.eigvalsh(m)[0] for m in (rho, q.partial_transpose(rho)))
+        expected = low - verify._START_OFFSET
+        assert abs(info.value.diagnostics["t"] - expected) <= 1e-12
+
     def test_zero_visibilities_strictly_interior(self):
         report = verify.sdp_feasible(verify.build_constraints(0.0, 0.0, EFF))
         assert report.feasible
@@ -210,6 +226,57 @@ def test_schur_factor_matches_trace_and_einsum():
     ref = np.einsum("bkij,bjm,blmn,bni->kl", a, np.linalg.inv(s), a, z, optimize=True)
     assert np.array_equal(u, np.triu(u))
     assert np.linalg.norm(u.T @ u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lapack_kernels_match_numpy_linalg(seed):
+    # sdp_feasible calls numpy.linalg's own LAPACK gufuncs through _lapack;
+    # on stacks of the shapes the solve uses, each gives the public
+    # wrapper's bits.
+    kernels = verify._umath_linalg
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 6, 6))
+    spd = g @ g.transpose(0, 2, 1) + np.eye(6)
+    assert np.array_equal(
+        verify._lapack(kernels.cholesky_lo, spd), np.linalg.cholesky(spd)
+    )
+    assert np.array_equal(verify._lapack(kernels.inv, spd), np.linalg.inv(spd))
+    m = rng.normal(size=(17, 72)).T  # laid out as _schur_factor's
+    r = m.copy(order="K")  # qr_r_raw overwrites its input with R
+    verify._lapack(kernels.qr_r_raw, r)
+    assert np.array_equal(np.triu(r[:17]), np.linalg.qr(m, mode="r"))
+    u = np.triu(rng.normal(size=(17, 17))) + 5 * np.eye(17)
+    assert np.array_equal(verify._lapack(kernels.inv, u), np.linalg.inv(u))
+    h = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+    h = h + h.conj().transpose(0, 2, 1)
+    assert np.array_equal(
+        verify._lapack(kernels.eigvalsh_lo, h), np.linalg.eigvalsh(h)
+    )
+    rows = rng.normal(size=(5, 21))
+    for mine, public in zip(verify._lapack(kernels.svd_f, rows), np.linalg.svd(rows)):
+        assert np.array_equal(mine, public)
+
+
+def test_lapack_failure_raises_linalg_error():
+    # A block that is not positive definite raises as np.linalg.cholesky
+    # does, with no RuntimeWarning from the NaNs LAPACK leaves behind.
+    stack = np.stack([np.eye(6), -np.eye(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            verify._lapack(verify._umath_linalg.cholesky_lo, stack)
+
+
+def test_steps_full_and_fractional():
+    # With S = Z = I (L^-1 = I), a direction that stays inside the cone
+    # takes the full step 1, one that leaves it at lambda_min = -x takes
+    # _STEP_FRACTION / x, capped at 1.
+    eye = np.stack([np.eye(6)] * 4)
+    assert verify._steps(eye, 0.5 * eye) == [1.0, 1.0]
+    assert verify._steps(eye, -eye) == [0.98, 0.98]
+    d = np.concatenate([0.25 * eye[:2], -2.0 * eye[2:]])
+    assert verify._steps(eye, d) == [1.0, 0.49]
+    assert verify._steps(eye, -0.5 * eye) == [1.0, 1.0]
 
 
 def test_complex_constraint_operator_refused():
@@ -277,20 +344,18 @@ def test_dispatches_per_iteration(monkeypatch, v_z, v_xy):
     # The blocks (S_1, S_2, Z_1, Z_2) share one Cholesky call per iteration
     # and each primal/dual step pair one eigensolve; the start t and the
     # final margins take one eigensolve each.
-    calls = {"eigvalsh": 0, "cholesky": 0}
-    cs = verify.build_constraints(v_z, v_xy, EFF)
-    for name in calls:
-        original = getattr(np.linalg, name)
+    calls = Counter()
+    lapack = verify._lapack
 
-        def counted(m, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(m, *args, **kwargs)
+    def counted(kernel, a):
+        calls[kernel.__name__] += 1
+        return lapack(kernel, a)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    report = verify.sdp_feasible(cs)
+    monkeypatch.setattr(verify, "_lapack", counted)
+    report = verify.sdp_feasible(verify.build_constraints(v_z, v_xy, EFF))
     assert report.iterations > 0
-    assert calls["eigvalsh"] <= 2 * report.iterations + 2
-    assert 0 < calls["cholesky"] <= report.iterations
+    assert calls["eigvalsh_lo"] <= 2 * report.iterations + 2
+    assert 0 < calls["cholesky_lo"] <= report.iterations
 
 
 def test_operators_stored_real():
