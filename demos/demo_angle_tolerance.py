@@ -9,7 +9,7 @@ visibility.
 
 import numpy as np
 
-from timebin_analyzer import analysis, geometry
+from timebin_analyzer import analysis, geometry, svg
 
 geom = geometry.InterferometerGeometry(
     delta_l0=0.60, sigma=1.49e-3, v0=0.91, wavelength=776e-9, focal_length=0.1
@@ -38,20 +38,13 @@ for seed in (0, 1, 2):
         f"{v_on.min():.3f}..{v_on.max():.3f} across the sweep"
     )
 
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    plt = None
-
-if plt is not None:
-    fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(alphas * 1e3, gauss_off.rows[:, 1], "ks-", label="single mode, no relay")
-    ax.plot(alphas * 1e3, gauss_off.rows[:, 2], "k--", label="ray model")
-    ax.plot(alphas * 1e3, gauss_on.rows[:, 1], "go-", label="single mode, relay")
-    ax.set_xlabel("angle of incidence [mrad]")
-    ax.set_ylabel("fringe visibility")
-    ax.set_ylim(0, 1)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig("demo_angle_tolerance.png", dpi=150)
-    print("\nsaved demo_angle_tolerance.png")
+svg.line_plot(
+    "demo_angle_tolerance.svg",
+    [
+        ("single mode, no relay", alphas * 1e3, gauss_off.rows[:, 1]),
+        ("ray model", alphas * 1e3, gauss_off.rows[:, 2]),
+        ("single mode, relay", alphas * 1e3, gauss_on.rows[:, 1]),
+    ],
+    "visibility vs angle of incidence", "alpha [mrad]", "fringe visibility",
+)
+print("\nsaved demo_angle_tolerance.svg")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from timebin_analyzer import chsh, states
+from timebin_analyzer import chsh, states, svg
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
 rho = states.depolarize(
@@ -50,30 +50,13 @@ for seed in range(5):
 print(f"  mean S = {np.mean(estimates):.3f}; "
       f"prediction sqrt(2)(0.952 + 0.804) = {chsh.s_theo(0.952, 0.804):.3f}")
 
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    plt = None
-
-if plt is not None:
-    fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-    for det, bins in zip(chsh.DETECTORS, trace.counts):
-        for b, series in zip(chsh.BINS, bins):
-            ax1.plot(trace.times, series, label=f"{det} {b}")
-    ax1.set_xlabel("time [s]")
-    ax1.set_ylabel("expected counts per bucket")
-    ax1.legend(fontsize=7)
-    # The surface's E column, row by row, as an n x n image.
-    _, blocks = chsh.surface_to_rows(trace)
-    dense = np.concatenate([block[:, 2] for block in blocks])
-    dense = dense.reshape(trace.n_buckets, trace.n_buckets)
-    im = ax2.imshow(
-        dense, origin="lower", cmap="RdBu_r", vmin=-1, vmax=1,
-        extent=[0, duration, 0, duration],
-    )
-    ax2.set_xlabel("t2 [s]")
-    ax2.set_ylabel("t1 [s]")
-    fig.colorbar(im, ax=ax2, label="E(t1, t2)")
-    fig.tight_layout()
-    fig.savefig("demo_chsh_drift_scan.png", dpi=150)
-    print("\nsaved demo_chsh_drift_scan.png")
+svg.line_plot(
+    "demo_chsh_drift_scan.svg",
+    [
+        (f"{det} {b}", trace.times, counts)
+        for det, bins in zip(chsh.DETECTORS, trace.counts)
+        for b, counts in zip(chsh.BINS, bins)
+    ],
+    "noiseless drift scan (setting x)", "time [s]", "expected counts per bucket",
+)
+print("\nsaved demo_chsh_drift_scan.svg")

@@ -9,9 +9,7 @@ independent of the analyzer losses and, as the tests check, lies on the
 circle v_z^2 + v_xy^2 = 1.
 """
 
-import math
-
-from timebin_analyzer import verify
+from timebin_analyzer import svg, verify
 from timebin_analyzer.measurement import AnalyzerEfficiencies
 
 eff = AnalyzerEfficiencies(0.9, 0.9)
@@ -44,20 +42,12 @@ for eta_l, eta_s in ((0.45, 0.45), (0.8, 0.5), (0.5, 0.8)):
     print(f"  eta_l = {eta_l}, eta_s = {eta_s}: threshold at v_z = 0.952 is "
           f"{alt[0].threshold:.4f}")
 
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    plt = None
-
-if plt is not None:
-    fig, ax = plt.subplots(figsize=(5, 4))
-    finite = [p for p in points if math.isfinite(p.threshold)]
-    ax.plot([p.v_z for p in finite], [p.threshold for p in finite],
-            "k-", label="classical bound")
-    ax.plot([0.952], [0.804], "go", label="measured")
-    ax.set_xlabel("$v_z$")
-    ax.set_ylabel("$v_{xy}$")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig("demo_entanglement_verification.png", dpi=150)
-    print("\nsaved demo_entanglement_verification.png")
+svg.line_plot(
+    "demo_entanglement_verification.svg",
+    [
+        ("classical bound", [p.v_z for p in points], [p.threshold for p in points]),
+        ("measured", [0.952], [0.804]),
+    ],
+    "classical boundary and the measured point", "v_z", "v_xy",
+)
+print("\nsaved demo_entanglement_verification.svg")

@@ -9,7 +9,7 @@ stays flat for half an hour of simulated drift.
 
 import math
 
-from timebin_analyzer import analysis, chsh
+from timebin_analyzer import analysis, chsh, svg
 
 drift = chsh.DriftModel("linear", amount=math.pi / 2, period=1800.0, phase0=0.3)
 
@@ -28,21 +28,15 @@ print(f"\nWith Poisson noise at 1000 coincidences/s the combined value dips to "
 print("still comfortably above the 0.65 needed to certify entanglement at "
       "v_z = 0.952")
 
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    plt = None
-
-if plt is not None:
-    fig, ax = plt.subplots(figsize=(6, 4))
-    t_min = noisy.rows[:, 0] / 60.0
-    ax.plot(t_min, noisy.rows[:, 1], "rs-", label="E at phi'")
-    ax.plot(t_min, noisy.rows[:, 2], "bh-", label="E at phi' + pi/2")
-    ax.plot(t_min, noisy.rows[:, 3], "ko-", label="combined")
-    ax.axhline(0.65, color="gray", ls=":", label="certification floor")
-    ax.set_xlabel("time [min]")
-    ax.set_ylabel("expectation value")
-    ax.legend(fontsize=8)
-    fig.tight_layout()
-    fig.savefig("demo_long_term_stability.png", dpi=150)
-    print("\nsaved demo_long_term_stability.png")
+t_min = noisy.rows[:, 0] / 60.0
+svg.line_plot(
+    "demo_long_term_stability.svg",
+    [
+        ("E at phi'", t_min, noisy.rows[:, 1]),
+        ("E at phi' + pi/2", t_min, noisy.rows[:, 2]),
+        ("combined", t_min, noisy.rows[:, 3]),
+        ("certification floor", [t_min[0], t_min[-1]], [0.65, 0.65]),
+    ],
+    "noisy half-hour run at 1000 coincidences/s", "time [min]", "expectation value",
+)
+print("\nsaved demo_long_term_stability.svg")

@@ -14,7 +14,7 @@ writes the surface's cell expression, and the two surface readers
 evaluate it on the cells they need, in O(n) memory:
 ``max_expectation_surface`` finds the maximum without building the
 surface, and ``surface_to_rows`` streams it in blocks of whole rows for
-CSV export and plots.
+the CSV export.
 """
 
 from __future__ import annotations

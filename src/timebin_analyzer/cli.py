@@ -265,7 +265,7 @@ def cmd_visibility_scan(settings):
         "alpha [mrad]", "visibility",
     )
     file = _File("visibility_scan.csv", curve.columns, curve.rows, params, plot)
-    return [file], f"visibility {wave[-1]:.4f} at {alpha_max * 1e3:.4g} mrad"
+    return [file], f"visibility {wave[-1]:.4f} at {alpha[-1] * 1e3:.4g} mrad"
 
 
 def cmd_relay_check(settings):

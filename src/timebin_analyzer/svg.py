@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line plots for CLI output."""
+"""Minimal dependency-free SVG line plots for the CLI and the demos."""
 
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ def line_plot(path, series, title, xlabel, ylabel):
 
     ``series`` is a list of (label, xs, ys) triples.  Not a plotting
     library: fixed layout, one axes box, automatic ranges and ticks;
-    non-finite points are left out.
+    non-finite points are left out, and a series of one point is a dot.
     """
     width, height = _WIDTH, _HEIGHT
     margin_l, margin_r, margin_t, margin_b = 70, 20, 34, 48
@@ -107,15 +107,19 @@ def line_plot(path, series, title, xlabel, ylabel):
     ]
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
+        points = [
             f"{px(x):.2f},{py(y):.2f}"
             for x, y in zip(xs, ys)
             if math.isfinite(x) and math.isfinite(y)
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            'stroke-width="1.6"/>'
-        )
+        ]
+        if len(points) == 1:  # a polyline of one point has no length
+            cx, cy = points[0].split(",")
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')
+        else:
+            parts.append(
+                f'<polyline points="{" ".join(points)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.6"/>'
+            )
         ly = margin_t + 16 + 16 * idx
         lx = margin_l + plot_w - 150
         parts.append(

@@ -183,6 +183,14 @@ class TestVisibilityScan:
         svg = (tmp_path / "visibility_scan.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_one_step_note_names_the_angle_swept(self, tmp_path, capsys):
+        # linspace(0, alpha_max, 1) is [0]: the one angle swept is 0.
+        assert run([
+            "visibility-scan", "--alpha-steps", "1", "--alpha-max", "2mrad",
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        assert " at 0 mrad; wrote " in capsys.readouterr().out
+
     def test_jobs_deterministic(self, tmp_path):
         for jobs, name in ((1, "a"), (4, "b")):
             out = tmp_path / name
@@ -533,6 +541,22 @@ def test_line_plot_at_float_range_limits(tmp_path):
         text = path.read_text()
         assert text.rstrip().endswith("</svg>")
         assert "nan" not in text and "inf" not in text
+
+
+def test_line_plot_draws_one_point_as_a_dot(tmp_path):
+    # A polyline of one point has no length, so a series with one finite
+    # point is a circle in its colour.  Two points are one polyline, and the
+    # digest pins the whole document.
+    path = tmp_path / "plot.svg"
+    svg.line_plot(path, [("one", [1.0, math.nan], [2.0, 3.0])], "t", "x", "y")
+    root = ElementTree.parse(path).getroot()
+    (circle,) = root.findall("{http://www.w3.org/2000/svg}circle")
+    assert circle.get("fill") == svg._PALETTE[0]
+    assert root.findall("{http://www.w3.org/2000/svg}polyline") == []
+    svg.line_plot(path, [("two", [0.0, 1.0], [2.0, 3.0])], "t", "x", "y")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f6967d040dcd226bb4d4f8baa03e4bd1a28d8730d5d28b4be7de35aa2edb67eb"
+    )
 
 
 _FINITE = hst.floats(allow_nan=False, allow_infinity=False)

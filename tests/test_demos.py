@@ -3,73 +3,41 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# A stand-in for matplotlib.pyplot, so that each demo's plotting branch
-# runs without matplotlib: every object takes any call and any attribute,
-# and passes each argument through np.asarray, as plotting would.
-PYPLOT_STUB = """
-import numpy as np
-
-
-class _Any:
-    def __getattr__(self, name):
-        if name.startswith("__"):  # numpy's array protocols, among others
-            raise AttributeError(name)
-        return self
-
-    def __call__(self, *args, **kwargs):
-        for value in (*args, *kwargs.values()):
-            np.asarray(value)
-        return _Any()
-
-
-def subplots(nrows=1, ncols=1, **kwargs):
-    axes = tuple(_Any() for _ in range(nrows * ncols))
-    return _Any(), axes[0] if len(axes) == 1 else axes
-
-
-def __getattr__(name):
-    return _Any()
-"""
-
 
 @pytest.mark.parametrize(
-    "script, headers",
+    "script, headers, n_series",
     [
         ("demo_angle_tolerance.py", (
             "Gaussian beam, relay off: visibility follows the ray-model envelope",
             "Speckle beam (50 transverse modes): the relay is what makes it work",
-        )),
+        ), 3),
         ("demo_chsh_drift_scan.py", (
             "Noiseless scan (expected counts): the surface maximum is exactly v_xy",
-        )),
+        ), 6),
         ("demo_long_term_stability.py", (
             "Noiseless half-hour run, 3-minute buckets, pi/2 of total drift:",
-        )),
+        ), 4),
         ("demo_entangled_visibilities.py", (
             "Hybrid Bell state (H paired with the early bin):",
-        )),
+        ), None),
         ("demo_entanglement_verification.py", (
             "Measured visibilities v_z = 0.952, v_xy = 0.804:",
-        )),
+        ), 2),
         ("demo_relay_and_phase.py", (
             "Relay ray-transfer matrices",
-        )),
+        ), None),
     ],
     ids=["angle_tolerance", "chsh_drift_scan", "long_term_stability",
          "entangled_visibilities", "entanglement_verification", "relay_and_phase"],
 )
-def test_demo_runs(tmp_path, script, headers):
-    stub = tmp_path / "stub" / "matplotlib"
-    stub.mkdir(parents=True)
-    (stub / "__init__.py").write_text("")
-    (stub / "pyplot.py").write_text(PYPLOT_STUB)
-    paths = [str(ROOT / "src"), str(stub.parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+def test_demo_runs(tmp_path, script, headers, n_series):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     path = ROOT / "demos" / script
     result = subprocess.run(
         [sys.executable, str(path)],
@@ -78,8 +46,22 @@ def test_demo_runs(tmp_path, script, headers):
     assert result.returncode == 0, result.stderr
     for header in headers:
         assert header in result.stdout
-    if "import matplotlib" in path.read_text():
-        assert f"saved {path.stem}.png" in result.stdout
+    if n_series:  # one polyline, or one dot for a series of one point, each
+        assert f"saved {path.stem}.svg" in result.stdout
+        root = ElementTree.parse(tmp_path / f"{path.stem}.svg").getroot()
+        marks = [el for el in root if el.tag.endswith(("}polyline", "}circle"))]
+        assert len(marks) == n_series
+
+
+def test_imports_are_stdlib_numpy_or_the_package():
+    # numpy is the one declared dependency, of the package and of the demos.
+    # A relative import (level > 0) is the package's own.
+    allowed = {*sys.stdlib_module_names, "numpy", "timebin_analyzer"}
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+        names += [n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level]
+        assert not {name.partition(".")[0] for name in names} - allowed, path.name
 
 
 def test_readme_quick_start():
