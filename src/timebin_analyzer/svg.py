@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import html
 import math
 import sys
 
@@ -49,6 +50,7 @@ def line_plot(path, series, title, xlabel, ylabel):
     ``series`` is a list of (label, xs, ys) triples.  Not a plotting
     library: fixed layout, one axes box, automatic ranges and ticks;
     non-finite points are left out, and a series of one point is a dot.
+    The title and labels are plain text; ``<`` and ``&`` are escaped.
     """
     width, height = _WIDTH, _HEIGHT
     margin_l, margin_r, margin_t, margin_b = 70, 20, 34, 48
@@ -78,7 +80,7 @@ def line_plot(path, series, title, xlabel, ylabel):
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">{html.escape(title, quote=False)}</text>',
     ]
     for t in _ticks(x_lo, x_hi):
         x = px(t)
@@ -101,9 +103,10 @@ def line_plot(path, series, title, xlabel, ylabel):
         )
     parts += [
         f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" '
-        f'text-anchor="middle">{xlabel}</text>',
+        f'text-anchor="middle">{html.escape(xlabel, quote=False)}</text>',
         f'<text x="16" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">'
+        f'{html.escape(ylabel, quote=False)}</text>',
     ]
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -126,7 +129,7 @@ def line_plot(path, series, title, xlabel, ylabel):
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.6"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}">{html.escape(label, quote=False)}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -91,8 +91,8 @@ def _unit_power(grid, extent, wavelength) -> ScalarField:
     return field
 
 
-# Largest grid side.  A relay-off sweep of a 2048^2 field peaks near 200 MB
-# (about 50 MB at 1024^2); a side twice as large would need four times that.
+# Largest grid side.  A relay-off sweep of a 2048^2 field peaks near 176 MB
+# (about 44 MB at 1024^2); a side twice as large would need four times that.
 # Relay-off sweeps also keep one kernel quadrant per (grid_n, cell,
 # wavelength, delta_l0), for at most _KERNEL_CACHE_SIZE of them: up to
 # 4 x 16.8 MB at 2048^2, 4 x 1.06 MB at 512^2.  They keep one ring table per
@@ -419,7 +419,10 @@ def aoi_visibility_scan(field, geom, alphas, relay):
                 p = field.power()
             raise ValueError(f"field must carry nonzero finite power, got {p}")
         return np.full(alphas.shape, geom.v0, dtype=float)
-    rows, quadrant = _folded_power(np.fft.fft2(field.grid))
+    # With out= the first 1-D pass writes into out and the second runs in
+    # place, so one spectrum array is alive, not two.  out is never field.grid,
+    # and the spectrum is unnamed so that it is freed once folded.
+    rows, quadrant = _folded_power(np.fft.fft2(field.grid, out=np.empty_like(field.grid)))
     _check_alias(field, quadrant, geom.delta_l0)
     delta = _geometry.lateral_offset(geom, alphas)
     _check_shift(field, np.max(np.abs(delta)))

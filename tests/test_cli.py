@@ -559,6 +559,19 @@ def test_line_plot_draws_one_point_as_a_dot(tmp_path):
     )
 
 
+def test_line_plot_escapes_text(tmp_path):
+    # The title and labels are text, not markup: with < and & in them the
+    # document still parses, and each reads back as it was given.
+    path = tmp_path / "plot.svg"
+    texts = [("E<0 & E>0", "t", "x", "y"), ("a & b", "t <&> u", "x < 1", "y & z")]
+    for label, title, xlabel, ylabel in texts:
+        svg.line_plot(path, [(label, [0, 1], [0, 1])], title, xlabel, ylabel)
+        root = ElementTree.parse(path).getroot()
+        read = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert read[0] == title
+        assert read[-3:] == [xlabel, ylabel, label]
+
+
 _FINITE = hst.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -617,10 +617,13 @@ class TestAoiVisibilityScan:
     @pytest.mark.parametrize("angles", [1, 9, 41])
     def test_one_kernel_per_sweep(self, gaussian, geom, monkeypatch, angles):
         calls = dict.fromkeys(["fft2", "quadrant", "range", "kernel", "overlap"], 0)
+        outs = []
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "fft2":
+                    outs.append(kwargs.get("out"))
                 return func(*args, **kwargs)
             return wrapper
 
@@ -638,8 +641,44 @@ class TestAoiVisibilityScan:
         alphas = np.linspace(0.0, 2e-3, angles)
         assert w.aoi_visibility_scan(gaussian, geom, alphas, False).shape == (angles,)
         assert calls == {"fft2": 1, "quadrant": 1, "range": 1, "kernel": 0, "overlap": 0}
+        # The spectrum goes into a fresh array of its own, never the field's.
+        (out,) = outs
+        assert out.shape == gaussian.grid.shape and out.dtype == np.complex128
+        assert not np.shares_memory(out, gaussian.grid)
         assert w.aoi_visibility_scan(gaussian, geom, alphas, True).shape == (angles,)
         assert calls == {"fft2": 1, "quadrant": 1, "range": 1, "kernel": 0, "overlap": 0}
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_same_bits_for_every_grid_layout(self, geom, n):
+        # The spectrum's array takes the grid's layout.  Every layout of the
+        # same values gives the same bits, and no sweep writes into its field.
+        field = w.make_speckle(3, seed=3, grid_n=n, extent=0.008)
+        before = field.grid.tobytes()
+        expected = w.aoi_visibility_scan(field, geom, self.ALPHAS, False)
+        assert field.grid.tobytes() == before
+        wide = np.zeros((n, 2 * n), dtype=complex)
+        wide[:, ::2] = field.grid
+        layouts = (np.asfortranarray(field.grid), field.grid.T.copy().T, wide[:, ::2])
+        for grid in layouts:
+            other = w.ScalarField(grid, field.extent, field.wavelength)
+            assert other.grid is grid
+            scan = w.aoi_visibility_scan(other, geom, self.ALPHAS, False)
+            assert np.array_equal(scan, expected)
+            assert grid.tobytes() == before
+
+    def test_relay_off_sweep_holds_one_spectrum(self, gaussian, geom):
+        # fft2 writes its first pass into its own output and runs the second
+        # in place, so one spectrum array is alive: a warm sweep peaks near
+        # 1.67 grids, and a second spectrum would make it 2.
+        alphas = np.linspace(0.0, 2e-3, 17)
+        w.aoi_visibility_scan(gaussian, geom, alphas, False)  # warms the caches
+        tracemalloc.start()
+        try:
+            w.aoi_visibility_scan(gaussian, geom, alphas, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * gaussian.grid.nbytes
 
     @pytest.mark.parametrize("kind", ["gaussian", "speckle"])
     def test_relay_on_returns_v0_to_the_bit(self, geom, kind):
